@@ -1,5 +1,10 @@
 """Reference algorithms for benchmark comparisons: greedy, random prefix,
-and a randomized lazy greedy."""
+and a randomized lazy greedy.
+
+Each records the value of its solution on the ledger
+(``QueryLedger.record_value``) after the round that produced it, so
+``ledger.values`` traces value against adaptive rounds.
+"""
 
 from __future__ import annotations
 
@@ -14,8 +19,7 @@ from .oracle import (
 )
 
 
-def greedy(f: Objective, k: int, ledger: QueryLedger,
-           progress: list | None = None) -> Subset:
+def greedy(f: Objective, k: int, ledger: QueryLedger) -> Subset:
     """Add the element with maximum positive gain each round, up to k picks.
 
     One initial round evaluates the empty set; each selection round is one
@@ -27,8 +31,7 @@ def greedy(f: Objective, k: int, ledger: QueryLedger,
         raise ValueError(f"k must be >= 1, got {k}")
     s = Subset()
     f_s = float(evaluate_batch(f, [s], ledger)[0])
-    if progress is not None:
-        progress.append((ledger.rounds, f_s))
+    ledger.record_value(f_s)
     remaining = np.arange(f.n, dtype=np.int64)
     for _ in range(min(k, f.n)):
         gains = batch_marginals(f, s, remaining, f_s, ledger)
@@ -38,15 +41,14 @@ def greedy(f: Objective, k: int, ledger: QueryLedger,
         s = s.add(int(remaining[best]))
         f_s += float(gains[best])
         remaining = np.delete(remaining, best)
-        if progress is not None:
-            progress.append((ledger.rounds, f_s))
+        ledger.record_value(f_s)
         if remaining.size == 0:
             break
     return s
 
 
 def random_prefix(f: Objective, k: int, rng: np.random.Generator,
-                  ledger: QueryLedger, progress: list | None = None) -> Subset:
+                  ledger: QueryLedger) -> Subset:
     """Best prefix (lengths 0..k) of one uniform random ground-set ordering.
 
     All k+1 prefixes are evaluated in a single adaptive round; ties go to the
@@ -58,14 +60,12 @@ def random_prefix(f: Objective, k: int, rng: np.random.Generator,
     prefixes = [order[:i] for i in range(min(k, f.n) + 1)]
     values = evaluate_batch(f, prefixes, ledger)
     best = int(np.argmax(values))
-    if progress is not None:
-        progress.append((ledger.rounds, float(values[best])))
+    ledger.record_value(values[best])
     return Subset(prefixes[best])
 
 
 def random_lazy_greedy(f: Objective, k: int, eps: float,
-                       rng: np.random.Generator, ledger: QueryLedger,
-                       progress: list | None = None) -> Subset:
+                       rng: np.random.Generator, ledger: QueryLedger) -> Subset:
     """Each round, pick uniformly among the k highest positive marginals.
 
     Marginals are maintained lazily: cached gains are upper bounds under
@@ -85,8 +85,7 @@ def random_lazy_greedy(f: Objective, k: int, eps: float,
     bounds = np.asarray(values[1:], dtype=np.float64) - f_s
     fresh = np.ones(n, dtype=bool)
     chosen = np.zeros(n, dtype=bool)
-    if progress is not None:
-        progress.append((ledger.rounds, f_s))
+    ledger.record_value(f_s)
 
     s = Subset()
     while len(s) < k:
@@ -110,6 +109,5 @@ def random_lazy_greedy(f: Objective, k: int, eps: float,
         s = s.add(pick)
         chosen[pick] = True
         fresh[:] = chosen  # every unchosen bound is stale once the solution grows
-        if progress is not None:
-            progress.append((ledger.rounds, f_s))
+        ledger.record_value(f_s)
     return s

@@ -46,7 +46,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--samples", type=int, default=100,
                      help="per-estimate sample override; 0 uses the "
                           "theoretical count")
-    run.add_argument("--rlg-eps", type=float, default=0.01)
+    run.add_argument("--rlg-eps", type=float, default=0.01,
+                     help="accepted for configuration parity with the lazy-"
+                          "greedy benchmark setup; it has no effect, since "
+                          "the lazy refresh is exact")
     run.add_argument("--out", help="summary CSV path")
     run.add_argument("--trace", help="per-round trace CSV path")
     run.add_argument("--debug-trace", help="JSON-lines threshold-trial trace")

@@ -1,10 +1,12 @@
 """Benchmark harness: run algorithm x instance x k sweeps, emit CSV traces.
 
 The per-round trace CSV has header
-``algorithm,trial,round,cum_queries,best_value,k,seed`` and the summary CSV
-``algorithm,k,mean_value,std_value,mean_queries,mean_rounds``. Reruns with the
-same config are byte-identical apart from a leading timestamp comment, which
-can be suppressed.
+``algorithm,trial,round,cum_queries,best_value,k,seed``; each row is read off
+the trial's ``QueryLedger`` (``per_round`` for the queries, ``values`` for the
+best value, carried forward over rounds that found none). The summary CSV has
+header ``algorithm,k,mean_value,std_value,mean_queries,mean_rounds``. Reruns
+with the same config are byte-identical apart from a leading timestamp
+comment, which can be suppressed.
 """
 
 from __future__ import annotations
@@ -80,7 +82,6 @@ class TrialRecord:
     output: Subset
     value: float
     ledger: QueryLedger
-    points: list[tuple[int, float]]
     debug: list[dict] = field(default_factory=list)
 
 
@@ -109,64 +110,40 @@ def build_instance(config: RunConfig) -> Instance:
 def _run_one(config: RunConfig, f, k: int, trial: int) -> TrialRecord:
     seed = config.seed + trial
     ledger = QueryLedger()
-    points: list[tuple[int, float]] = []
     debug: list[dict] = []
     if config.algorithm == "greedy":
-        out = greedy(f, k, ledger, progress=points)
+        out = greedy(f, k, ledger)
     elif config.algorithm == "random":
-        out = random_prefix(f, k, make_rng(seed), ledger, progress=points)
+        out = random_prefix(f, k, make_rng(seed), ledger)
     elif config.algorithm == "rlg":
-        out = random_lazy_greedy(f, k, config.rlg_eps, make_rng(seed), ledger,
-                                 progress=points)
+        out = random_lazy_greedy(f, k, config.rlg_eps, make_rng(seed), ledger)
     else:
         params = NonmonotoneParams(k=k, eps=config.eps, delta=config.delta,
                                    sample_override=config.samples)
         out, ledger, trials = adaptive_nonmonotone_max(f, params, seed)
-        points = _anm_points(trials, params)
         debug = [
             {"trial": t.index, "tau": t.tau,
              "break_reason": t.outcome.break_reason.value,
              "rounds": t.outcome.ledger.rounds,
              "queries": t.outcome.ledger.total_queries,
-             "snapshots": [{key: snap[key] for key in
-                            ("round", "a_size", "s_size", "t", "mu")}
+             "snapshots": [{"round": snap["round"], "a_size": len(snap["a"]),
+                            "s_size": len(snap["s"]), "t": snap["t"],
+                            "mu": snap["mu"]}
                            for snap in t.outcome.snapshots]}
             for t in trials
         ]
     value = evaluate_offline(f, out)
     return TrialRecord(algorithm=config.algorithm, trial=trial, k=k, seed=seed,
-                       output=out, value=value, ledger=ledger, points=points,
-                       debug=debug)
-
-
-def _anm_points(trials, params: NonmonotoneParams) -> list[tuple[int, float]]:
-    """Per-round best over all logically parallel threshold trials.
-
-    Trial-local round j lands on master round j+1 (the singleton sweep is
-    round 1, where the best singleton is already a known feasible solution).
-    """
-    if not trials:
-        return [(1, 0.0)]
-    delta_star = trials[0].tau * params.k / params.c1
-    points = [(1, delta_star)]
-    for t in trials:
-        for rnd, val in t.outcome.value_points:
-            points.append((rnd + 1, val))
-        if t.prefix_value is not None:
-            points.append((t.prefix_round + 1, t.prefix_value))
-    return points
+                       output=out, value=value, ledger=ledger, debug=debug)
 
 
 def _trace_rows(record: TrialRecord) -> list[tuple]:
-    by_round: dict[int, float] = {}
-    for rnd, val in record.points:
-        by_round[rnd] = max(val, by_round.get(rnd, -np.inf))
-    cum = record.ledger.cumulative_queries()
+    ledger = record.ledger
+    cum = ledger.cumulative_queries()
     rows = []
     best = -np.inf
-    for rnd in range(1, record.ledger.rounds + 1):
-        if rnd in by_round:
-            best = max(best, by_round[rnd])
+    for rnd, _ in ledger.per_round:
+        best = max(best, ledger.values.get(rnd, -np.inf))
         shown = best if best > -np.inf else 0.0
         rows.append((record.algorithm, record.trial, rnd, cum[rnd - 1],
                      shown, record.k, record.seed))

@@ -7,7 +7,10 @@ because the pool got small, trims oversized fallbacks by uniform downsampling
 and a best-prefix pass, and returns the best set seen anywhere.
 
 Reported adaptivity is the maximum over threshold trials plus one round for
-the initial singleton sweep; reported queries are summed over trials.
+the initial singleton sweep; reported queries are summed over trials. The
+returned ledger is built that way as the run goes: the singleton sweep is its
+round 1, and the trial ledgers are appended with ``extend_parallel``, which
+also carries each round's best value.
 
 The trade-off constants default to c1=1/7, c3=3, tuned for a one-round
 unconstrained subroutine with a 1/4 approximation factor. Swapping in a
@@ -19,7 +22,7 @@ plugged in later.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,16 +97,14 @@ class ThresholdTrial:
     downsampled: Subset | None = None
     prefix_set: Subset | None = None
     prefix_value: float | None = None
-    prefix_round: int | None = None
-    best_local: Subset = field(default_factory=Subset)
-    best_local_value: float = 0.0
 
 
 def max_singleton(f: Objective, ledger: QueryLedger) -> float:
     """Largest single-element value, via one round of n singleton queries."""
     singles = [np.array([x], dtype=np.int64) for x in range(f.n)]
-    values = evaluate_batch(f, singles, ledger)
-    return float(values.max())
+    best = float(evaluate_batch(f, singles, ledger).max())
+    ledger.record_value(best)
+    return best
 
 
 def downsample(u: Subset, k: int, rng: np.random.Generator) -> Subset:
@@ -113,25 +114,20 @@ def downsample(u: Subset, k: int, rng: np.random.Generator) -> Subset:
     return Subset(sample_without_replacement(rng, u.to_array(), k))
 
 
-def _best_prefix_valued(f: Objective, u_prime: Subset,
-                        rng: np.random.Generator,
-                        ledger: QueryLedger) -> tuple[Subset, float]:
+def best_prefix(f: Objective, u_prime: Subset, rng: np.random.Generator,
+                ledger: QueryLedger) -> tuple[Subset, float]:
     """Best prefix of a uniform random ordering of u_prime, with its value.
 
-    Evaluates the empty prefix and all |u_prime| proper prefixes in one
-    adaptive round; ties go to the shortest prefix.
+    Evaluates the empty prefix and all |u_prime| nonempty prefixes in one
+    adaptive round and records the best value on the ledger; ties go to the
+    shortest prefix.
     """
     order = rng.permutation(u_prime.to_array())
     prefixes = [order[:i] for i in range(order.size + 1)]
     values = evaluate_batch(f, prefixes, ledger)
     best = int(np.argmax(values))
+    ledger.record_value(values[best])
     return Subset(prefixes[best]), float(values[best])
-
-
-def best_prefix(f: Objective, u_prime: Subset, rng: np.random.Generator,
-                ledger: QueryLedger) -> Subset:
-    chosen, _ = _best_prefix_valued(f, u_prime, rng, ledger)
-    return chosen
 
 
 def threshold_grid(delta_star: float, params: NonmonotoneParams) -> list[float]:
@@ -153,35 +149,29 @@ def adaptive_nonmonotone_max(
     when each candidate set was formed, so it costs no fresh queries.
     """
     d = params.derive()
-    head = QueryLedger()
-    delta_star = max_singleton(f, head)
+    ledger = QueryLedger()
+    delta_star = max_singleton(f, ledger)
     if delta_star <= 0.0:
-        return Subset(), head, []
+        return Subset(), ledger, []
 
-    trial_seeds = spawn_seeds(seed, d.r + 1)
+    taus = threshold_grid(delta_star, params)
+    trial_seeds = spawn_seeds(seed, len(taus))
     unc_params = UnconstrainedParams(eps=d.eps_hat, delta=d.delta_hat)
     trials: list[ThresholdTrial] = []
-    for i in range(d.r + 1):
+    for i, tau in enumerate(taus):
         rng = np.random.default_rng(trial_seeds[i])
-        tau = params.c1 * (1.0 + d.eps_hat) ** i * delta_star / params.k
         led = QueryLedger()
         tp = ThresholdParams(k=params.k, tau=tau, eps=d.eps_hat,
                              delta=d.delta_hat, break_size=d.break_size,
                              sample_override=params.sample_override)
         outcome = threshold_sampling(f, tp, rng, ledger=led)
         trial = ThresholdTrial(index=i, tau=tau, outcome=outcome)
-        trial.best_local, trial.best_local_value = outcome.s, outcome.f_s
         if outcome.break_reason is BreakReason.SMALL_A:
-            u = unconstrained_max(f, outcome.a, unc_params, rng, led)
-            u_prime = downsample(u, params.k, rng)
-            u_pp, u_val = _best_prefix_valued(f, u_prime, rng, led)
-            trial.unconstrained_set = u
-            trial.downsampled = u_prime
-            trial.prefix_set = u_pp
-            trial.prefix_value = u_val
-            trial.prefix_round = led.rounds
-            if u_val > trial.best_local_value:
-                trial.best_local, trial.best_local_value = u_pp, u_val
+            trial.unconstrained_set = unconstrained_max(f, outcome.a, unc_params,
+                                                        rng, led)
+            trial.downsampled = downsample(trial.unconstrained_set, params.k, rng)
+            trial.prefix_set, trial.prefix_value = best_prefix(
+                f, trial.downsampled, rng, led)
         trials.append(trial)
 
     best = Subset()
@@ -192,10 +182,5 @@ def adaptive_nonmonotone_max(
         if trial.prefix_value is not None and trial.prefix_value > best_value:
             best, best_value = trial.prefix_set, trial.prefix_value
 
-    merged = QueryLedger.merge_parallel([t.outcome.ledger for t in trials])
-    ledger = QueryLedger()
-    ledger.add_round(head.per_round[0][1])
-    for _, q in merged.per_round:
-        ledger.add_round(q)
-    ledger.logical_samples = head.logical_samples + merged.logical_samples
+    ledger.extend_parallel([t.outcome.ledger for t in trials])
     return best, ledger, trials

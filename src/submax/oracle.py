@@ -4,7 +4,11 @@ Adaptivity is a measured quantity here, not a convention. Every oracle access
 made by an algorithm flows through the batched entry points in this module
 (``evaluate_batch``, ``batch_marginals``, ``batch_pair_gains``), and each call
 is exactly one adaptive round on the attached :class:`QueryLedger`. Algorithm
-modules never touch ``Objective._evaluate`` directly.
+modules never touch ``Objective._evaluate`` directly. The ledger is the one
+per-round record of a run: queries, logical samples, and the best value each
+round found, which algorithms note with ``QueryLedger.record_value`` right
+after the round that paid for it. The entry points reject NaN and infinite
+oracle values, so a bad value fails at the round that produced it.
 
 Randomness is always drawn by single-threaded orchestration code before a
 batch is issued, so results are reproducible regardless of how a batch is
@@ -117,16 +121,20 @@ class Objective(ABC):
 
 @dataclass
 class QueryLedger:
-    """Metering record: one entry per adaptive round, queries within it.
+    """The per-round record of a run: queries, logical samples and values.
 
-    ``total_queries`` and ``rounds`` are derived from ``per_round`` so the
-    conservation invariant (total = sum over rounds) holds by construction.
+    ``per_round`` holds one ``(round, queries)`` pair per adaptive round;
+    ``total_queries`` and ``rounds`` are derived from it, so the conservation
+    invariant (total = sum over rounds) holds by construction.
     ``logical_samples`` counts indicator samples one-per-sample, while the
     query counters meter the two raw evaluations each sample costs.
+    ``values`` maps a round to the best value of a feasible set found in that
+    round; rounds that found none have no entry.
     """
 
     per_round: list[tuple[int, int]] = field(default_factory=list)
     logical_samples: int = 0
+    values: dict[int, float] = field(default_factory=dict)
 
     @property
     def total_queries(self) -> int:
@@ -142,6 +150,31 @@ class QueryLedger:
         self.per_round.append((len(self.per_round) + 1, int(queries)))
         self.logical_samples += int(logical_samples)
 
+    def record_value(self, value: float) -> None:
+        """Note a feasible set's value, found in the latest round."""
+        if not self.per_round:
+            raise ValueError("a value needs a round on the ledger")
+        rnd = self.rounds
+        self.values[rnd] = max(float(value), self.values.get(rnd, -np.inf))
+
+    def extend_parallel(self, ledgers: Sequence["QueryLedger"]) -> None:
+        """Append the rounds of logically parallel runs after this ledger's.
+
+        Appended round j holds every run's round-j queries, so the ledger
+        grows by the deepest run's rounds; queries and logical samples are
+        summed over runs and each round keeps the best of their values.
+        """
+        offset = self.rounds
+        depth = max((led.rounds for led in ledgers), default=0)
+        for j in range(depth):
+            self.add_round(sum(led.per_round[j][1] for led in ledgers
+                               if led.rounds > j))
+        self.logical_samples += sum(led.logical_samples for led in ledgers)
+        for led in ledgers:
+            for rnd, value in led.values.items():
+                best = self.values.get(offset + rnd, -np.inf)
+                self.values[offset + rnd] = max(value, best)
+
     def cumulative_queries(self) -> list[int]:
         totals, acc = [], 0
         for _, q in self.per_round:
@@ -149,26 +182,18 @@ class QueryLedger:
             totals.append(acc)
         return totals
 
-    @classmethod
-    def merge_parallel(cls, ledgers: Sequence["QueryLedger"]) -> "QueryLedger":
-        """Combine ledgers of logically parallel runs.
-
-        Round j of the merged ledger holds the union of every run's round-j
-        queries, so rounds = max over runs and queries = sum over runs.
-        """
-        merged = cls()
-        depth = max((led.rounds for led in ledgers), default=0)
-        for j in range(depth):
-            q = sum(led.per_round[j][1] for led in ledgers if led.rounds > j)
-            merged.per_round.append((j + 1, q))
-        merged.logical_samples = sum(led.logical_samples for led in ledgers)
-        return merged
-
 
 def _as_index_array(candidates) -> np.ndarray:
     if isinstance(candidates, Subset):
         return candidates.to_array()
     return np.asarray(list(candidates), dtype=np.int64)
+
+
+def _finite(values, entry_point: str) -> np.ndarray:
+    out = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{entry_point}: the oracle returned a non-finite value")
+    return out
 
 
 def _check_bounds(f: Objective, idx: np.ndarray) -> None:
@@ -188,7 +213,7 @@ def evaluate_batch(f: Objective, queries: Sequence,
     query order; the ledger gains exactly one round and len(queries) queries.
     Queries within the batch are mutually independent, so implementations may
     evaluate them concurrently (here: a vectorized objective path when one
-    exists).
+    exists). Raises ValueError if any value is NaN or infinite.
     """
     if len(queries) == 0:
         raise ValueError("evaluate_batch requires a nonempty batch")
@@ -215,7 +240,7 @@ def evaluate_batch(f: Objective, queries: Sequence,
             raise InvalidSubsetError("duplicate element in subset query")
         fast = f._evaluate_batch(masks)
         if fast is not None:
-            return np.asarray(fast, dtype=np.float64)
+            return _finite(fast, "evaluate_batch")
 
     out = np.empty(len(arrays), dtype=np.float64)
     for j, arr in enumerate(arrays):
@@ -224,7 +249,7 @@ def evaluate_batch(f: Objective, queries: Sequence,
             if arr.size > 1 and (np.diff(arr) == 0).any():
                 raise InvalidSubsetError("duplicate element in subset query")
         out[j] = f._evaluate(arr)
-    return out
+    return _finite(out, "evaluate_batch")
 
 
 def batch_marginals(f: Objective, base: Subset, candidates,
@@ -232,7 +257,8 @@ def batch_marginals(f: Objective, base: Subset, candidates,
     """Gains f(base + x) - base_value for each candidate x, one adaptive round.
 
     base_value must already be known, so the round costs exactly
-    len(candidates) queries. A candidate already in base has gain 0.
+    len(candidates) queries. A candidate already in base has gain 0. Raises
+    ValueError if any gain is NaN or infinite.
     """
     cand = _as_index_array(candidates)
     if cand.size == 0:
@@ -245,14 +271,14 @@ def batch_marginals(f: Objective, base: Subset, candidates,
     empty_t = np.empty((cand.size, 0), dtype=np.int64)
     fast = f._gain_batch(base_idx, empty_t, cand)
     if fast is not None:
-        return np.asarray(fast, dtype=np.float64)
+        return _finite(fast, "batch_marginals")
     out = np.empty(cand.size, dtype=np.float64)
     for j, x in enumerate(cand):
         if x in base:
             out[j] = 0.0
         else:
             out[j] = f._evaluate(base.add(int(x)).to_array()) - base_value
-    return out
+    return _finite(out, "batch_marginals")
 
 
 def batch_pair_gains(f: Objective, base: Subset, t_mat: np.ndarray,
@@ -261,7 +287,8 @@ def batch_pair_gains(f: Objective, base: Subset, t_mat: np.ndarray,
 
     Each row simulates one indicator sample and is metered as two raw
     evaluations (2 * len(xs) queries) plus one logical sample per row.
-    Rows of t_mat must be duplicate-free and disjoint from base.
+    Rows of t_mat must be duplicate-free and disjoint from base. Raises
+    ValueError if any gain is NaN or infinite.
     """
     t_mat = np.asarray(t_mat, dtype=np.int64)
     xs = np.asarray(xs, dtype=np.int64)
@@ -278,7 +305,7 @@ def batch_pair_gains(f: Objective, base: Subset, t_mat: np.ndarray,
 
     fast = f._gain_batch(base_idx, t_mat, xs)
     if fast is not None:
-        return np.asarray(fast, dtype=np.float64)
+        return _finite(fast, "batch_pair_gains")
 
     # Fallback: two evaluations per pair, memoized within the batch.
     memo: dict[frozenset, float] = {}
@@ -295,7 +322,7 @@ def batch_pair_gains(f: Objective, base: Subset, t_mat: np.ndarray,
     for j in range(xs.size):
         b = base_members.union(int(e) for e in t_mat[j])
         out[j] = value(b | {int(xs[j])}) - value(b)
-    return out
+    return _finite(out, "batch_pair_gains")
 
 
 def evaluate_offline(f: Objective, subset) -> float:

@@ -93,9 +93,13 @@ class SamplingOutcome:
     """Result of a threshold-sampling run.
 
     f_s and f_empty are the values already paid for during the run, so
-    downstream argmax steps need no fresh queries. snapshots holds one dict
-    per outer round (candidate pool after the filter, solution after the
-    update, chosen t, last estimate) for debugging and property tests.
+    downstream argmax steps need no fresh queries; the ledger also holds
+    them per round in ``ledger.values``. snapshots holds one dict per outer
+    round with keys ``round``, ``a`` (the int64 pool array after the filter),
+    ``s`` (the solution Subset after the update), ``t`` and ``mu`` (chosen
+    block size and its estimate, None when the round broke before the scan)
+    and ``estimates`` (every (t, mu) probed). Pool and solution are held by
+    reference, never copied.
     """
 
     s: Subset
@@ -104,7 +108,6 @@ class SamplingOutcome:
     ledger: QueryLedger
     f_s: float
     f_empty: float
-    value_points: list[tuple[int, float]] = field(default_factory=list)
     snapshots: list[dict] = field(default_factory=list)
 
 
@@ -132,26 +135,16 @@ def draw_block_and_probe(rng: np.random.Generator, pool: np.ndarray, t: int,
     return np.vstack(chunks_t), np.concatenate(chunks_x)
 
 
-def sample_indicator(f: Objective, s: Subset, a: Subset, t: int, tau: float,
-                     rng: np.random.Generator, ledger: QueryLedger) -> int:
-    """One Bernoulli probe of whether the t-th random insertion clears tau.
-
-    Costs two oracle evaluations. Estimation loops should use
-    :func:`estimate_mean`, which issues all its samples in a single round.
-    """
-    pool = a.to_array()
-    t_mat, xs = draw_block_and_probe(rng, pool, t, 1)
-    gains = batch_pair_gains(f, s, t_mat, xs, ledger)
-    return int(gains[0] >= tau)
-
-
-def estimate_mean(f: Objective, s: Subset, a: Subset, t: int, tau: float,
-                  ell: int, rng: np.random.Generator,
+def estimate_mean(f: Objective, s: Subset, pool: np.ndarray, t: int,
+                  tau: float, ell: int, rng: np.random.Generator,
                   ledger: QueryLedger) -> float:
-    """Mean of ell indicator samples, all issued in one adaptive round."""
+    """Mean of ell indicator samples, all issued in one adaptive round.
+
+    Each sample asks whether the t-th random insertion from the sorted int64
+    candidate array ``pool`` into s clears tau, at two oracle evaluations.
+    """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
-    pool = a.to_array()
     t_mat, xs = draw_block_and_probe(rng, pool, t, ell)
     gains = batch_pair_gains(f, s, t_mat, xs, ledger)
     return float(np.mean(gains >= tau))
@@ -165,7 +158,8 @@ def threshold_sampling(f: Objective, params: ThresholdParams,
     Round structure: one initial round evaluates f(empty); each outer round is
     one filter round, the estimate rounds of the block-size scan, and one
     round to evaluate the updated solution (which is what makes the final
-    value available downstream without fresh queries). Scan iterations whose
+    value available downstream without fresh queries). Both kinds of
+    evaluation round record their value on the ledger. Scan iterations whose
     block size repeats the previous one reuse its estimate, since they would
     probe the identical distribution.
     """
@@ -176,33 +170,23 @@ def threshold_sampling(f: Objective, params: ThresholdParams,
 
     s = Subset()
     f_empty = float(evaluate_batch(f, [s], ledger)[0])
+    ledger.record_value(f_empty)
     f_s = f_empty
     pool = np.arange(n, dtype=np.int64)
-    value_points = [(ledger.rounds, f_s)]
     snapshots: list[dict] = []
     reason = BreakReason.EXHAUSTED_ROUNDS
 
     for outer in range(1, d.r + 1):
         gains = batch_marginals(f, s, pool, f_s, ledger)
         pool = pool[gains >= params.tau]
-        snap = {
-            "round": outer,
-            "a_size": int(pool.size),
-            "s_size": len(s),
-            "a": tuple(int(x) for x in pool),
-            "s": tuple(s.indices),
-            "t": None,
-            "mu": None,
-            "estimates": [],
-            "f_s": f_s,
-        }
+        snap = {"round": outer, "a": pool, "s": s, "t": None, "mu": None,
+                "estimates": []}
+        snapshots.append(snap)
         if pool.size == 0:
             reason = BreakReason.EMPTY_A
-            snapshots.append(snap)
             break
         if params.break_size is not None and pool.size < params.break_size:
             reason = BreakReason.SMALL_A
-            snapshots.append(snap)
             break
 
         t = 1
@@ -215,7 +199,7 @@ def threshold_sampling(f: Objective, params: ThresholdParams,
                 continue
             last_t = t_i
             t = t_i
-            mu = estimate_mean(f, s, Subset(pool), t_i, params.tau, d.ell, rng, ledger)
+            mu = estimate_mean(f, s, pool, t_i, params.tau, d.ell, rng, ledger)
             estimates.append((t_i, mu))
             if mu <= 1.0 - 1.5 * d.eps_hat:
                 break
@@ -223,17 +207,15 @@ def threshold_sampling(f: Objective, params: ThresholdParams,
         block = sample_without_replacement(rng, pool, min(t, params.k - len(s)))
         s = s.union(block)
         f_s = float(evaluate_batch(f, [s], ledger)[0])
-        value_points.append((ledger.rounds, f_s))
-        snap.update(t=t, mu=mu, estimates=estimates,
-                    s=tuple(s.indices), s_size=len(s), f_s=f_s)
-        snapshots.append(snap)
+        ledger.record_value(f_s)
+        snap.update(s=s, t=t, mu=mu, estimates=estimates)
         if len(s) == params.k:
             reason = BreakReason.FULL_S
             break
 
     return SamplingOutcome(s=s, a=Subset(pool), break_reason=reason,
                            ledger=ledger, f_s=f_s, f_empty=f_empty,
-                           value_points=value_points, snapshots=snapshots)
+                           snapshots=snapshots)
 
 
 def verify_termination_marginals(f: Objective, outcome: SamplingOutcome,

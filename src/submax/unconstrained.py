@@ -41,14 +41,10 @@ class UnconstrainedParams:
 
 
 def unconstrained_max(f: Objective, a: Subset, params: UnconstrainedParams,
-                      rng: np.random.Generator, ledger: QueryLedger,
-                      include_empty: bool = False,
-                      empty_value: float | None = None) -> Subset:
+                      rng: np.random.Generator, ledger: QueryLedger) -> Subset:
     """Best of t uniform random subsets of the pool a, in one adaptive round.
 
-    Ties go to the first subset drawn. include_empty adds the empty set as an
-    implicit zero-cost candidate when its value is already known; it is off by
-    default so the round/query accounting matches the bare algorithm.
+    Ties go to the first subset drawn.
     """
     if len(a) == 0:
         raise ValueError("the candidate pool must be nonempty")
@@ -58,6 +54,4 @@ def unconstrained_max(f: Objective, a: Subset, params: UnconstrainedParams,
     draws = [pool[mask] for mask in masks]
     values = evaluate_batch(f, draws, ledger)
     best = int(np.argmax(values))
-    if include_empty and empty_value is not None and empty_value > values[best]:
-        return Subset()
     return Subset(draws[best])

@@ -1,0 +1,103 @@
+"""Golden outputs: pinned runs whose results must not move across refactors.
+
+Each case runs one algorithm on one small synthetic objective through
+``run_experiment`` (``timestamp=False``). The trace, summary and debug-trace
+files must match the copies under ``tests/golden/`` byte for byte, and every
+trial's output set and ``ledger.per_round`` must match ``cases.json``.
+
+A change that is meant to move these outputs regenerates them and says which
+cells moved and why:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from submax import QueryLedger, max_singleton
+from submax.harness import RunConfig, _run_one, build_instance, run_experiment
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+SPECS = {
+    "revenue": ({"n": 50, "p": 0.1, "seed": 0}, 13),
+    "synthetic-cut": ({"n": 40, "p": 0.15, "seed": 1}, 8),
+    "image": ({"n": 30, "dim": 8, "seed": 2}, 6),
+    "movie": ({"n": 30, "dim": 8, "seed": 3}, 6),
+}
+CASES = [(alg, obj) for alg in ("anm", "greedy", "random", "rlg") for obj in SPECS]
+
+
+def _config(algorithm: str, objective: str, stem: Path | None) -> RunConfig:
+    spec, k = SPECS[objective]
+    files = {} if stem is None else dict(
+        trace=f"{stem}.trace.csv", out=f"{stem}.summary.csv",
+        debug_trace=f"{stem}.debug.jsonl")
+    return RunConfig(objective=objective, algorithm=algorithm, ks=[k],
+                     synthetic=dict(spec), trials=2, seed=5, timestamp=False,
+                     **files)
+
+
+def _run_case(algorithm: str, objective: str, stem: Path) -> dict:
+    """Write the case's files next to ``stem``; return its per-trial record."""
+    config = _config(algorithm, objective, stem)
+    f = build_instance(config).objective()
+    run_experiment(config, f)
+    records = [_run_one(config, f, config.ks[0], trial)
+               for trial in range(config.trials)]
+    return {"trials": [{"output": list(rec.output.indices),
+                        "per_round": [list(p) for p in rec.ledger.per_round]}
+                       for rec in records]}
+
+
+def _suffixes(algorithm: str) -> tuple[str, ...]:
+    # Only anm has threshold trials, so only anm writes a debug trace.
+    base = (".trace.csv", ".summary.csv")
+    return base + (".debug.jsonl",) if algorithm == "anm" else base
+
+
+@pytest.fixture(scope="module")
+def golden_cases() -> dict:
+    return json.loads((GOLDEN / "cases.json").read_text())
+
+
+@pytest.mark.parametrize("algorithm,objective", CASES)
+def test_golden_case(algorithm, objective, golden_cases, tmp_path):
+    name = f"{algorithm}_{objective}"
+    got = _run_case(algorithm, objective, tmp_path / name)
+    assert got == golden_cases[name]
+    for suffix in _suffixes(algorithm):
+        produced = (tmp_path / (name + suffix)).read_bytes()
+        assert produced == (GOLDEN / (name + suffix)).read_bytes(), suffix
+    if algorithm != "anm":
+        assert not (tmp_path / (name + ".debug.jsonl")).exists()
+
+
+def test_anm_round_one_value_is_exact_max_singleton():
+    # Round 1 of an anm trace is the singleton sweep; its best value is the
+    # largest singleton value itself, not a value recomputed from a threshold.
+    config = _config("anm", "revenue", None)
+    config.trials = 1
+    f = build_instance(config).objective()
+    rows, _ = run_experiment(config, f)
+    assert rows[0][2] == 1
+    assert rows[0][4] == max_singleton(f, QueryLedger())
+
+
+def regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for path in GOLDEN.iterdir():
+        path.unlink()
+    cases = {}
+    for algorithm, objective in CASES:
+        name = f"{algorithm}_{objective}"
+        cases[name] = _run_case(algorithm, objective, GOLDEN / name)
+    (GOLDEN / "cases.json").write_text(json.dumps(cases, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -92,19 +92,21 @@ class TestDownsample:
 class TestBestPrefix:
     def test_empty(self):
         f = ModularObjective([1.0])
-        out = best_prefix(f, Subset(), make_rng(0), QueryLedger())
+        out, value = best_prefix(f, Subset(), make_rng(0), QueryLedger())
         assert out == Subset()
+        assert value == 0.0
 
     def test_modular_full_set_is_best(self):
         f = ModularObjective([0.5, 1.5, 1.0])
         led = QueryLedger()
-        out = best_prefix(f, Subset([0, 1, 2]), make_rng(3), led)
+        out, value = best_prefix(f, Subset([0, 1, 2]), make_rng(3), led)
         assert out == Subset([0, 1, 2])
         assert (led.rounds, led.total_queries) == (1, 4)
+        assert value == led.values[1] == 3.0
 
     def test_revenue_two_node_picks_length_one(self):
         f = RevenueObjective(WeightedGraph(n=2, edges=[(0, 1, 1.0)]))
-        out = best_prefix(f, Subset([0, 1]), make_rng(0), QueryLedger())
+        out, _ = best_prefix(f, Subset([0, 1]), make_rng(0), QueryLedger())
         assert len(out) == 1
         assert evaluate_offline(f, out) == pytest.approx(1.0)
 

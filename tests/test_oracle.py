@@ -5,14 +5,19 @@ from submax import (
     CutObjective,
     InvalidSubsetError,
     ModularObjective,
+    NonmonotoneParams,
+    Objective,
     QueryLedger,
     RevenueObjective,
+    SaturatedCoverageObjective,
     Subset,
     WeightedGraph,
+    adaptive_nonmonotone_max,
     batch_marginals,
     batch_pair_gains,
     evaluate_batch,
     evaluate_offline,
+    greedy,
     make_rng,
     sample_without_replacement,
     spawn_seeds,
@@ -163,17 +168,87 @@ class TestQueryLedger:
         with pytest.raises(ValueError):
             QueryLedger().add_round(0)
 
-    def test_merge_parallel(self):
+    def test_extend_parallel(self):
         a, b = QueryLedger(), QueryLedger()
         a.add_round(5)
-        a.add_round(2)
+        a.record_value(1.5)
+        a.add_round(2, logical_samples=1)
+        a.record_value(3.0)
         b.add_round(1)
-        b.add_round(4)
+        b.record_value(2.0)
+        b.add_round(4, logical_samples=2)
         b.add_round(10)
-        merged = QueryLedger.merge_parallel([a, b])
-        assert merged.rounds == 3
-        assert merged.total_queries == a.total_queries + b.total_queries
-        assert [q for _, q in merged.per_round] == [6, 6, 10]
+        b.record_value(0.5)
+        merged = QueryLedger()
+        merged.add_round(7)
+        merged.record_value(1.0)
+        merged.extend_parallel([a, b])
+        assert merged.rounds == 4
+        assert merged.total_queries == 7 + a.total_queries + b.total_queries
+        assert [q for _, q in merged.per_round] == [7, 6, 6, 10]
+        assert merged.logical_samples == 3
+        assert merged.values == {1: 1.0, 2: 2.0, 3: 3.0, 4: 0.5}
+
+    def test_record_value_keeps_best_of_round(self):
+        led = QueryLedger()
+        with pytest.raises(ValueError):
+            led.record_value(1.0)  # no round to attach it to
+        led.add_round(3)
+        led.record_value(np.float64(2.0))
+        led.record_value(1.0)
+        assert led.values == {1: 2.0}
+        assert type(led.values[1]) is float
+
+
+class _FallbackModular(Objective):
+    """Modular weights with no batched kernel, so every call takes the fallback."""
+
+    def __init__(self, weights):
+        super().__init__(len(weights))
+        self.weights = np.asarray(weights, dtype=np.float64)
+
+    def _evaluate(self, idx):
+        return float(self.weights[idx].sum())
+
+
+NON_FINITE = [(make, bad) for make in (ModularObjective, _FallbackModular)
+              for bad in (np.nan, np.inf)]
+
+
+class TestNonFiniteValuesRejected:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("make,bad", NON_FINITE)
+    def test_evaluate_batch(self, make, bad):
+        f = make([1.0, bad, 3.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate_batch(f, [Subset([0]), Subset([0, 1])], QueryLedger())
+
+    @pytest.mark.parametrize("make,bad", NON_FINITE)
+    def test_batch_marginals(self, make, bad):
+        f = make([1.0, bad, 3.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            batch_marginals(f, Subset([0]), [1, 2], 1.0, QueryLedger())
+
+    @pytest.mark.parametrize("make,bad", NON_FINITE)
+    def test_batch_pair_gains(self, make, bad):
+        f = make([1.0, bad, 3.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            batch_pair_gains(f, Subset(), np.array([[0]]), np.array([1]),
+                             QueryLedger())
+
+    def test_nan_coverage_contribution_fails_at_first_round(self):
+        # The coverage guard (a < 0) lets NaN through; the batch layer stops it.
+        f = SaturatedCoverageObjective(np.array([[1.0], [np.nan]]), np.array([5.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate_batch(f, [Subset([0, 1])], QueryLedger())
+
+    def test_algorithms_fail_instead_of_returning(self):
+        f = ModularObjective([1.0, np.nan, 3.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            greedy(f, 2, QueryLedger())
+        params = NonmonotoneParams(k=2, eps=0.3, delta=0.1, sample_override=20)
+        with pytest.raises(ValueError, match="non-finite"):
+            adaptive_nonmonotone_max(f, params, 0)
 
 
 class TestRandomness:

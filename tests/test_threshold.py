@@ -15,7 +15,6 @@ from submax import (
     estimate_mean,
     evaluate_offline,
     make_rng,
-    sample_indicator,
     threshold_sampling,
     verify_termination_marginals,
 )
@@ -68,10 +67,12 @@ class TestParams:
 
 
 class TestSampleIndicator:
+    """Single indicator samples, drawn as estimate_mean with ell=1."""
+
     def test_singleton_pool(self):
         f = ModularObjective([2.0])
         led = QueryLedger()
-        bit = sample_indicator(f, Subset(), Subset([0]), 1, 1.0, make_rng(0), led)
+        bit = estimate_mean(f, Subset(), np.array([0]), 1, 1.0, 1, make_rng(0), led)
         assert bit == 1
         assert (led.rounds, led.total_queries, led.logical_samples) == (1, 2, 1)
 
@@ -79,18 +80,18 @@ class TestSampleIndicator:
         f = ModularObjective([1.0, 2.0, 3.0])
         rng = make_rng(1)
         for t in (1, 2, 3):
-            assert sample_indicator(f, Subset(), Subset([0, 1, 2]), t, 10.0,
-                                    rng, QueryLedger()) == 0
+            assert estimate_mean(f, Subset(), np.array([0, 1, 2]), t, 10.0, 1,
+                                 rng, QueryLedger()) == 0
 
     def test_t_out_of_range(self):
         f = ModularObjective([1.0, 2.0])
         with pytest.raises(ValueError):
-            sample_indicator(f, Subset(), Subset([0, 1]), 3, 0.5, make_rng(0),
-                             QueryLedger())
+            estimate_mean(f, Subset(), np.array([0, 1]), 3, 0.5, 1, make_rng(0),
+                          QueryLedger())
 
     def test_path_graph_estimate_matches_enumeration(self):
         f = path_cut()
-        pool = Subset([0, 1, 2])
+        pool = np.array([0, 1, 2])
         for tau, t in ((1.0, 2), (2.0, 2)):
             exact = exhaustive_indicator_mean(f, Subset(), pool, t, tau)
             led = QueryLedger()
@@ -103,13 +104,13 @@ class TestSampleIndicator:
 class TestEstimateMean:
     def test_all_marginals_clear_threshold(self):
         f = ModularObjective([1.0, 2.0, 3.0])
-        mu = estimate_mean(f, Subset(), Subset([0, 1, 2]), 2, 1.0, 50,
+        mu = estimate_mean(f, Subset(), np.array([0, 1, 2]), 2, 1.0, 50,
                            make_rng(0), QueryLedger())
         assert mu == 1.0
 
     def test_threshold_above_everything(self):
         f = ModularObjective([1.0, 2.0, 3.0])
-        mu = estimate_mean(f, Subset(), Subset([0, 1, 2]), 2, 100.0, 50,
+        mu = estimate_mean(f, Subset(), np.array([0, 1, 2]), 2, 100.0, 50,
                            make_rng(0), QueryLedger())
         assert mu == 0.0
 
@@ -117,7 +118,7 @@ class TestEstimateMean:
         # At 100 samples the estimate should land within 0.15 of the exact
         # mean nearly always; allow the usual 3-sigma slack on the 99% rate.
         f = path_cut()
-        pool = Subset([0, 1, 2])
+        pool = np.array([0, 1, 2])
         exact = exhaustive_indicator_mean(f, Subset(), pool, 2, 1.0)
         reps, hits = 200, 0
         for i in range(reps):
@@ -174,7 +175,7 @@ class TestThresholdSampling:
             out = threshold_sampling(f, p, make_rng(seed))
             assert len(out.s) <= 4
             for snap in out.snapshots:
-                assert snap["s_size"] <= 4
+                assert len(snap["s"]) <= 4
 
     def test_filter_soundness(self):
         # Right after each filter, every surviving candidate clears tau
@@ -186,7 +187,7 @@ class TestThresholdSampling:
         prev_s = Subset()
         for snap in out.snapshots:
             survivors = snap["a"]
-            if survivors:
+            if len(survivors):
                 base_val = evaluate_offline(f, prev_s)
                 from submax import batch_marginals
                 gains = batch_marginals(f, prev_s, list(survivors), base_val,
@@ -242,21 +243,21 @@ class TestThresholdSampling:
             expected.extend([2 * ell] * len(snap["estimates"]))
             if snap["t"] is not None:
                 expected.append(1)  # evaluation of the updated solution
-            pool_size = snap["a_size"]
+            pool_size = len(snap["a"])
         assert rounds == expected
         n_estimates = sum(len(s["estimates"]) for s in out.snapshots)
         assert out.ledger.logical_samples == n_estimates * ell
         assert out.ledger.total_queries == sum(expected)
 
-    def test_value_points_track_solution_growth(self):
+    def test_ledger_values_track_solution_growth(self):
         f = ModularObjective(np.full(10, 2.0))
         p = ThresholdParams(k=5, tau=1.0, eps=0.25, delta=0.05,
                             sample_override=30)
         out = threshold_sampling(f, p, make_rng(0))
-        rounds = [r for r, _ in out.value_points]
-        assert rounds == sorted(rounds)
-        assert out.value_points[0][1] == 0.0  # empty-set value
-        assert out.value_points[-1][1] == out.f_s
+        values = out.ledger.values
+        assert values[1] == 0.0  # empty-set value
+        assert values[max(values)] == out.f_s
+        assert max(values) == out.ledger.rounds  # the update round ends the run
 
 
 class TestDrawBlockAndProbe:

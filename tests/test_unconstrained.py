@@ -61,16 +61,6 @@ class TestUnconstrainedMax:
         with pytest.raises(ValueError):
             unconstrained_max(f, Subset(), p, make_rng(0), QueryLedger())
 
-    def test_include_empty_candidate(self):
-        # A function where almost every nonempty draw scores below the empty
-        # set: modular with zero weights ties, so empty never wins strictly.
-        f = ModularObjective(np.zeros(4))
-        p = UnconstrainedParams(eps=0.2, delta=0.1)
-        out = unconstrained_max(f, Subset(range(4)), p, make_rng(0),
-                                QueryLedger(), include_empty=True,
-                                empty_value=0.0)
-        assert evaluate_offline(f, out) == 0.0
-
     def test_quarter_approximation_statistics(self):
         eps, delta, runs = 0.2, 0.1, 300
         p = UnconstrainedParams(eps=eps, delta=delta)
