@@ -66,8 +66,8 @@ class WeightedGraph:
                 raise ValueError(f"self-loop on node {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-            if w < 0:
-                raise ValueError(f"negative weight on edge ({u},{v})")
+            if not 0.0 <= w < float("inf"):
+                raise ValueError(f"negative or non-finite weight on edge ({u},{v})")
             if u > v:
                 u, v = v, u
             if (u, v) in seen:
@@ -180,11 +180,31 @@ class CutObjective(Objective):
 
 
 class RevenueObjective(Objective):
-    """Influence-style revenue: sum over non-members of sqrt(weight into S)."""
+    """Influence-style revenue: sum over non-members of sqrt(weight into S).
+
+    Adding x to B changes sqrt(W_B(v)) only at x's neighbours v, so
+    :meth:`_gain_batch` reads a neighbour table built once here: row v holds
+    v's neighbour ids and edge weights, padded with v's own id and weight 0.0
+    to one slot past the maximum degree, so the last slot is always v itself.
+    A zero-weight edge adds exactly 0, so it is left out. A batch of m paired
+    gains over pools of size t-1 costs O(m·(n + deg·t)): O(deg·t) gathers per
+    row, plus one zero-filled row of all n nodes per gain, summed in the
+    memory layout of the all-nodes formula so the gains are bit-for-bit those
+    of summing every node's increment. The dense matrix stays for
+    :meth:`_evaluate` and :meth:`_evaluate_batch`.
+    """
 
     def __init__(self, graph: WeightedGraph):
         super().__init__(graph.n)
         self.w = graph.dense()
+        rows, cols = np.nonzero(self.w)
+        degree = np.bincount(rows, minlength=self.n)
+        width = (int(degree.max()) if rows.size else 0) + 1
+        slot = np.arange(rows.size) - np.repeat(np.cumsum(degree) - degree, degree)
+        self._nbr = np.repeat(np.arange(self.n, dtype=np.int64)[:, None], width, axis=1)
+        self._nbr[rows, slot] = cols
+        self._nbr_w = np.zeros((self.n, width))
+        self._nbr_w[rows, slot] = self.w[rows, cols]
 
     def _evaluate(self, idx):
         if idx.size == 0:
@@ -193,25 +213,38 @@ class RevenueObjective(Objective):
         return float(into.sum() - into[idx].sum())
 
     def _gain_batch(self, base_idx, t_mat, xs):
-        if t_mat.shape[1] and np.isin(t_mat, base_idx).any():
-            return None
+        in_base = np.zeros(self.n, dtype=bool)
+        in_base[base_idx] = True
+        if in_base[t_mat].any():
+            return None  # overlapping pools: defer to the exact fallback
         m = xs.size
         w_into_base = self.w[:, base_idx].sum(axis=1) if base_idx.size else np.zeros(self.n)
+        nbr = self._nbr[xs]  # (m, width); padding and the last slot hold x_j
+        w_b = w_into_base[nbr]
         if t_mat.shape[1]:
-            w_b = w_into_base[:, None] + self.w[:, t_mat].sum(axis=2)  # (n, m)
-        else:
-            w_b = np.broadcast_to(w_into_base[:, None], (self.n, m)).copy()
-        inc = np.sqrt(w_b + self.w[:, xs]) - np.sqrt(w_b)
-        members = np.zeros((self.n, m), dtype=bool)
-        if base_idx.size:
-            members[base_idx, :] = True
+            # Add the T columns one after another in t_mat order, as the
+            # all-nodes (n, m, t-1) reduction does, so W_{B_j}(v) is
+            # bit-identical.
+            cols = self.w[nbr, t_mat.T[:, :, None]]  # (t-1, m, width)
+            t_sum = cols[0].copy()
+            for col in cols[1:]:
+                t_sum += col
+            w_b = w_b + t_sum
+        inc = np.sqrt(w_b + self._nbr_w[xs]) - np.sqrt(w_b)
+        members = in_base[nbr] | (nbr == xs[:, None])
         if t_mat.shape[1]:
-            members[t_mat.ravel(), np.repeat(np.arange(m), t_mat.shape[1])] = True
-        members[xs, np.arange(m)] = True
+            members |= (nbr[:, :, None] == t_mat[:, None, :]).any(axis=2)
         inc[members] = 0.0
-        own = np.sqrt(w_b[xs, np.arange(m)])
-        gains = inc.sum(axis=0) - own
-        gains[_member_mask(base_idx, t_mat, xs)] = 0.0
+        # Sum each gain over a zero-filled row of all n nodes, laid out as the
+        # all-nodes formula's (n, m) increments are: n fastest when T is
+        # non-empty (numpy sums pairwise), row-major (n, m) when T is empty
+        # (it sums sequentially over n). Summing only the deg terms would
+        # round differently. The O(m·n) row costs far less than the
+        # O(n·m·t) gather an all-nodes kernel needs.
+        dense = np.zeros((m, self.n)) if t_mat.shape[1] else np.zeros((self.n, m)).T
+        dense[np.arange(m)[:, None], nbr] = inc
+        gains = dense.sum(axis=1) - np.sqrt(w_b[:, -1])
+        gains[in_base[xs] | (t_mat == xs[:, None]).any(axis=1)] = 0.0
         return gains
 
     def _evaluate_batch(self, masks):
@@ -303,7 +336,7 @@ class SaturatedCoverageObjective(Objective):
         caps = np.asarray(caps, dtype=np.float64)
         if a.ndim != 2 or caps.ndim != 1 or a.shape[1] != caps.size:
             raise ValueError("contributions must be (n, groups) matching caps")
-        if (a < 0).any() or (caps < 0).any():
+        if not (a >= 0).all() or not (caps >= 0).all():
             raise ValueError("contributions and caps must be nonnegative")
         super().__init__(a.shape[0])
         self.a = a
@@ -339,10 +372,10 @@ def _erdos_renyi(n: int, p: float, rng: np.random.Generator) -> WeightedGraph:
     """G(n, p) with independent uniform (0,1) edge weights."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0,1], got {p}")
-    pairs = list(itertools.combinations(range(n), 2))
-    keep = rng.random(len(pairs)) < p
-    weights = rng.random(len(pairs))
-    edges = [(u, v, float(weights[i])) for i, (u, v) in enumerate(pairs) if keep[i]]
+    us, vs = np.triu_indices(n, 1)  # the pair order of itertools.combinations
+    keep = rng.random(us.size) < p
+    weights = rng.random(us.size)
+    edges = list(zip(us[keep].tolist(), vs[keep].tolist(), weights[keep].tolist()))
     return WeightedGraph(n=n, edges=edges)
 
 

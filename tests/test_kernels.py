@@ -1,0 +1,183 @@
+"""Differential tests of every objective's batched fast paths.
+
+``_gain_batch`` and ``_evaluate_batch`` are checked against ``_evaluate`` on
+generated instances, and the revenue neighbour kernel against the dense
+all-nodes formula it replaced, kept below as the reference.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from submax import (
+    ModularObjective,
+    RevenueObjective,
+    generate_synthetic,
+    load_edge_list,
+    make_random_coverage,
+)
+from submax.objectives import _member_mask
+
+EPS = np.finfo(np.float64).eps
+SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def dense_revenue_gain_batch(w, base_idx, t_mat, xs):
+    """The revenue gain kernel over all n nodes: an (n, m, t-1) gather of w."""
+    n = w.shape[0]
+    if t_mat.shape[1] and np.isin(t_mat, base_idx).any():
+        return None
+    m = xs.size
+    w_into_base = w[:, base_idx].sum(axis=1) if base_idx.size else np.zeros(n)
+    if t_mat.shape[1]:
+        w_b = w_into_base[:, None] + w[:, t_mat].sum(axis=2)  # (n, m)
+    else:
+        w_b = np.broadcast_to(w_into_base[:, None], (n, m)).copy()
+    inc = np.sqrt(w_b + w[:, xs]) - np.sqrt(w_b)
+    members = np.zeros((n, m), dtype=bool)
+    if base_idx.size:
+        members[base_idx, :] = True
+    if t_mat.shape[1]:
+        members[t_mat.ravel(), np.repeat(np.arange(m), t_mat.shape[1])] = True
+    members[xs, np.arange(m)] = True
+    inc[members] = 0.0
+    own = np.sqrt(w_b[xs, np.arange(m)])
+    gains = inc.sum(axis=0) - own
+    gains[_member_mask(base_idx, t_mat, xs)] = 0.0
+    return gains
+
+
+def make_objective(kind, n, seed):
+    if kind == "modular":
+        return ModularObjective(np.random.default_rng(seed).random(n) * 3.0)
+    if kind == "coverage":
+        return make_random_coverage(n, 5, seed=seed, big_elements=n // 4)
+    if kind in ("revenue", "synthetic-cut"):
+        return generate_synthetic(kind, n, 0.4, seed=seed).objective()
+    return generate_synthetic(kind, n, seed=seed).objective()
+
+
+KINDS = ["modular", "coverage", "revenue", "synthetic-cut", "image", "movie"]
+GUARDED = [k for k in KINDS if k != "modular"]  # overlapping pools give None
+
+
+@st.composite
+def gain_queries(draw, max_t=6):
+    """(n, base, t_mat, xs): T rows disjoint from base, any x in 0..n-1."""
+    n = draw(st.integers(2, 14))
+    perm = draw(st.permutations(range(n)))
+    b = draw(st.integers(0, n - 1))
+    base = np.sort(np.asarray(perm[:b], dtype=np.int64))
+    rest = perm[b:]
+    t = draw(st.integers(0, min(max_t, len(rest))))
+    m = draw(st.integers(1, 6))
+    t_mat = np.asarray([draw(st.permutations(rest))[:t] for _ in range(m)],
+                       dtype=np.int64).reshape(m, t)
+    xs = np.asarray(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)),
+                    dtype=np.int64)
+    return n, base, t_mat, xs
+
+
+def reference_gain(f, base, t_row, x):
+    """f(B + x) - f(B) from two evaluations, B = base + T, and their scale."""
+    b = np.union1d(base, t_row).astype(np.int64)
+    f_b = f._evaluate(b)
+    f_bx = f._evaluate(np.union1d(b, [x]).astype(np.int64))
+    return f_bx - f_b, max(1.0, abs(f_b), abs(f_bx))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@SETTINGS
+@given(q=gain_queries(), seed=st.integers(0, 2**16))
+def test_gain_batch_matches_evaluate(kind, q, seed):
+    n, base, t_mat, xs = q
+    f = make_objective(kind, n, seed)
+    got = f._gain_batch(base, t_mat, xs)
+    assert got is not None and got.shape == xs.shape
+    for j, x in enumerate(xs):
+        if x in base or x in t_mat[j]:
+            assert got[j] == 0.0  # exactly, as the Objective contract asks
+            continue
+        want, scale = reference_gain(f, base, t_mat[j], x)
+        assert abs(got[j] - want) <= 16 * n * EPS * scale, (j, got[j], want)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@SETTINGS
+@given(n=st.integers(2, 14), seed=st.integers(0, 2**16), data=st.data())
+def test_evaluate_batch_matches_evaluate(kind, n, seed, data):
+    f = make_objective(kind, n, seed)
+    rows = data.draw(st.integers(1, 5))
+    masks = np.asarray(data.draw(st.lists(
+        st.lists(st.booleans(), min_size=f.n, max_size=f.n),
+        min_size=rows, max_size=rows)), dtype=bool)
+    got = f._evaluate_batch(masks)
+    if got is None:  # image has no batched evaluator
+        assert kind == "image"
+        return
+    for mask, value in zip(masks, got):
+        want = f._evaluate(np.flatnonzero(mask).astype(np.int64))
+        assert abs(value - want) <= 16 * f.n * EPS * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_overlapping_pool_defers_to_fallback(kind):
+    f = make_objective(kind, 6, seed=3)
+    base = np.array([1, 4], dtype=np.int64)
+    t_mat = np.array([[0, 4], [2, 3]], dtype=np.int64)  # row 0 reuses 4
+    xs = np.array([5, 5], dtype=np.int64)
+    got = f._gain_batch(base, t_mat, xs)
+    if kind in GUARDED:
+        assert got is None
+    else:  # modular gains ignore the pool, so the overlap is harmless
+        assert np.array_equal(got, f.weights[xs])
+
+
+@st.composite
+def revenue_cases(draw):
+    n = draw(st.integers(2, 60))
+    p = draw(st.sampled_from([0.0, 0.05, 0.2, 1.0]))
+    seed = draw(st.integers(0, 2**16))
+    b = draw(st.integers(0, n - 1))
+    t = draw(st.integers(0, min(12, n - b)))
+    m = draw(st.sampled_from([1, 2, 7, 30]))
+    return n, p, seed, b, t, m
+
+
+def _revenue_query(n, b, t, m, rng):
+    perm = rng.permutation(n)
+    base = np.sort(perm[:b])
+    rest = perm[b:]
+    t_mat = np.stack([rng.choice(rest, t, replace=False) for _ in range(m)])
+    return base, t_mat.reshape(m, t), rng.integers(0, n, m)
+
+
+@SETTINGS
+@given(case=revenue_cases())
+@example(case=(40, 0.2, 1, 5, 0, 1))     # m = 1, empty T
+@example(case=(40, 0.2, 2, 5, 12, 1))    # m = 1, t-1 >= 8
+@example(case=(50, 0.05, 3, 10, 12, 30))  # t-1 >= 8: pairwise blocks differ
+@example(case=(20, 1.0, 4, 3, 9, 7))     # complete graph
+@example(case=(9, 0.0, 5, 2, 4, 7))      # no edges at all
+def test_revenue_kernel_equals_dense_formula(case):
+    n, p, seed, b, t, m = case
+    f = generate_synthetic("revenue", n, p, seed=seed).objective()
+    base, t_mat, xs = _revenue_query(n, b, t, m, np.random.default_rng(seed))
+    want = dense_revenue_gain_batch(f.w, base, t_mat, xs)
+    assert np.array_equal(f._gain_batch(base, t_mat, xs), want)
+
+
+def test_revenue_kernel_isolated_node_and_zero_weight_edge(tmp_path):
+    # Node 5 is isolated; edge (2, 3) has weight 0 and so no table slot.
+    p = tmp_path / "g.csv"
+    p.write_text("0,1,0.7\n1,2,0.3\n2,3,0.0\n3,4,1.9\n0,4,0.2\n1,4,0.5\n")
+    f = RevenueObjective(load_edge_list(p, n=6))
+    assert f.w[2, 3] == 0.0 and 3 not in f._nbr[2, :-1]
+    rng = np.random.default_rng(7)
+    for b, t, m in [(0, 0, 6), (1, 0, 4), (0, 3, 5), (2, 2, 1), (1, 4, 6)]:
+        base, t_mat, xs = _revenue_query(6, b, t, m, rng)
+        xs[0] = 5  # the isolated node: no neighbour slot, gain 0
+        want = dense_revenue_gain_batch(f.w, base, t_mat, xs)
+        assert np.array_equal(f._gain_batch(base, t_mat, xs), want)
+

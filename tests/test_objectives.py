@@ -12,6 +12,7 @@ from submax import (
     MovieRecommendationObjective,
     Objective,
     RevenueObjective,
+    SaturatedCoverageObjective,
     SimilarityMatrix,
     Subset,
     WeightedGraph,
@@ -21,10 +22,11 @@ from submax import (
     generate_synthetic,
     load_edge_list,
     load_similarity_csv,
+    make_rng,
     save_edge_list,
     save_similarity_csv,
 )
-from submax.objectives import ParseError
+from submax.objectives import ParseError, _erdos_renyi
 
 
 def two_by_two():
@@ -110,6 +112,17 @@ class TestGenerateSynthetic:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             generate_synthetic("matroid", 5)
+
+    @pytest.mark.parametrize("n,p,seed", [(400, 3 / 399, 61), (300, 0.01, 1),
+                                          (50, 0.1, 0), (12, 0.3, 5), (1, 0.5, 2)])
+    def test_erdos_renyi_matches_pair_enumeration(self, n, p, seed):
+        # Reference: the pair-by-pair draw over itertools.combinations.
+        rng = make_rng(seed)
+        pairs = list(itertools.combinations(range(n), 2))
+        keep = rng.random(len(pairs)) < p
+        weights = rng.random(len(pairs))
+        want = [(u, v, float(weights[i])) for i, (u, v) in enumerate(pairs) if keep[i]]
+        assert _erdos_renyi(n, p, make_rng(seed)).edges == want
 
     def test_similarity_kinds_nonnegative(self):
         inst = generate_synthetic("movie", 20, seed=3)
@@ -282,6 +295,19 @@ class TestDataValidation:
     def test_graph_rejects_self_loop(self):
         with pytest.raises(ValueError):
             WeightedGraph(n=2, edges=[(0, 0, 1.0)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_graph_rejects_non_finite_weight(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            WeightedGraph(n=2, edges=[(0, 1, bad)])
+
+    def test_coverage_rejects_nan_contribution(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            SaturatedCoverageObjective(np.array([[1.0], [np.nan]]), np.array([5.0]))
+
+    def test_coverage_rejects_nan_cap(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            SaturatedCoverageObjective(np.array([[1.0], [2.0]]), np.array([np.nan]))
 
     def test_graph_rejects_duplicate(self):
         with pytest.raises(ValueError):

@@ -237,8 +237,9 @@ class TestNonFiniteValuesRejected:
                              QueryLedger())
 
     def test_nan_coverage_contribution_fails_at_first_round(self):
-        # The coverage guard (a < 0) lets NaN through; the batch layer stops it.
-        f = SaturatedCoverageObjective(np.array([[1.0], [np.nan]]), np.array([5.0]))
+        # A NaN set after construction still stops at the batch layer.
+        f = SaturatedCoverageObjective(np.array([[1.0], [2.0]]), np.array([5.0]))
+        f.a[1, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             evaluate_batch(f, [Subset([0, 1])], QueryLedger())
 
