@@ -116,23 +116,26 @@ def draw_block_and_probe(rng: np.random.Generator, pool: np.ndarray, t: int,
     """Draw ``count`` independent (T, x) pairs: T uniform over (t-1)-subsets
     of pool, then x uniform over the rest.
 
-    Implemented as the first t entries of a random order per sample, so x is
-    exactly the t-th insertion. Returns (t_mat of shape (count, t-1), xs).
+    Each row picks a uniform t-subset of pool positions with Floyd's algorithm
+    (Bentley & Floyd, CACM 1987), vectorized over rows: column i draws r from
+    [0, P-t+i] and takes P-t+i instead when r is already among the row's
+    earlier columns. One more integer per row picks which of the t elements
+    is x, so a uniform t-set with a uniform x gives exactly the pair law
+    above. That is t+1 random integers per row and O(count*t) memory,
+    whatever the pool size. Returns (t_mat of shape (count, t-1), xs).
     """
-    if not 1 <= t <= pool.size:
-        raise ValueError(f"t must lie in [1, {pool.size}], got {t}")
-    chunks_t, chunks_x = [], []
-    # Bound per-chunk key memory; draw order stays deterministic.
-    chunk = max(1, min(count, int(4_000_000 // max(1, pool.size))))
-    done = 0
-    while done < count:
-        take = min(chunk, count - done)
-        keys = rng.random((take, pool.size))
-        part = np.argpartition(keys, t - 1, axis=1)[:, :t]
-        chunks_t.append(pool[part[:, : t - 1]])
-        chunks_x.append(pool[part[:, t - 1]])
-        done += take
-    return np.vstack(chunks_t), np.concatenate(chunks_x)
+    size = pool.size
+    if not 1 <= t <= size:
+        raise ValueError(f"t must lie in [1, {size}], got {t}")
+    idx = rng.integers(np.arange(size - t + 1, size + 1), size=(count, t))
+    for i in range(1, t):
+        seen = (idx[:, :i] == idx[:, i:i + 1]).any(axis=1)
+        idx[seen, i] = size - t + i
+    rows = np.arange(count)
+    pick = rng.integers(t, size=count)
+    x_idx = idx[rows, pick]
+    idx[rows, pick] = idx[:, t - 1]
+    return pool[idx[:, :t - 1]], pool[x_idx]
 
 
 def estimate_mean(f: Objective, s: Subset, pool: np.ndarray, t: int,

@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import submax
 from submax.harness import (
     ConfigError,
     RunConfig,
@@ -124,6 +127,19 @@ class TestLoadedData:
         assert summary[0][2] > 0
 
 
+def cli_env():
+    """Environment whose PYTHONPATH finds the imported submax package.
+
+    The CLI children start a fresh interpreter, which does not see the
+    ``sys.path`` entries pytest added for this process.
+    """
+    env = dict(os.environ)
+    src = str(Path(submax.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 class TestCli:
     def test_run_and_accept_smoke(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -131,7 +147,7 @@ class TestCli:
                "--objective", "synthetic-cut", "--synthetic", "n=20,p=0.3",
                "--algorithm", "greedy", "--k", "4", "--seed", "1",
                "--out", str(out), "--no-timestamp"]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=cli_env())
         assert proc.returncode == 0, proc.stderr
         assert out.read_text().splitlines()[0].startswith("algorithm,")
 
@@ -139,20 +155,20 @@ class TestCli:
         cmd = [sys.executable, "-m", "submax.cli", "run",
                "--objective", "revenue", "--synthetic", "n=10,p=0.5",
                "--algorithm", "blits", "--k", "2"]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=cli_env())
         assert proc.returncode == 2
 
     def test_k_above_n_exit_code(self):
         cmd = [sys.executable, "-m", "submax.cli", "run",
                "--objective", "revenue", "--synthetic", "n=10,p=0.5",
                "--algorithm", "greedy", "--k", "30"]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=cli_env())
         assert proc.returncode == 2
         assert "exceeds" in proc.stderr
 
     def test_accept_suite(self):
         cmd = [sys.executable, "-m", "submax.cli", "accept",
                "--suite", "lemma8", "--seed", "0"]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=cli_env())
         assert proc.returncode == 0, proc.stderr
         assert "[PASS]" in proc.stdout

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,19 +262,30 @@ class TestThresholdSampling:
 
 
 class TestDrawBlockAndProbe:
-    def test_exact_distribution_small_pool(self):
-        # pool of 3, t=2: six equally likely (T={a}, x=b) outcomes.
+    @pytest.mark.parametrize("size,t", [(3, 2), (5, 3), (6, 1), (4, 4)])
+    def test_exact_distribution_small_pool(self, size, t):
+        # Every (set(T), x) outcome is equally likely: C(P, t-1)·(P-t+1) cells.
         from submax.threshold import draw_block_and_probe
-        pool = np.array([4, 7, 9])
-        rng = make_rng(0)
+        pool = np.arange(10, 10 + size) * 3
+        outcomes = math.comb(size, t - 1) * (size - t + 1)
+        reps = 2000 * outcomes
+        t_mat, xs = draw_block_and_probe(make_rng(0), pool, t, reps)
         counts = {}
-        reps = 12000
-        t_mat, xs = draw_block_and_probe(rng, pool, 2, reps)
-        for row, x in zip(t_mat, xs):
-            counts[(int(row[0]), int(x))] = counts.get((int(row[0]), int(x)), 0) + 1
-        assert len(counts) == 6
+        for row, x in zip(t_mat.tolist(), xs.tolist()):
+            key = (frozenset(row), x)
+            counts[key] = counts.get(key, 0) + 1
+        assert len(counts) == outcomes
+        assert all(x not in block for block, x in counts)
         for key, c in counts.items():
-            assert abs(c / reps - 1 / 6) < 0.02, (key, c)
+            assert abs(c / reps - 1 / outcomes) < 0.1 / outcomes, (key, c)
+
+    def test_same_seed_same_arrays(self):
+        from submax.threshold import draw_block_and_probe
+        pool = np.arange(3, 40, 2)
+        first = draw_block_and_probe(make_rng(7), pool, 6, 300)
+        second = draw_block_and_probe(make_rng(7), pool, 6, 300)
+        assert np.array_equal(first[0], second[0])
+        assert np.array_equal(first[1], second[1])
 
     def test_probe_never_in_block(self):
         from submax.threshold import draw_block_and_probe
@@ -284,15 +296,21 @@ class TestDrawBlockAndProbe:
             assert x not in row
             assert len(set(row.tolist())) == 4
 
-    def test_chunked_drawing_consistent_shapes(self):
-        # Force the memory-bounded chunking path.
+    def test_large_pool_memory_is_independent_of_pool_size(self):
+        # Memory scales with count·t, not with count·|pool|.
         from submax.threshold import draw_block_and_probe
-        pool = np.arange(500)
-        t_mat, xs = draw_block_and_probe(make_rng(1), pool, 3, 10_000)
-        assert t_mat.shape == (10_000, 2)
-        assert xs.shape == (10_000,)
+        pool = np.arange(50_000)
+        tracemalloc.start()
+        try:
+            t_mat, xs = draw_block_and_probe(make_rng(1), pool, 5, 400)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+        assert t_mat.shape == (400, 4)
+        assert xs.shape == (400,)
         rows = np.hstack([t_mat, xs[:, None]])
-        assert all(len(set(r.tolist())) == 3 for r in rows[:200])
+        assert all(len(set(r.tolist())) == 5 for r in rows)
 
 
 class TestTauZeroDegenerateMode:
