@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,13 +123,6 @@ class Instance:
 # objectives
 
 
-def _member_mask(base_idx: np.ndarray, t_mat: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """True where x_j already lies in base or in its own T row."""
-    in_base = np.isin(xs, base_idx) if base_idx.size else np.zeros(xs.size, bool)
-    in_t = (t_mat == xs[:, None]).any(axis=1) if t_mat.shape[1] else np.zeros(xs.size, bool)
-    return in_base | in_t
-
-
 class ModularObjective(Objective):
     """f(S) = sum of fixed nonnegative element weights; the trivial oracle."""
 
@@ -142,9 +135,7 @@ class ModularObjective(Objective):
         return float(self.weights[idx].sum())
 
     def _gain_batch(self, base_idx, t_mat, xs):
-        gains = self.weights[xs].copy()
-        gains[_member_mask(base_idx, t_mat, xs)] = 0.0
-        return gains
+        return self.weights[xs]
 
     def _evaluate_batch(self, masks):
         return masks @ self.weights
@@ -165,14 +156,9 @@ class CutObjective(Objective):
         return float(rows.sum() - rows[:, idx].sum())
 
     def _gain_batch(self, base_idx, t_mat, xs):
-        if t_mat.shape[1] and np.isin(t_mat, base_idx).any():
-            return None  # overlapping pools: defer to the exact fallback
-        w_into_base = self.w[:, base_idx].sum(axis=1) if base_idx.size else np.zeros(self.n)
-        cross = (self.w[xs[:, None], t_mat].sum(axis=1)
-                 if t_mat.shape[1] else np.zeros(xs.size))
-        gains = self.degree[xs] - 2.0 * (w_into_base[xs] + cross)
-        gains[_member_mask(base_idx, t_mat, xs)] = 0.0
-        return gains
+        w_into_base = self.w[:, base_idx].sum(axis=1)
+        cross = self.w[xs[:, None], t_mat].sum(axis=1)
+        return self.degree[xs] - 2.0 * (w_into_base[xs] + cross)
 
     def _evaluate_batch(self, masks):
         m = masks.astype(np.float64)
@@ -215,10 +201,8 @@ class RevenueObjective(Objective):
     def _gain_batch(self, base_idx, t_mat, xs):
         in_base = np.zeros(self.n, dtype=bool)
         in_base[base_idx] = True
-        if in_base[t_mat].any():
-            return None  # overlapping pools: defer to the exact fallback
         m = xs.size
-        w_into_base = self.w[:, base_idx].sum(axis=1) if base_idx.size else np.zeros(self.n)
+        w_into_base = self.w[:, base_idx].sum(axis=1)
         nbr = self._nbr[xs]  # (m, width); padding and the last slot hold x_j
         w_b = w_into_base[nbr]
         if t_mat.shape[1]:
@@ -231,9 +215,8 @@ class RevenueObjective(Objective):
                 t_sum += col
             w_b = w_b + t_sum
         inc = np.sqrt(w_b + self._nbr_w[xs]) - np.sqrt(w_b)
-        members = in_base[nbr] | (nbr == xs[:, None])
-        if t_mat.shape[1]:
-            members |= (nbr[:, :, None] == t_mat[:, None, :]).any(axis=2)
+        members = (in_base[nbr] | (nbr == xs[:, None])
+                   | (nbr[:, :, None] == t_mat[:, None, :]).any(axis=2))
         inc[members] = 0.0
         # Sum each gain over a zero-filled row of all n nodes, laid out as the
         # all-nodes formula's (n, m) increments are: n fastest when T is
@@ -243,9 +226,7 @@ class RevenueObjective(Objective):
         # O(n·m·t) gather an all-nodes kernel needs.
         dense = np.zeros((m, self.n)) if t_mat.shape[1] else np.zeros((self.n, m)).T
         dense[np.arange(m)[:, None], nbr] = inc
-        gains = dense.sum(axis=1) - np.sqrt(w_b[:, -1])
-        gains[in_base[xs] | (t_mat == xs[:, None]).any(axis=1)] = 0.0
-        return gains
+        return dense.sum(axis=1) - np.sqrt(w_b[:, -1])
 
     def _evaluate_batch(self, masks):
         m = masks.astype(np.float64)
@@ -273,8 +254,6 @@ class ImageSummarizationObjective(Objective):
         return float(cover - penalty)
 
     def _gain_batch(self, base_idx, t_mat, xs):
-        if t_mat.shape[1] and np.isin(t_mat, base_idx).any():
-            return None
         m = xs.size
         best_base = (self.s[:, base_idx].max(axis=1)
                      if base_idx.size else np.zeros(self.n))
@@ -283,13 +262,10 @@ class ImageSummarizationObjective(Objective):
         else:
             best = np.broadcast_to(best_base[:, None], (self.n, m))
         cover_inc = (np.maximum(best, self.s[:, xs]) - best).sum(axis=0)
-        s_into_base = self.s[:, base_idx].sum(axis=1) if base_idx.size else np.zeros(self.n)
-        cross = (self.s[xs[:, None], t_mat].sum(axis=1)
-                 if t_mat.shape[1] else np.zeros(m))
+        s_into_base = self.s[:, base_idx].sum(axis=1)
+        cross = self.s[xs[:, None], t_mat].sum(axis=1)
         penalty_inc = (2.0 * (s_into_base[xs] + cross) + np.diag(self.s)[xs]) / self.n
-        gains = cover_inc - penalty_inc
-        gains[_member_mask(base_idx, t_mat, xs)] = 0.0
-        return gains
+        return cover_inc - penalty_inc
 
 
 class MovieRecommendationObjective(Objective):
@@ -310,15 +286,10 @@ class MovieRecommendationObjective(Objective):
                      - self.lam * self.s[np.ix_(idx, idx)].sum())
 
     def _gain_batch(self, base_idx, t_mat, xs):
-        if t_mat.shape[1] and np.isin(t_mat, base_idx).any():
-            return None
-        s_into_base = self.s[:, base_idx].sum(axis=1) if base_idx.size else np.zeros(self.n)
-        cross = (self.s[xs[:, None], t_mat].sum(axis=1)
-                 if t_mat.shape[1] else np.zeros(xs.size))
-        gains = (self._colsum[xs]
-                 - self.lam * (2.0 * (s_into_base[xs] + cross) + np.diag(self.s)[xs]))
-        gains[_member_mask(base_idx, t_mat, xs)] = 0.0
-        return gains
+        s_into_base = self.s[:, base_idx].sum(axis=1)
+        cross = self.s[xs[:, None], t_mat].sum(axis=1)
+        return (self._colsum[xs]
+                - self.lam * (2.0 * (s_into_base[xs] + cross) + np.diag(self.s)[xs]))
 
     def _evaluate_batch(self, masks):
         m = masks.astype(np.float64)
@@ -348,17 +319,9 @@ class SaturatedCoverageObjective(Objective):
         return float(np.minimum(self.caps, self.a[idx].sum(axis=0)).sum())
 
     def _gain_batch(self, base_idx, t_mat, xs):
-        if t_mat.shape[1] and np.isin(t_mat, base_idx).any():
-            return None
-        mass_base = self.a[base_idx].sum(axis=0) if base_idx.size else np.zeros(self.a.shape[1])
-        if t_mat.shape[1]:
-            mass = mass_base[None, :] + self.a[t_mat].sum(axis=1)  # (m, groups)
-        else:
-            mass = np.broadcast_to(mass_base[None, :], (xs.size, self.a.shape[1]))
-        gains = (np.minimum(self.caps, mass + self.a[xs])
-                 - np.minimum(self.caps, mass)).sum(axis=1)
-        gains[_member_mask(base_idx, t_mat, xs)] = 0.0
-        return gains
+        mass = self.a[base_idx].sum(axis=0) + self.a[t_mat].sum(axis=1)  # (m, groups)
+        return (np.minimum(self.caps, mass + self.a[xs])
+                - np.minimum(self.caps, mass)).sum(axis=1)
 
     def _evaluate_batch(self, masks):
         return np.minimum(self.caps, masks.astype(np.float64) @ self.a).sum(axis=1)

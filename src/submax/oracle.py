@@ -103,10 +103,12 @@ class Objective(ABC):
                     xs: np.ndarray) -> np.ndarray | None:
         """Optional vectorized path for paired gain queries.
 
-        Row j asks for f(B_j + x_j) - f(B_j) with B_j = base + t_mat[j].
-        Preconditions: t_mat rows are duplicate-free and disjoint from base;
-        a gain must be exactly 0.0 when x_j already lies in B_j. Return None
-        (the default) to fall back to two evaluations per row.
+        Row j asks for f(B_j + x_j) - f(B_j) with B_j = base + t_mat[j]. The
+        oracle calls it only with t_mat rows duplicate-free and disjoint from
+        base (t_mat may have no columns, base may be empty), and sets rows
+        whose x_j already lies in B_j to 0.0 itself, so their value here is
+        ignored. Return None (the default) to fall back to two evaluations
+        per row.
         """
         return None
 
@@ -186,7 +188,16 @@ class QueryLedger:
 def _as_index_array(candidates) -> np.ndarray:
     if isinstance(candidates, Subset):
         return candidates.to_array()
+    if isinstance(candidates, np.ndarray):
+        return candidates.astype(np.int64, copy=False)
     return np.asarray(list(candidates), dtype=np.int64)
+
+
+def _sorted_unique(idx: np.ndarray) -> np.ndarray:
+    idx = np.sort(idx)
+    if idx.size > 1 and (np.diff(idx) == 0).any():
+        raise InvalidSubsetError("duplicate element in subset query")
+    return idx
 
 
 def _finite(values, entry_point: str) -> np.ndarray:
@@ -217,16 +228,7 @@ def evaluate_batch(f: Objective, queries: Sequence,
     """
     if len(queries) == 0:
         raise ValueError("evaluate_batch requires a nonempty batch")
-    arrays = []
-    presorted = []
-    for q in queries:
-        if isinstance(q, Subset):
-            arrays.append(q.to_array())
-            presorted.append(True)
-        else:
-            arr = q if isinstance(q, np.ndarray) else np.asarray(list(q))
-            arrays.append(arr.astype(np.int64, copy=False))
-            presorted.append(False)
+    arrays = [_as_index_array(q) for q in queries]
     sizes = np.array([a.size for a in arrays])
     total = int(sizes.sum())
     flat = np.concatenate(arrays) if total else np.empty(0, dtype=np.int64)
@@ -244,12 +246,44 @@ def evaluate_batch(f: Objective, queries: Sequence,
 
     out = np.empty(len(arrays), dtype=np.float64)
     for j, arr in enumerate(arrays):
-        if not presorted[j]:
-            arr = np.sort(arr)
-            if arr.size > 1 and (np.diff(arr) == 0).any():
-                raise InvalidSubsetError("duplicate element in subset query")
-        out[j] = f._evaluate(arr)
+        out[j] = f._evaluate(_sorted_unique(arr))
     return _finite(out, "evaluate_batch")
+
+
+def _paired_gains(f: Objective, base_idx: np.ndarray, t_mat: np.ndarray,
+                  xs: np.ndarray, entry_point: str,
+                  base_value: float | None = None) -> np.ndarray:
+    """Gains f(B_j + x_j) - f(B_j) with B_j = base + t_mat[j], for each row j.
+
+    The one home of the paired-gain rules the objectives' kernels rely on:
+    when any T row overlaps the base, the whole batch takes the exact
+    fallback and ``_gain_batch`` is not called; a row whose x_j already lies
+    in B_j is 0.0 exactly, whichever path ran. The fallback evaluates both
+    sets of each remaining row, memoized within the batch; a known
+    ``base_value`` seeds the memo, so then each row costs one evaluation.
+    """
+    in_base = np.zeros(f.n, dtype=bool)
+    in_base[base_idx] = True
+    member = in_base[xs] | (t_mat == xs[:, None]).any(axis=1)
+    gains = None if in_base[t_mat].any() else f._gain_batch(base_idx, t_mat, xs)
+    if gains is None:
+        base_members = frozenset(base_idx.tolist())
+        memo: dict[frozenset, float] = {}
+        if base_value is not None:
+            memo[base_members] = base_value
+
+        def value(members: frozenset) -> float:
+            got = memo.get(members)
+            if got is None:
+                got = f._evaluate(np.asarray(sorted(members), dtype=np.int64))
+                memo[members] = got
+            return got
+
+        gains = np.zeros(xs.size, dtype=np.float64)
+        for j in np.flatnonzero(~member):
+            b = base_members.union(t_mat[j].tolist())
+            gains[j] = value(b | {int(xs[j])}) - value(b)
+    return _finite(np.where(member, 0.0, gains), entry_point)
 
 
 def batch_marginals(f: Objective, base: Subset, candidates,
@@ -267,18 +301,9 @@ def batch_marginals(f: Objective, base: Subset, candidates,
     base_idx = base.to_array()
     _check_bounds(f, base_idx)
     ledger.add_round(int(cand.size))
-
     empty_t = np.empty((cand.size, 0), dtype=np.int64)
-    fast = f._gain_batch(base_idx, empty_t, cand)
-    if fast is not None:
-        return _finite(fast, "batch_marginals")
-    out = np.empty(cand.size, dtype=np.float64)
-    for j, x in enumerate(cand):
-        if x in base:
-            out[j] = 0.0
-        else:
-            out[j] = f._evaluate(base.add(int(x)).to_array()) - base_value
-    return _finite(out, "batch_marginals")
+    return _paired_gains(f, base_idx, empty_t, cand, "batch_marginals",
+                         base_value=base_value)
 
 
 def batch_pair_gains(f: Objective, base: Subset, t_mat: np.ndarray,
@@ -287,8 +312,9 @@ def batch_pair_gains(f: Objective, base: Subset, t_mat: np.ndarray,
 
     Each row simulates one indicator sample and is metered as two raw
     evaluations (2 * len(xs) queries) plus one logical sample per row.
-    Rows of t_mat must be duplicate-free and disjoint from base. Raises
-    ValueError if any gain is NaN or infinite.
+    Rows of t_mat must be duplicate-free. A row that overlaps base is
+    answered exactly, and a row whose x_j lies in base + T_j has gain 0.
+    Raises ValueError if any gain is NaN or infinite.
     """
     t_mat = np.asarray(t_mat, dtype=np.int64)
     xs = np.asarray(xs, dtype=np.int64)
@@ -302,37 +328,17 @@ def batch_pair_gains(f: Objective, base: Subset, t_mat: np.ndarray,
     base_idx = base.to_array()
     _check_bounds(f, base_idx)
     ledger.add_round(2 * xs.size, logical_samples=xs.size)
-
-    fast = f._gain_batch(base_idx, t_mat, xs)
-    if fast is not None:
-        return _finite(fast, "batch_pair_gains")
-
-    # Fallback: two evaluations per pair, memoized within the batch.
-    memo: dict[frozenset, float] = {}
-
-    def value(members: frozenset) -> float:
-        got = memo.get(members)
-        if got is None:
-            got = f._evaluate(np.asarray(sorted(members), dtype=np.int64))
-            memo[members] = got
-        return got
-
-    base_members = frozenset(int(i) for i in base_idx)
-    out = np.empty(xs.size, dtype=np.float64)
-    for j in range(xs.size):
-        b = base_members.union(int(e) for e in t_mat[j])
-        out[j] = value(b | {int(xs[j])}) - value(b)
-    return _finite(out, "batch_pair_gains")
+    return _paired_gains(f, base_idx, t_mat, xs, "batch_pair_gains")
 
 
 def evaluate_offline(f: Objective, subset) -> float:
     """Evaluate one subset without touching any ledger.
 
     For tests, validators, and brute-force oracles only; algorithm modules
-    must use the metered batch functions.
+    must use the metered batch functions. Rejects duplicate indices as
+    evaluate_batch does.
     """
-    arr = subset.to_array() if isinstance(subset, Subset) else _as_index_array(subset)
-    arr = np.sort(arr)
+    arr = _sorted_unique(_as_index_array(subset))
     _check_bounds(f, arr)
     return float(f._evaluate(arr))
 

@@ -181,7 +181,8 @@ def threshold_sampling(f: Objective, params: ThresholdParams,
 
     for outer in range(1, d.r + 1):
         gains = batch_marginals(f, s, pool, f_s, ledger)
-        pool = pool[gains >= params.tau]
+        # Members of s gain exactly 0.0, so at tau = 0 they pass the filter.
+        pool = np.setdiff1d(pool[gains >= params.tau], s.to_array(), assume_unique=True)
         snap = {"round": outer, "a": pool, "s": s, "t": None, "mu": None,
                 "estimates": []}
         snapshots.append(snap)

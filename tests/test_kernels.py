@@ -2,7 +2,9 @@
 
 ``_gain_batch`` and ``_evaluate_batch`` are checked against ``_evaluate`` on
 generated instances, and the revenue neighbour kernel against the dense
-all-nodes formula it replaced, kept below as the reference.
+all-nodes formula it replaced, kept below as the reference. The rules every
+kernel relies on (overlapping pools, exact zeros for members) hold at the
+metered entry point ``batch_pair_gains``, so they are checked there.
 """
 
 import numpy as np
@@ -12,22 +14,25 @@ from hypothesis import strategies as st
 
 from submax import (
     ModularObjective,
+    QueryLedger,
     RevenueObjective,
+    Subset,
+    batch_pair_gains,
     generate_synthetic,
     load_edge_list,
     make_random_coverage,
 )
-from submax.objectives import _member_mask
 
 EPS = np.finfo(np.float64).eps
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
 
 def dense_revenue_gain_batch(w, base_idx, t_mat, xs):
-    """The revenue gain kernel over all n nodes: an (n, m, t-1) gather of w."""
+    """The revenue gain kernel over all n nodes: an (n, m, t-1) gather of w.
+
+    T rows must be disjoint from base; a row whose x_j lies in B_j is 0.0.
+    """
     n = w.shape[0]
-    if t_mat.shape[1] and np.isin(t_mat, base_idx).any():
-        return None
     m = xs.size
     w_into_base = w[:, base_idx].sum(axis=1) if base_idx.size else np.zeros(n)
     if t_mat.shape[1]:
@@ -44,7 +49,7 @@ def dense_revenue_gain_batch(w, base_idx, t_mat, xs):
     inc[members] = 0.0
     own = np.sqrt(w_b[xs, np.arange(m)])
     gains = inc.sum(axis=0) - own
-    gains[_member_mask(base_idx, t_mat, xs)] = 0.0
+    gains[np.isin(xs, base_idx) | (t_mat == xs[:, None]).any(axis=1)] = 0.0
     return gains
 
 
@@ -59,7 +64,11 @@ def make_objective(kind, n, seed):
 
 
 KINDS = ["modular", "coverage", "revenue", "synthetic-cut", "image", "movie"]
-GUARDED = [k for k in KINDS if k != "modular"]  # overlapping pools give None
+
+
+def metered_gains(f, base, t_mat, xs):
+    """Paired gains through the metered entry point, on a throwaway ledger."""
+    return batch_pair_gains(f, Subset(base.tolist()), t_mat, xs, QueryLedger())
 
 
 @st.composite
@@ -95,10 +104,12 @@ def test_gain_batch_matches_evaluate(kind, q, seed):
     f = make_objective(kind, n, seed)
     got = f._gain_batch(base, t_mat, xs)
     assert got is not None and got.shape == xs.shape
+    metered = metered_gains(f, base, t_mat, xs)
     for j, x in enumerate(xs):
         if x in base or x in t_mat[j]:
-            assert got[j] == 0.0  # exactly, as the Objective contract asks
+            assert metered[j] == 0.0  # exactly; the kernel's row is ignored
             continue
+        assert metered[j] == got[j]
         want, scale = reference_gain(f, base, t_mat[j], x)
         assert abs(got[j] - want) <= 16 * n * EPS * scale, (j, got[j], want)
 
@@ -124,14 +135,19 @@ def test_evaluate_batch_matches_evaluate(kind, n, seed, data):
 @pytest.mark.parametrize("kind", KINDS)
 def test_overlapping_pool_defers_to_fallback(kind):
     f = make_objective(kind, 6, seed=3)
+    seen = []
+    kernel = f._gain_batch
+    f._gain_batch = lambda b, t, x: seen.append((b, t)) or kernel(b, t, x)
     base = np.array([1, 4], dtype=np.int64)
-    t_mat = np.array([[0, 4], [2, 3]], dtype=np.int64)  # row 0 reuses 4
-    xs = np.array([5, 5], dtype=np.int64)
-    got = f._gain_batch(base, t_mat, xs)
-    if kind in GUARDED:
-        assert got is None
-    else:  # modular gains ignore the pool, so the overlap is harmless
-        assert np.array_equal(got, f.weights[xs])
+    t_mat = np.array([[0, 4], [2, 3], [0, 2]], dtype=np.int64)  # row 0 reuses 4
+    xs = np.array([5, 5, 2], dtype=np.int64)  # row 2: x already in T
+    got = metered_gains(f, base, t_mat, xs)
+    assert all(not np.isin(t, b).any() for b, t in seen)
+    for j in range(2):
+        b = np.union1d(base, t_mat[j])
+        want = f._evaluate(np.union1d(b, xs[j])) - f._evaluate(b)
+        assert got[j] == want
+    assert got[2] == 0.0
 
 
 @st.composite
@@ -165,7 +181,7 @@ def test_revenue_kernel_equals_dense_formula(case):
     f = generate_synthetic("revenue", n, p, seed=seed).objective()
     base, t_mat, xs = _revenue_query(n, b, t, m, np.random.default_rng(seed))
     want = dense_revenue_gain_batch(f.w, base, t_mat, xs)
-    assert np.array_equal(f._gain_batch(base, t_mat, xs), want)
+    assert np.array_equal(metered_gains(f, base, t_mat, xs), want)
 
 
 def test_revenue_kernel_isolated_node_and_zero_weight_edge(tmp_path):
@@ -179,5 +195,5 @@ def test_revenue_kernel_isolated_node_and_zero_weight_edge(tmp_path):
         base, t_mat, xs = _revenue_query(6, b, t, m, rng)
         xs[0] = 5  # the isolated node: no neighbour slot, gain 0
         want = dense_revenue_gain_batch(f.w, base, t_mat, xs)
-        assert np.array_equal(f._gain_batch(base, t_mat, xs), want)
+        assert np.array_equal(metered_gains(f, base, t_mat, xs), want)
 

@@ -292,3 +292,11 @@ def test_evaluate_offline_leaves_no_trace():
     f = ModularObjective([1.0, 2.0])
     assert evaluate_offline(f, Subset([1])) == 2.0
     assert evaluate_offline(f, [1, 0]) == 3.0
+
+
+def test_evaluate_offline_rejects_duplicates_like_evaluate_batch():
+    f = ModularObjective([1.0, 2.0])
+    with pytest.raises(InvalidSubsetError, match="duplicate"):
+        evaluate_batch(f, [[1, 1]], QueryLedger())
+    with pytest.raises(InvalidSubsetError, match="duplicate"):
+        evaluate_offline(f, [1, 1])

@@ -15,6 +15,7 @@ from submax import (
     WeightedGraph,
     estimate_mean,
     evaluate_offline,
+    generate_synthetic,
     make_rng,
     threshold_sampling,
     verify_termination_marginals,
@@ -315,13 +316,26 @@ class TestDrawBlockAndProbe:
 
 class TestTauZeroDegenerateMode:
     def test_monotone_objective_runs_to_full_k(self):
-        # Threshold zero never filters a monotone objective, and members of
-        # the solution linger in the pool with zero gain.
+        # Threshold zero never filters a monotone objective.
         f = make_random_coverage(12, 4, seed=12)
         p = ThresholdParams(k=4, tau=0.0, eps=0.5, delta=0.1, sample_override=30)
         out = threshold_sampling(f, p, make_rng(2))
         assert out.break_reason is BreakReason.FULL_S
         assert len(out.s) == 4
+
+    def test_pool_excludes_solution_and_every_update_grows_it(self):
+        # Members of S gain exactly 0.0, which clears tau = 0: they must
+        # still leave the pool, or a block can re-draw them and add nothing.
+        f = generate_synthetic("revenue", 30, 0.2, seed=2).objective()
+        p = ThresholdParams(k=8, tau=0.0, eps=0.3, delta=0.1, sample_override=20)
+        out = threshold_sampling(f, p, make_rng(0))
+        prev = Subset()
+        for snap in out.snapshots:
+            assert not set(snap["a"].tolist()) & set(prev)
+            if snap["t"] is not None:
+                assert len(snap["s"]) > len(prev)
+            prev = snap["s"]
+        assert out.break_reason is BreakReason.FULL_S
 
 
 class TestVerifyTermination:
