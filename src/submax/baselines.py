@@ -16,6 +16,7 @@ from .oracle import (
     Subset,
     batch_marginals,
     evaluate_batch,
+    pool_masks,
 )
 
 
@@ -56,12 +57,12 @@ def random_prefix(f: Objective, k: int, rng: np.random.Generator,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    order = rng.permutation(f.n)
-    prefixes = [order[:i] for i in range(min(k, f.n) + 1)]
-    values = evaluate_batch(f, prefixes, ledger)
+    order = rng.permutation(f.n)[:k]
+    prefixes = np.tri(order.size + 1, order.size, -1, dtype=bool)  # row i: first i
+    values = evaluate_batch(f, pool_masks(f, order, prefixes), ledger)
     best = int(np.argmax(values))
     ledger.record_value(values[best])
-    return Subset(prefixes[best])
+    return Subset(order[:best])
 
 
 def random_lazy_greedy(f: Objective, k: int, eps: float,
@@ -79,8 +80,7 @@ def random_lazy_greedy(f: Objective, k: int, eps: float,
     del eps
     n = f.n
     # Round 1: empty set plus all singletons, which seeds every bound fresh.
-    singles = [np.array([x], dtype=np.int64) for x in range(n)]
-    values = evaluate_batch(f, [Subset()] + singles, ledger)
+    values = evaluate_batch(f, np.eye(n + 1, n, -1, dtype=bool), ledger)
     f_s = float(values[0])
     bounds = np.asarray(values[1:], dtype=np.float64) - f_s
     fresh = np.ones(n, dtype=bool)

@@ -99,7 +99,10 @@ def build_instance(config: RunConfig) -> Instance:
     n = int(spec.pop("n", 50))
     seed = int(spec.pop("seed", config.seed))
     lam = float(spec.pop("lam", 0.95))
-    param = spec.pop("p", spec.pop("dim", None))
+    # The edge probability belongs to graph kinds, the dimension to
+    # similarity kinds; the other key is reported as unknown.
+    graph = config.objective in ("revenue", "synthetic-cut")
+    param = spec.pop("p" if graph else "dim", None)
     if spec:
         raise ConfigError(f"unknown synthetic keys {sorted(spec)}")
     return Instance(kind=config.objective, data=generate_synthetic(

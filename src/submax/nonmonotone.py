@@ -31,6 +31,7 @@ from .oracle import (
     QueryLedger,
     Subset,
     evaluate_batch,
+    pool_masks,
     sample_without_replacement,
     spawn_seeds,
 )
@@ -101,8 +102,7 @@ class ThresholdTrial:
 
 def max_singleton(f: Objective, ledger: QueryLedger) -> float:
     """Largest single-element value, via one round of n singleton queries."""
-    singles = [np.array([x], dtype=np.int64) for x in range(f.n)]
-    best = float(evaluate_batch(f, singles, ledger).max())
+    best = float(evaluate_batch(f, np.eye(f.n, dtype=bool), ledger).max())
     ledger.record_value(best)
     return best
 
@@ -123,11 +123,11 @@ def best_prefix(f: Objective, u_prime: Subset, rng: np.random.Generator,
     shortest prefix.
     """
     order = rng.permutation(u_prime.to_array())
-    prefixes = [order[:i] for i in range(order.size + 1)]
-    values = evaluate_batch(f, prefixes, ledger)
+    prefixes = np.tri(order.size + 1, order.size, -1, dtype=bool)  # row i: first i
+    values = evaluate_batch(f, pool_masks(f, order, prefixes), ledger)
     best = int(np.argmax(values))
     ledger.record_value(values[best])
-    return Subset(prefixes[best]), float(values[best])
+    return Subset(order[:best]), float(values[best])
 
 
 def threshold_grid(delta_star: float, params: NonmonotoneParams) -> list[float]:

@@ -335,10 +335,16 @@ def _erdos_renyi(n: int, p: float, rng: np.random.Generator) -> WeightedGraph:
     """G(n, p) with independent uniform (0,1) edge weights."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0,1], got {p}")
-    us, vs = np.triu_indices(n, 1)  # the pair order of itertools.combinations
-    keep = rng.random(us.size) < p
-    weights = rng.random(us.size)
-    edges = list(zip(us[keep].tolist(), vs[keep].tolist(), weights[keep].tolist()))
+    # Pairs are numbered in the order of itertools.combinations; only the kept
+    # ones are mapped back to (u, v). Row u's pairs start at u(2n - u - 1)/2.
+    pairs = n * (n - 1) // 2
+    keep = np.flatnonzero(rng.random(pairs) < p)
+    weights = rng.random(pairs)[keep]
+    rows = np.arange(n, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2
+    us = np.searchsorted(starts, keep, side="right") - 1
+    vs = keep - starts[us] + us + 1
+    edges = list(zip(us.tolist(), vs.tolist(), weights.tolist()))
     return WeightedGraph(n=n, edges=edges)
 
 
@@ -370,6 +376,8 @@ def generate_synthetic(kind: str, n: int, param: float | None = None,
         return Instance(kind=kind, data=_erdos_renyi(n, float(p), rng))
     if kind in ("image", "movie"):
         d = int(param) if param is not None else dim
+        if d < 1:
+            raise ValueError(f"embedding dimension must be >= 1, got {d}")
         matrix = _cosine_similarity(n, d, rng)
         return Instance(kind=kind, data=matrix, lam=lam if kind == "movie" else None)
     raise ValueError(f"unknown synthetic kind {kind!r}")

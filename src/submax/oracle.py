@@ -10,6 +10,12 @@ round found, which algorithms note with ``QueryLedger.record_value`` right
 after the round that paid for it. The entry points reject NaN and infinite
 oracle values, so a bad value fails at the round that produced it.
 
+Whole-set rounds reach ``evaluate_batch`` as a (batch, n) boolean membership
+matrix, the form the objectives score. A round that builds a structured
+family of sets (random subsets of a pool, the prefixes of an order, the
+singletons) writes that matrix directly; a sequence of index arrays or
+Subsets is turned into it first.
+
 Randomness is always drawn by single-threaded orchestration code before a
 batch is issued, so results are reproducible regardless of how a batch is
 evaluated internally.
@@ -31,24 +37,27 @@ class InvalidSubsetError(ValueError):
 class Subset:
     """Immutable set of ground-set element indices.
 
-    Stored as a sorted index tuple with a companion frozenset, so iteration
-    order is deterministic and membership tests are O(1).
+    Stored as a sorted int64 array with a companion index tuple and
+    frozenset, so iteration order is deterministic and membership tests
+    are O(1).
     """
 
     __slots__ = ("indices", "_members", "_array")
 
     def __init__(self, indices: Iterable[int] = ()):
-        members = frozenset(int(i) for i in indices)
-        for i in members:
-            if i < 0:
-                raise InvalidSubsetError(f"negative element index {i}")
-        self.indices: tuple[int, ...] = tuple(sorted(members))
-        self._members = members
-        self._array: np.ndarray | None = None
+        # Sort and drop repeats; np.unique does the same but costs about
+        # twice as much on the pool-sized sets the algorithms build.
+        arr = np.sort(_as_index_array(indices))
+        if arr.size > 1:
+            arr = arr[np.concatenate(([True], arr[1:] != arr[:-1]))]
+        if arr.size and arr[0] < 0:
+            raise InvalidSubsetError(f"negative element index {arr[0]}")
+        items = arr.tolist()
+        self.indices: tuple[int, ...] = tuple(items)
+        self._members = frozenset(items)
+        self._array = arr
 
     def to_array(self) -> np.ndarray:
-        if self._array is None:
-            self._array = np.asarray(self.indices, dtype=np.int64)
         return self._array
 
     def union(self, other: "Subset | Iterable[int]") -> "Subset":
@@ -193,13 +202,6 @@ def _as_index_array(candidates) -> np.ndarray:
     return np.asarray(list(candidates), dtype=np.int64)
 
 
-def _sorted_unique(idx: np.ndarray) -> np.ndarray:
-    idx = np.sort(idx)
-    if idx.size > 1 and (np.diff(idx) == 0).any():
-        raise InvalidSubsetError("duplicate element in subset query")
-    return idx
-
-
 def _finite(values, entry_point: str) -> np.ndarray:
     out = np.asarray(values, dtype=np.float64)
     if not np.isfinite(out).all():
@@ -216,38 +218,61 @@ def _check_bounds(f: Objective, idx: np.ndarray) -> None:
             f"element index out of range [0, {f.n}): saw {lo if lo < 0 else hi}")
 
 
-def evaluate_batch(f: Objective, queries: Sequence,
-                   ledger: QueryLedger) -> np.ndarray:
+def _membership(f: Objective, queries) -> np.ndarray:
+    """The (batch, n) boolean membership matrix of a batch of queries.
+
+    A bool ndarray is taken as that matrix and must have n columns; any other
+    query batch is a sequence of Subsets or duplicate-free index arrays.
+    """
+    if isinstance(queries, np.ndarray):
+        if queries.dtype != np.bool_ or queries.ndim != 2 or queries.shape[1] != f.n:
+            raise ValueError(f"a mask batch must be a (batch, {f.n}) bool array, "
+                             f"got {queries.dtype} {queries.shape}")
+        return queries
+    arrays = [_as_index_array(q) for q in queries]
+    sizes = [a.size for a in arrays]
+    flat = np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
+    _check_bounds(f, flat)
+    masks = np.zeros((len(arrays), f.n), dtype=bool)
+    masks[np.repeat(np.arange(len(arrays)), sizes), flat] = True
+    if int(np.count_nonzero(masks)) != flat.size:
+        raise InvalidSubsetError("duplicate element in subset query")
+    return masks
+
+
+def pool_masks(f: Objective, pool: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Mask batch for ``evaluate_batch`` of sets drawn from a pool.
+
+    Column j of ``rows`` (batch, |pool|) says which rows hold pool[j]; every
+    other element is absent. pool must be duplicate-free. Raises
+    InvalidSubsetError for a pool element outside [0, n).
+    """
+    _check_bounds(f, pool)
+    masks = np.zeros((rows.shape[0], f.n), dtype=bool)
+    masks[:, pool] = rows
+    return masks
+
+
+def evaluate_batch(f: Objective, queries, ledger: QueryLedger) -> np.ndarray:
     """Evaluate a batch of subsets in one adaptive round.
 
-    Queries may be Subsets or duplicate-free index arrays. Returns values in
-    query order; the ledger gains exactly one round and len(queries) queries.
-    Queries within the batch are mutually independent, so implementations may
-    evaluate them concurrently (here: a vectorized objective path when one
-    exists). Raises ValueError if any value is NaN or infinite.
+    queries is a (batch, n) boolean membership matrix, one row per subset, or
+    a sequence of Subsets or duplicate-free index arrays, which is turned into
+    that matrix. Returns values in row order; the ledger gains exactly one
+    round and batch queries. Queries within the batch are mutually
+    independent, so implementations may evaluate them concurrently (here: the
+    objective's vectorized mask path when it has one, else one evaluation per
+    row). Raises ValueError for an empty batch, a mask of the wrong shape or
+    dtype, or a NaN or infinite value.
     """
-    if len(queries) == 0:
+    masks = _membership(f, queries)
+    if masks.shape[0] == 0:
         raise ValueError("evaluate_batch requires a nonempty batch")
-    arrays = [_as_index_array(q) for q in queries]
-    sizes = np.array([a.size for a in arrays])
-    total = int(sizes.sum())
-    flat = np.concatenate(arrays) if total else np.empty(0, dtype=np.int64)
-    _check_bounds(f, flat)
-    ledger.add_round(len(arrays))
-
-    if type(f)._evaluate_batch is not Objective._evaluate_batch:
-        masks = np.zeros((len(arrays), f.n), dtype=bool)
-        masks[np.repeat(np.arange(len(arrays)), sizes), flat] = True
-        if int(np.count_nonzero(masks)) != total:
-            raise InvalidSubsetError("duplicate element in subset query")
-        fast = f._evaluate_batch(masks)
-        if fast is not None:
-            return _finite(fast, "evaluate_batch")
-
-    out = np.empty(len(arrays), dtype=np.float64)
-    for j, arr in enumerate(arrays):
-        out[j] = f._evaluate(_sorted_unique(arr))
-    return _finite(out, "evaluate_batch")
+    ledger.add_round(masks.shape[0])
+    values = f._evaluate_batch(masks)
+    if values is None:
+        values = [f._evaluate(np.flatnonzero(row)) for row in masks]
+    return _finite(values, "evaluate_batch")
 
 
 def _paired_gains(f: Objective, base_idx: np.ndarray, t_mat: np.ndarray,
@@ -335,12 +360,10 @@ def evaluate_offline(f: Objective, subset) -> float:
     """Evaluate one subset without touching any ledger.
 
     For tests, validators, and brute-force oracles only; algorithm modules
-    must use the metered batch functions. Rejects duplicate indices as
-    evaluate_batch does.
+    must use the metered batch functions. Rejects out-of-range and duplicate
+    indices as evaluate_batch does.
     """
-    arr = _sorted_unique(_as_index_array(subset))
-    _check_bounds(f, arr)
-    return float(f._evaluate(arr))
+    return float(f._evaluate(np.flatnonzero(_membership(f, [subset])[0])))
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -357,10 +380,15 @@ def spawn_seeds(seed: int | np.random.SeedSequence,
 
 def sample_without_replacement(rng: np.random.Generator, pool,
                                size: int) -> np.ndarray:
-    """Uniform random size-subset of pool via a partial Fisher-Yates shuffle."""
-    arr = np.array(pool, dtype=np.int64, copy=True)
-    size = min(int(size), arr.size)
-    for i in range(size):
-        j = i + int(rng.integers(arr.size - i))
-        arr[i], arr[j] = arr[j], arr[i]
-    return arr[:size]
+    """Uniform random size-subset of pool via a partial Fisher-Yates shuffle.
+
+    Swap i takes position i + j_i with j_i uniform on [0, |pool| - i); all
+    j_i come from one draw, which leaves the generator where one draw per
+    swap would.
+    """
+    items = _as_index_array(pool).tolist()
+    size = min(int(size), len(items))
+    steps = np.arange(size)
+    for i, j in enumerate((steps + rng.integers(len(items) - steps)).tolist()):
+        items[i], items[j] = items[j], items[i]
+    return np.array(items[:size], dtype=np.int64)

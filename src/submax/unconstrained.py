@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import Objective, QueryLedger, Subset, evaluate_batch
+from .oracle import Objective, QueryLedger, Subset, evaluate_batch, pool_masks
 
 
 @dataclass
@@ -49,9 +49,6 @@ def unconstrained_max(f: Objective, a: Subset, params: UnconstrainedParams,
     if len(a) == 0:
         raise ValueError("the candidate pool must be nonempty")
     pool = a.to_array()
-    t = params.t
-    masks = rng.random((t, pool.size)) < 0.5
-    draws = [pool[mask] for mask in masks]
-    values = evaluate_batch(f, draws, ledger)
-    best = int(np.argmax(values))
-    return Subset(draws[best])
+    draws = rng.random((params.t, pool.size)) < 0.5
+    values = evaluate_batch(f, pool_masks(f, pool, draws), ledger)
+    return Subset(pool[draws[int(np.argmax(values))]])

@@ -11,6 +11,7 @@ from submax.harness import (
     ConfigError,
     RunConfig,
     TRACE_HEADER,
+    build_instance,
     read_trace_csv,
     run_experiment,
 )
@@ -37,6 +38,28 @@ class TestValidation:
     def test_missing_data_source(self, tmp_path):
         with pytest.raises(ConfigError):
             config(tmp_path, synthetic=None)
+
+    def test_edge_probability_is_not_a_dimension(self, tmp_path):
+        cfg = config(tmp_path, objective="image", synthetic={"n": 30, "p": 0.2})
+        with pytest.raises(ConfigError, match="'p'"):
+            build_instance(cfg)
+
+    def test_dimension_is_not_an_edge_probability(self, tmp_path):
+        cfg = config(tmp_path, objective="revenue", synthetic={"n": 30, "dim": 8})
+        with pytest.raises(ConfigError, match="'dim'"):
+            build_instance(cfg)
+
+    def test_both_keys_report_the_foreign_one(self, tmp_path):
+        spec = {"n": 30, "p": 0.2, "dim": 8, "seed": 3}
+        with pytest.raises(ConfigError, match=r"\['p'\]"):
+            build_instance(config(tmp_path, objective="movie", synthetic=dict(spec)))
+        with pytest.raises(ConfigError, match=r"\['dim'\]"):
+            build_instance(config(tmp_path, objective="synthetic-cut",
+                                  synthetic=dict(spec)))
+        spec.pop("p")
+        got = build_instance(config(tmp_path, objective="movie", synthetic=spec))
+        want = submax.generate_synthetic("movie", 30, 8, seed=3)
+        assert np.array_equal(got.data.s, want.data.s)
 
     def test_k_exceeding_n_rejected_at_run(self, tmp_path):
         cfg = config(tmp_path, ks=[64])

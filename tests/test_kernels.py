@@ -18,6 +18,7 @@ from submax import (
     RevenueObjective,
     Subset,
     batch_pair_gains,
+    evaluate_batch,
     generate_synthetic,
     load_edge_list,
     make_random_coverage,
@@ -112,6 +113,23 @@ def test_gain_batch_matches_evaluate(kind, q, seed):
         assert metered[j] == got[j]
         want, scale = reference_gain(f, base, t_mat[j], x)
         assert abs(got[j] - want) <= 16 * n * EPS * scale, (j, got[j], want)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_evaluate_batch_mask_form_equals_list_form(kind):
+    # Image has no _evaluate_batch, so its rows go one by one to _evaluate.
+    f = make_objective(kind, 17, seed=4)
+    rng = np.random.default_rng(9)
+    masks = rng.random((12, f.n)) < 0.4
+    masks[0] = False
+    masks[1] = True
+    queries = [Subset(np.flatnonzero(m)) if j % 2 else rng.permutation(np.flatnonzero(m))
+               for j, m in enumerate(masks)]
+    by_mask, by_list = QueryLedger(), QueryLedger()
+    got = evaluate_batch(f, masks, by_mask)
+    want = evaluate_batch(f, queries, by_list)
+    assert got.tobytes() == want.tobytes()
+    assert by_mask.per_round == by_list.per_round == [(1, 12)]
 
 
 @pytest.mark.parametrize("kind", KINDS)

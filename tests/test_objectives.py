@@ -113,8 +113,16 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic("matroid", 5)
 
+    @pytest.mark.parametrize("kind", ["image", "movie"])
+    def test_dimension_below_one_rejected(self, kind):
+        with pytest.raises(ValueError, match="dimension"):
+            generate_synthetic(kind, 10, 0.5)
+        with pytest.raises(ValueError, match="dimension"):
+            generate_synthetic(kind, 10, dim=0)
+
     @pytest.mark.parametrize("n,p,seed", [(400, 3 / 399, 61), (300, 0.01, 1),
-                                          (50, 0.1, 0), (12, 0.3, 5), (1, 0.5, 2)])
+                                          (50, 0.1, 0), (12, 0.3, 5), (1, 0.5, 2),
+                                          (2, 1.0, 0), (20, 1.0, 3), (30, 0.0, 1)])
     def test_erdos_renyi_matches_pair_enumeration(self, n, p, seed):
         # Reference: the pair-by-pair draw over itertools.combinations.
         rng = make_rng(seed)

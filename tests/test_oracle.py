@@ -44,9 +44,25 @@ class TestSubset:
         assert hash(Subset([1, 2])) == hash(Subset([2, 1]))
         assert Subset([1]) != Subset([1, 2])
 
+    @pytest.mark.parametrize("make", [np.array, list, frozenset,
+                                      lambda xs: (x for x in xs)],
+                             ids=["ndarray", "list", "frozenset", "generator"])
+    def test_every_iterable_gives_the_same_set(self, make):
+        s = Subset(make([5, 2, 9, 2, 0]))
+        assert s.indices == (0, 2, 5, 9)
+        assert all(type(i) is int for i in s.indices)
+        assert s.to_array().dtype == np.int64
+        assert s.to_array().tolist() == [0, 2, 5, 9]
+        assert s == Subset([0, 2, 5, 9]) and hash(s) == hash(Subset([9, 5, 2, 0]))
+
+    def test_range_gives_the_same_set(self):
+        assert Subset(range(2, 6)) == Subset(np.array([5, 3, 2, 4, 4]))
+        assert Subset(range(0)) == Subset() and len(Subset(range(0))) == 0
+
     def test_negative_index_rejected(self):
-        with pytest.raises(InvalidSubsetError):
-            Subset([-1])
+        for bad in ([-1], [3, -2, 3], np.array([0, -5])):
+            with pytest.raises(InvalidSubsetError):
+                Subset(bad)
 
 
 class TestEvaluateBatch:
@@ -82,9 +98,32 @@ class TestEvaluateBatch:
             evaluate_batch(f, [np.array([1, 1])], QueryLedger())
 
     def test_empty_batch_rejected(self):
-        f = ModularObjective([1.0])
-        with pytest.raises(ValueError):
-            evaluate_batch(f, [], QueryLedger())
+        f = ModularObjective([1.0, 2.0, 3.0])
+        led = QueryLedger()
+        for batch in ([], np.zeros((0, 3), dtype=bool)):
+            with pytest.raises(ValueError, match="nonempty"):
+                evaluate_batch(f, batch, led)
+        assert led.rounds == 0
+
+    @pytest.mark.parametrize("mask", [
+        np.zeros((2, 4), dtype=bool), np.zeros((2, 2), dtype=bool),
+        np.zeros(3, dtype=bool), np.zeros((1, 1, 3), dtype=bool),
+        np.zeros((2, 3), dtype=np.int64), np.ones((2, 3)),
+    ], ids=["wide", "narrow", "1d", "3d", "int", "float"])
+    def test_malformed_mask_rejected(self, mask):
+        f = ModularObjective([1.0, 2.0, 3.0])
+        led = QueryLedger()
+        with pytest.raises(ValueError, match="mask batch"):
+            evaluate_batch(f, mask, led)
+        assert led.rounds == 0
+
+    def test_mask_rows_are_the_subsets(self):
+        f = ModularObjective([1.0, 2.0, 4.0])
+        led = QueryLedger()
+        masks = np.array([[False, False, False], [True, False, True],
+                          [True, True, True]])
+        assert evaluate_batch(f, masks, led).tolist() == [0.0, 5.0, 7.0]
+        assert led.per_round == [(1, 3)]
 
     def test_array_queries_match_subsets(self):
         g = WeightedGraph(n=5, edges=[(0, 1, 0.3), (1, 2, 0.7), (2, 4, 1.1)])
@@ -275,6 +314,29 @@ class TestRandomness:
         assert np.array_equal(got, again)
         everything = sample_without_replacement(make_rng(1), pool, 99)
         assert sorted(everything.tolist()) == list(range(10, 20))
+
+    @pytest.mark.parametrize("size_of_pool,size", [
+        (0, 0), (0, 3), (1, 0), (1, 1), (7, 0), (7, 1), (7, 3), (7, 7),
+        (7, 12), (40, 39), (300, 25)])
+    def test_sample_without_replacement_equals_swap_loop(self, size_of_pool, size):
+        def loop_reference(rng, pool, size):
+            # One draw per swap: the partial Fisher-Yates loop as first written.
+            arr = np.array(pool, dtype=np.int64, copy=True)
+            size = min(int(size), arr.size)
+            for i in range(size):
+                j = i + int(rng.integers(arr.size - i))
+                arr[i], arr[j] = arr[j], arr[i]
+            return arr[:size]
+
+        pool = np.arange(size_of_pool, dtype=np.int64) * 3 + 11
+        for seed in range(6):
+            rng, ref = make_rng(seed), make_rng(seed)
+            got = sample_without_replacement(rng, pool, size)
+            want = loop_reference(ref, pool, size)
+            assert got.dtype == np.int64
+            assert got.tolist() == want.tolist()
+            assert rng.integers(2**40) == ref.integers(2**40)
+        assert pool.tolist() == (np.arange(size_of_pool) * 3 + 11).tolist()
 
     def test_sample_without_replacement_uniform_ish(self):
         pool = np.arange(5)

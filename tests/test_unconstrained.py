@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from submax import (
+    InvalidSubsetError,
     ModularObjective,
     QueryLedger,
     Subset,
@@ -54,6 +55,12 @@ class TestUnconstrainedMax:
         unconstrained_max(f, Subset(range(6)), p, make_rng(1), led)
         assert led.rounds == 1
         assert led.total_queries == p.t
+
+    def test_pool_outside_ground_set_rejected(self):
+        f = ModularObjective([1.0, 2.0])
+        p = UnconstrainedParams(eps=0.2, delta=0.1)
+        with pytest.raises(InvalidSubsetError):
+            unconstrained_max(f, Subset([0, 2]), p, make_rng(0), QueryLedger())
 
     def test_empty_pool_rejected(self):
         f = ModularObjective([1.0])
