@@ -24,6 +24,14 @@ def _parse_kv(text: str) -> dict:
     return out
 
 
+def _parse_k_list(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"--k-list must be comma-separated integers, "
+                          f"got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="submax",
@@ -67,13 +75,11 @@ def _run_command(args) -> int:
     if args.k is None and not args.k_list:
         print("error: provide --k or --k-list", file=sys.stderr)
         return 2
-    ks = ([int(x) for x in args.k_list.split(",")] if args.k_list
-          else [args.k])
     try:
         config = RunConfig(
             objective=args.objective,
             algorithm=args.algorithm,
-            ks=ks,
+            ks=_parse_k_list(args.k_list) if args.k_list else [args.k],
             data=args.data,
             synthetic=args.synthetic,
             eps=args.eps,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +66,8 @@ class RunConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.ks or any(k < 1 for k in self.ks):
             raise ConfigError("k values must be >= 1")
         if self.data is None and self.synthetic is None:
@@ -85,29 +88,63 @@ class TrialRecord:
     debug: list[dict] = field(default_factory=list)
 
 
+# Each synthetic spec key: how its text parses and which values the
+# generators accept, so a bad value is reported against its key.
+_SPEC_KEYS = {
+    "n": (int, lambda v: v >= 1, "an integer >= 1"),
+    "seed": (int, lambda v: v >= 0, "an integer >= 0"),
+    "p": (float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
+    "dim": (float, lambda v: 1.0 <= v < math.inf, "a finite number >= 1"),
+    "lam": (float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
+}
+
+
+def _spec_value(key: str, raw):
+    parse, accepts, wanted = _SPEC_KEYS[key]
+    try:
+        value = parse(raw)
+        if accepts(value):
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"synthetic key {key!r} must be {wanted}, got {raw!r}")
+
+
+def _spec_values(config: RunConfig) -> dict:
+    """The synthetic spec's values, parsed and checked key by key.
+
+    The edge probability belongs to graph kinds, the dimension to similarity
+    kinds and lam to movie; any other key is reported as unknown.
+    """
+    spec = config.synthetic or {}
+    graph = config.objective in ("revenue", "synthetic-cut")
+    allowed = {"n", "seed", "p" if graph else "dim"}
+    if config.objective == "movie":
+        allowed.add("lam")
+    unknown = sorted(set(spec) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown synthetic keys {unknown}")
+    return {key: _spec_value(key, raw) for key, raw in spec.items()}
+
+
 def build_instance(config: RunConfig) -> Instance:
+    movie = config.objective == "movie"
     if config.data is not None:
         if config.objective in ("image", "movie"):
             matrix = load_similarity_csv(config.data)
             lam = None
-            if config.objective == "movie":
-                lam = float(config.synthetic.get("lam", 0.95)) if config.synthetic else 0.95
+            if movie:
+                lam = _spec_value("lam", (config.synthetic or {}).get("lam", 0.95))
             return Instance(kind=config.objective, data=matrix, lam=lam)
         graph = load_edge_list(config.data)
         return Instance(kind=config.objective, data=graph)
-    spec = dict(config.synthetic or {})
-    n = int(spec.pop("n", 50))
-    seed = int(spec.pop("seed", config.seed))
-    lam = float(spec.pop("lam", 0.95))
-    # The edge probability belongs to graph kinds, the dimension to
-    # similarity kinds; the other key is reported as unknown.
-    graph = config.objective in ("revenue", "synthetic-cut")
-    param = spec.pop("p" if graph else "dim", None)
-    if spec:
-        raise ConfigError(f"unknown synthetic keys {sorted(spec)}")
+    values = _spec_values(config)
+    param = values.get("p", values.get("dim"))
+    lam = values.get("lam", 0.95)
     return Instance(kind=config.objective, data=generate_synthetic(
-        config.objective, n, param=None if param is None else float(param),
-        seed=seed, lam=lam).data, lam=lam if config.objective == "movie" else None)
+        config.objective, values.get("n", 50), param=param,
+        seed=values.get("seed", config.seed), lam=lam).data,
+        lam=lam if movie else None)
 
 
 def _run_one(config: RunConfig, f, k: int, trial: int) -> TrialRecord:

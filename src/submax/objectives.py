@@ -155,8 +155,11 @@ class CutObjective(Objective):
         rows = self.w[idx]
         return float(rows.sum() - rows[:, idx].sum())
 
+    def _base_state(self, base_idx):
+        return (self.w[:, base_idx].sum(axis=1),)  # weight into the base
+
     def _gain_batch(self, base_idx, t_mat, xs):
-        w_into_base = self.w[:, base_idx].sum(axis=1)
+        w_into_base, = self._cached_base_state(base_idx)
         cross = self.w[xs[:, None], t_mat].sum(axis=1)
         return self.degree[xs] - 2.0 * (w_into_base[xs] + cross)
 
@@ -198,11 +201,14 @@ class RevenueObjective(Objective):
         into = np.sqrt(self.w[:, idx].sum(axis=1))
         return float(into.sum() - into[idx].sum())
 
-    def _gain_batch(self, base_idx, t_mat, xs):
+    def _base_state(self, base_idx):
         in_base = np.zeros(self.n, dtype=bool)
         in_base[base_idx] = True
+        return in_base, self.w[:, base_idx].sum(axis=1)
+
+    def _gain_batch(self, base_idx, t_mat, xs):
+        in_base, w_into_base = self._cached_base_state(base_idx)
         m = xs.size
-        w_into_base = self.w[:, base_idx].sum(axis=1)
         nbr = self._nbr[xs]  # (m, width); padding and the last slot hold x_j
         w_b = w_into_base[nbr]
         if t_mat.shape[1]:
@@ -253,16 +259,20 @@ class ImageSummarizationObjective(Objective):
         penalty = self.s[np.ix_(idx, idx)].sum() / self.n
         return float(cover - penalty)
 
+    def _base_state(self, base_idx):
+        # Best cover and total similarity of each item into the base.
+        cols = self.s[:, base_idx]
+        best_base = cols.max(axis=1) if base_idx.size else np.zeros(self.n)
+        return best_base, cols.sum(axis=1)
+
     def _gain_batch(self, base_idx, t_mat, xs):
         m = xs.size
-        best_base = (self.s[:, base_idx].max(axis=1)
-                     if base_idx.size else np.zeros(self.n))
+        best_base, s_into_base = self._cached_base_state(base_idx)
         if t_mat.shape[1]:
             best = np.maximum(best_base[:, None], self.s[:, t_mat].max(axis=2))
         else:
             best = np.broadcast_to(best_base[:, None], (self.n, m))
         cover_inc = (np.maximum(best, self.s[:, xs]) - best).sum(axis=0)
-        s_into_base = self.s[:, base_idx].sum(axis=1)
         cross = self.s[xs[:, None], t_mat].sum(axis=1)
         penalty_inc = (2.0 * (s_into_base[xs] + cross) + np.diag(self.s)[xs]) / self.n
         return cover_inc - penalty_inc
@@ -285,8 +295,11 @@ class MovieRecommendationObjective(Objective):
         return float(self._colsum[idx].sum()
                      - self.lam * self.s[np.ix_(idx, idx)].sum())
 
+    def _base_state(self, base_idx):
+        return (self.s[:, base_idx].sum(axis=1),)  # similarity into the base
+
     def _gain_batch(self, base_idx, t_mat, xs):
-        s_into_base = self.s[:, base_idx].sum(axis=1)
+        s_into_base, = self._cached_base_state(base_idx)
         cross = self.s[xs[:, None], t_mat].sum(axis=1)
         return (self._colsum[xs]
                 - self.lam * (2.0 * (s_into_base[xs] + cross) + np.diag(self.s)[xs]))
@@ -318,8 +331,12 @@ class SaturatedCoverageObjective(Objective):
             return 0.0
         return float(np.minimum(self.caps, self.a[idx].sum(axis=0)).sum())
 
+    def _base_state(self, base_idx):
+        return (self.a[base_idx].sum(axis=0),)  # the base's mass per group
+
     def _gain_batch(self, base_idx, t_mat, xs):
-        mass = self.a[base_idx].sum(axis=0) + self.a[t_mat].sum(axis=1)  # (m, groups)
+        base_mass, = self._cached_base_state(base_idx)
+        mass = base_mass + self.a[t_mat].sum(axis=1)  # (m, groups)
         return (np.minimum(self.caps, mass + self.a[xs])
                 - np.minimum(self.caps, mass)).sum(axis=1)
 

@@ -97,7 +97,19 @@ class Objective(ABC):
     calls; nonnegativity is validated by the submodularity checker rather than
     assumed. The underscore methods are the raw oracle: algorithm code goes
     through the module-level batch functions so every query is metered.
+
+    A :meth:`_gain_batch` kernel that reads an aggregate of the base (say,
+    each element's weight into it) computes it in :meth:`_base_state` and
+    fetches it through :meth:`_cached_base_state`. That memo holds the state
+    of the last base asked for, so the many rounds an algorithm issues
+    against one unchanged base build the aggregate once. A hit returns the
+    very arrays a fresh call would compute, so the gains are bit-identical.
+    The memo cannot see changes to an objective's data: objectives must not
+    be mutated after construction.
     """
+
+    # The last (base key, state) pair; an instance attribute once set.
+    _base_memo: tuple[bytes, tuple] | None = None
 
     def __init__(self, n: int):
         if n < 1:
@@ -107,6 +119,34 @@ class Objective(ABC):
     @abstractmethod
     def _evaluate(self, idx: np.ndarray) -> float:
         """Value of the subset given as a sorted index array."""
+
+    def _base_state(self, base_idx: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The aggregates of the base that :meth:`_gain_batch` reads.
+
+        A tuple of arrays computed from base_idx alone; the default has none.
+        Kernels must not write to them: the memo hands the same arrays to
+        every later call on the same base.
+        """
+        return ()
+
+    def _cached_base_state(self, base_idx: np.ndarray) -> tuple[np.ndarray, ...]:
+        """:meth:`_base_state` of base_idx, memoized for the latest base.
+
+        The key is base_idx's elements as int64 bytes: the same elements in
+        any integer dtype share an entry, and two bases whose raw bytes merely
+        agree (int32 [1, 0], int64 [1]) do not. The memo is one tuple,
+        read once and replaced whole, so concurrent callers can at worst
+        recompute a state, never read a mismatched one.
+        """
+        key = base_idx.astype(np.int64, copy=False).tobytes()
+        memo = self._base_memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        state = self._base_state(base_idx)
+        for arr in state:
+            arr.flags.writeable = False
+        self._base_memo = (key, state)
+        return state
 
     def _gain_batch(self, base_idx: np.ndarray, t_mat: np.ndarray,
                     xs: np.ndarray) -> np.ndarray | None:

@@ -2,6 +2,8 @@
 
 Each test runs one suite end to end and prints its verdict lines, so
 ``pytest tests/test_acceptance.py -v -s`` doubles as the acceptance report.
+The three longest suites are marked ``slow``; ``pytest -m "not slow"`` skips
+them for a quick loop.
 """
 
 import pytest
@@ -18,10 +20,12 @@ def run(name):
     return result
 
 
+@pytest.mark.slow
 def test_criterion_01_termination_marginals_lemma2():
     run("lemma2")
 
 
+@pytest.mark.slow
 def test_criterion_02_average_marginal_corollary6():
     run("corollary6")
 
@@ -38,6 +42,7 @@ def test_criterion_05_downsampling_lemma8():
     run("lemma8")
 
 
+@pytest.mark.slow
 def test_criterion_06_approximation_floor_theorem5():
     result = run("theorem5")
     assert result.metrics["min_ratio"] >= 0.01

@@ -5,6 +5,11 @@ Each case runs one algorithm on one small synthetic objective through
 files must match the copies under ``tests/golden/`` byte for byte, and every
 trial's output set and ``ledger.per_round`` must match ``cases.json``.
 
+The small cases run at n <= 50. numpy picks its reduction order by array
+shape, so a kernel change can move sums only at larger n; the scale cases
+run greedy and lazy greedy on image at the benchmark's n = 1000, k = 50 and
+keep their records in ``scale_cases.json``.
+
 A change that is meant to move these outputs regenerates them and says which
 cells moved and why:
 
@@ -30,10 +35,13 @@ SPECS = {
     "movie": ({"n": 30, "dim": 8, "seed": 3}, 6),
 }
 CASES = [(alg, obj) for alg in ("anm", "greedy", "random", "rlg") for obj in SPECS]
+SCALE_SPECS = {"image": ({"n": 1000, "seed": 1}, 50)}
+SCALE_CASES = [(alg, "image") for alg in ("greedy", "rlg")]
 
 
-def _config(algorithm: str, objective: str, stem: Path | None) -> RunConfig:
-    spec, k = SPECS[objective]
+def _config(algorithm: str, objective: str, stem: Path | None,
+            specs: dict = SPECS) -> RunConfig:
+    spec, k = specs[objective]
     files = {} if stem is None else dict(
         trace=f"{stem}.trace.csv", out=f"{stem}.summary.csv",
         debug_trace=f"{stem}.debug.jsonl")
@@ -42,9 +50,10 @@ def _config(algorithm: str, objective: str, stem: Path | None) -> RunConfig:
                      **files)
 
 
-def _run_case(algorithm: str, objective: str, stem: Path) -> dict:
+def _run_case(algorithm: str, objective: str, stem: Path,
+              specs: dict = SPECS) -> dict:
     """Write the case's files next to ``stem``; return its per-trial record."""
-    config = _config(algorithm, objective, stem)
+    config = _config(algorithm, objective, stem, specs)
     f = build_instance(config).objective()
     run_experiment(config, f)
     records = [_run_one(config, f, config.ks[0], trial)
@@ -65,16 +74,29 @@ def golden_cases() -> dict:
     return json.loads((GOLDEN / "cases.json").read_text())
 
 
-@pytest.mark.parametrize("algorithm,objective", CASES)
-def test_golden_case(algorithm, objective, golden_cases, tmp_path):
-    name = f"{algorithm}_{objective}"
-    got = _run_case(algorithm, objective, tmp_path / name)
-    assert got == golden_cases[name]
+def _check_case(name: str, algorithm: str, got: dict, want: dict,
+                tmp_path: Path) -> None:
+    assert got == want
     for suffix in _suffixes(algorithm):
         produced = (tmp_path / (name + suffix)).read_bytes()
         assert produced == (GOLDEN / (name + suffix)).read_bytes(), suffix
     if algorithm != "anm":
         assert not (tmp_path / (name + ".debug.jsonl")).exists()
+
+
+@pytest.mark.parametrize("algorithm,objective", CASES)
+def test_golden_case(algorithm, objective, golden_cases, tmp_path):
+    name = f"{algorithm}_{objective}"
+    got = _run_case(algorithm, objective, tmp_path / name)
+    _check_case(name, algorithm, got, golden_cases[name], tmp_path)
+
+
+@pytest.mark.parametrize("algorithm,objective", SCALE_CASES)
+def test_golden_scale_case(algorithm, objective, tmp_path):
+    name = f"{algorithm}_{objective}_n1000"
+    want = json.loads((GOLDEN / "scale_cases.json").read_text())[name]
+    got = _run_case(algorithm, objective, tmp_path / name, SCALE_SPECS)
+    _check_case(name, algorithm, got, want, tmp_path)
 
 
 def test_anm_round_one_value_is_exact_max_singleton():
@@ -97,6 +119,11 @@ def regenerate() -> None:
         name = f"{algorithm}_{objective}"
         cases[name] = _run_case(algorithm, objective, GOLDEN / name)
     (GOLDEN / "cases.json").write_text(json.dumps(cases, indent=1) + "\n")
+    scale = {}
+    for algorithm, objective in SCALE_CASES:
+        name = f"{algorithm}_{objective}_n1000"
+        scale[name] = _run_case(algorithm, objective, GOLDEN / name, SCALE_SPECS)
+    (GOLDEN / "scale_cases.json").write_text(json.dumps(scale, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import submax
+import submax.cli
 from submax.harness import (
     ConfigError,
     RunConfig,
@@ -60,6 +61,28 @@ class TestValidation:
         got = build_instance(config(tmp_path, objective="movie", synthetic=spec))
         want = submax.generate_synthetic("movie", 30, 8, seed=3)
         assert np.array_equal(got.data.s, want.data.s)
+
+    @pytest.mark.parametrize("objective,spec,key", [
+        ("image", {"n": "abc"}, "n"),
+        ("revenue", {"n": 30, "p": 2}, "p"),
+        ("movie", {"n": 30, "lam": 7}, "lam"),
+        ("image", {"n": 30, "dim": 0}, "dim"),
+        ("movie", {"n": 30, "dim": "inf"}, "dim"),
+        ("synthetic-cut", {"n": 30, "seed": -1}, "seed"),
+    ])
+    def test_bad_spec_value_names_its_key(self, tmp_path, objective, spec, key):
+        with pytest.raises(ConfigError, match=f"synthetic key '{key}'"):
+            build_instance(config(tmp_path, objective=objective, synthetic=spec))
+
+    @pytest.mark.parametrize("objective", ["image", "revenue", "synthetic-cut"])
+    def test_lam_is_only_for_movie(self, tmp_path, objective):
+        with pytest.raises(ConfigError, match=r"\['lam'\]"):
+            build_instance(config(tmp_path, objective=objective,
+                                  synthetic={"n": 30, "lam": 0.5}))
+
+    def test_negative_run_seed_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="seed"):
+            config(tmp_path, seed=-1)
 
     def test_k_exceeding_n_rejected_at_run(self, tmp_path):
         cfg = config(tmp_path, ks=[64])
@@ -180,6 +203,23 @@ class TestCli:
                "--algorithm", "blits", "--k", "2"]
         proc = subprocess.run(cmd, capture_output=True, text=True, env=cli_env())
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("objective,args,named", [
+        ("revenue", ["--synthetic", "n=10,p=0.5", "--k-list", "5,x"], "--k-list"),
+        ("revenue", ["--synthetic", "n=abc", "--k", "2"], "'n'"),
+        ("revenue", ["--synthetic", "n=10,p=2", "--k", "2"], "'p'"),
+        ("movie", ["--synthetic", "n=10,lam=7", "--k", "2"], "'lam'"),
+        ("image", ["--synthetic", "n=10,dim=0", "--k", "2"], "'dim'"),
+        ("image", ["--synthetic", "n=10,lam=0.5", "--k", "2"], "'lam'"),
+        ("image", ["--synthetic", "n=10", "--k", "2", "--seed", "-1"], "seed"),
+    ])
+    def test_bad_run_config_is_an_error_line(self, capsys, objective, args, named):
+        code = submax.cli.main(["run", "--objective", objective,
+                                "--algorithm", "greedy", *args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err
 
     def test_k_above_n_exit_code(self):
         cmd = [sys.executable, "-m", "submax.cli", "run",

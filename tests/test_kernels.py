@@ -4,7 +4,9 @@
 generated instances, and the revenue neighbour kernel against the dense
 all-nodes formula it replaced, kept below as the reference. The rules every
 kernel relies on (overlapping pools, exact zeros for members) hold at the
-metered entry point ``batch_pair_gains``, so they are checked there.
+metered entry point ``batch_pair_gains``, so they are checked there. So is the
+base-state memo: a kernel fed a memoized base aggregate must answer exactly as
+one that built it afresh.
 """
 
 import numpy as np
@@ -17,11 +19,15 @@ from submax import (
     QueryLedger,
     RevenueObjective,
     Subset,
+    batch_marginals,
     batch_pair_gains,
     evaluate_batch,
+    evaluate_offline,
     generate_synthetic,
     load_edge_list,
     make_random_coverage,
+    make_rng,
+    random_lazy_greedy,
 )
 
 EPS = np.finfo(np.float64).eps
@@ -215,3 +221,87 @@ def test_revenue_kernel_isolated_node_and_zero_weight_edge(tmp_path):
         want = dense_revenue_gain_batch(f.w, base, t_mat, xs)
         assert np.array_equal(metered_gains(f, base, t_mat, xs), want)
 
+
+
+@st.composite
+def memo_sequences(draw):
+    """(n, bases, calls): 2-3 bases and calls that revisit them in any order.
+
+    Each call is (base number, t_mat, xs); t_mat has no columns for a
+    batch_marginals call and draws its rows from outside the base otherwise.
+    """
+    n = draw(st.integers(3, 14))
+    bases = [np.sort(np.asarray(draw(st.permutations(range(n)))[:b], dtype=np.int64))
+             for b in draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=3))]
+    calls = []
+    for which in draw(st.lists(st.integers(0, len(bases) - 1), min_size=3,
+                               max_size=8)):
+        rest = np.setdiff1d(np.arange(n), bases[which])
+        m = draw(st.integers(1, 5))
+        t = draw(st.integers(0, min(3, rest.size)))
+        t_mat = np.asarray([draw(st.permutations(rest.tolist()))[:t]
+                            for _ in range(m)], dtype=np.int64).reshape(m, t)
+        xs = np.asarray(draw(st.lists(st.integers(0, n - 1), min_size=m,
+                                      max_size=m)), dtype=np.int64)
+        calls.append((which, t_mat, xs))
+    return n, bases, calls
+
+
+def _metered_call(f, base, t_mat, xs):
+    if t_mat.shape[1]:
+        return batch_pair_gains(f, Subset(base), t_mat, xs, QueryLedger())
+    return batch_marginals(f, Subset(base), xs, evaluate_offline(f, base),
+                           QueryLedger())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@SETTINGS
+@given(q=memo_sequences(), seed=st.integers(0, 2**16))
+@example(q=(5, [np.array([0, 3]), np.array([], dtype=np.int64)],
+            [(0, np.empty((2, 0), dtype=np.int64), np.array([1, 4])),
+             (0, np.array([[1], [2]]), np.array([4, 2])),
+             (1, np.array([[0, 3]]), np.array([2])),
+             (0, np.empty((1, 0), dtype=np.int64), np.array([3]))]),
+         seed=1)  # A, A, B, A
+def test_memoized_base_state_equals_fresh_objective(kind, q, seed):
+    n, bases, calls = q
+    f = make_objective(kind, n, seed)
+    for which, t_mat, xs in calls:
+        got = _metered_call(f, bases[which], t_mat, xs)
+        want = _metered_call(make_objective(kind, n, seed), bases[which], t_mat, xs)
+        assert np.array_equal(got, want)
+
+
+def test_lazy_greedy_builds_each_base_state_once():
+    f = generate_synthetic("image", 60, seed=2).objective()
+    built, asked = [], []
+    state, kernel = f._base_state, f._gain_batch
+    f._base_state = lambda b: built.append(b.tobytes()) or state(b)
+    f._gain_batch = lambda b, t, x: asked.append(b.tobytes()) or kernel(b, t, x)
+    ledger = QueryLedger()
+    out = random_lazy_greedy(f, 8, 0.01, make_rng(4), ledger)
+    changes = [key for j, key in enumerate(asked) if j == 0 or key != asked[j - 1]]
+    assert built == changes
+    assert len(built) < len(asked) == ledger.rounds - 1
+    fresh = generate_synthetic("image", 60, seed=2).objective()
+    assert out == random_lazy_greedy(fresh, 8, 0.01, make_rng(4), QueryLedger())
+
+
+def test_base_state_memo_keys_on_int64_elements():
+    # Little-endian int32 [1, 0] has the bytes of int64 [1].
+    narrow, wide = np.array([1, 0], dtype=np.int32), np.array([1], dtype=np.int64)
+    assert narrow.tobytes() == wide.tobytes()
+    f = make_objective("image", 5, seed=0)
+    first = f._cached_base_state(narrow)
+    second = f._cached_base_state(wide)
+    assert second is not first
+    for got, want in zip(second, f._base_state(wide)):
+        assert np.array_equal(got, want)
+    assert f._cached_base_state(wide) is second
+
+
+def test_memoized_base_state_is_read_only():
+    f = make_objective("revenue", 8, seed=0)
+    for arr in f._cached_base_state(np.array([2, 5], dtype=np.int64)):
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
