@@ -153,7 +153,7 @@ def suite_lemma4(seed: int = 0) -> SuiteResult:
     threshold = (1.0 - delta) - 3.0 * math.sqrt(delta * (1.0 - delta) / runs)
     for label, f in instances:
         opt_set, opt = brute_force_opt(f, f.n)
-        pool = Subset(range(f.n))
+        pool = np.arange(f.n, dtype=np.int64)
         hits = 0
         for i in range(runs):
             out = unconstrained_max(f, pool, params, make_rng(seed + i),

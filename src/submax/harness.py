@@ -7,6 +7,11 @@ best value, carried forward over rounds that found none). The summary CSV has
 header ``algorithm,k,mean_value,std_value,mean_queries,mean_rounds``. Reruns
 with the same config are byte-identical apart from a leading timestamp
 comment, which can be suppressed.
+
+A bad configuration raises ConfigError before any instance is built:
+``RunConfig`` checks the anm settings by building ``NonmonotoneParams``, and
+``build_instance`` checks the synthetic keys before it loads or generates
+data.
 """
 
 from __future__ import annotations
@@ -72,6 +77,15 @@ class RunConfig:
             raise ConfigError("k values must be >= 1")
         if self.data is None and self.synthetic is None:
             raise ConfigError("provide a data path or a synthetic spec")
+        if self.algorithm == "anm":
+            # The parameter class is the one home of the anm ranges; building
+            # it here reports a bad setting before any instance is built.
+            try:
+                for k in self.ks:
+                    NonmonotoneParams(k=k, eps=self.eps, delta=self.delta,
+                                      sample_override=self.samples)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
 
 @dataclass
@@ -113,14 +127,16 @@ def _spec_value(key: str, raw):
 def _spec_values(config: RunConfig) -> dict:
     """The synthetic spec's values, parsed and checked key by key.
 
-    The edge probability belongs to graph kinds, the dimension to similarity
-    kinds and lam to movie; any other key is reported as unknown.
+    lam belongs to movie, with or without a data file. Without one, n and
+    seed size and seed the generator, the edge probability belongs to graph
+    kinds and the dimension to similarity kinds. Any other key is reported
+    as unknown.
     """
     spec = config.synthetic or {}
-    graph = config.objective in ("revenue", "synthetic-cut")
-    allowed = {"n", "seed", "p" if graph else "dim"}
-    if config.objective == "movie":
-        allowed.add("lam")
+    allowed = {"lam"} if config.objective == "movie" else set()
+    if config.data is None:
+        graph = config.objective in ("revenue", "synthetic-cut")
+        allowed |= {"n", "seed", "p" if graph else "dim"}
     unknown = sorted(set(spec) - allowed)
     if unknown:
         raise ConfigError(f"unknown synthetic keys {unknown}")
@@ -128,23 +144,17 @@ def _spec_values(config: RunConfig) -> dict:
 
 
 def build_instance(config: RunConfig) -> Instance:
-    movie = config.objective == "movie"
-    if config.data is not None:
-        if config.objective in ("image", "movie"):
-            matrix = load_similarity_csv(config.data)
-            lam = None
-            if movie:
-                lam = _spec_value("lam", (config.synthetic or {}).get("lam", 0.95))
-            return Instance(kind=config.objective, data=matrix, lam=lam)
-        graph = load_edge_list(config.data)
-        return Instance(kind=config.objective, data=graph)
     values = _spec_values(config)
-    param = values.get("p", values.get("dim"))
-    lam = values.get("lam", 0.95)
-    return Instance(kind=config.objective, data=generate_synthetic(
-        config.objective, values.get("n", 50), param=param,
-        seed=values.get("seed", config.seed), lam=lam).data,
-        lam=lam if movie else None)
+    lam = values.get("lam")
+    if config.data is None:
+        return generate_synthetic(
+            config.objective, values.get("n", 50),
+            param=values.get("p", values.get("dim")),
+            seed=values.get("seed", config.seed), lam=lam)
+    if config.objective in ("image", "movie"):
+        return Instance(kind=config.objective,
+                        data=load_similarity_csv(config.data), lam=lam)
+    return Instance(kind=config.objective, data=load_edge_list(config.data))
 
 
 def _run_one(config: RunConfig, f, k: int, trial: int) -> TrialRecord:

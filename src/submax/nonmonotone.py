@@ -12,11 +12,12 @@ returned ledger is built that way as the run goes: the singleton sweep is its
 round 1, and the trial ledgers are appended with ``extend_parallel``, which
 also carries each round's best value.
 
-The trade-off constants default to c1=1/7, c3=3, tuned for a one-round
-unconstrained subroutine with a 1/4 approximation factor. Swapping in a
-stronger (1/2 - eps) unconstrained routine would pair with c1=0.198989,
-c3=3.556; both constants are plain parameters here so that variant can be
-plugged in later.
+The trade-off constants C1 = 1/7 and C3 = 3 are fixed by the analysis for
+this module's one-round unconstrained subroutine, whose approximation factor
+is 1/4: thresholds scale with C1, and a trial falls back once its pool holds
+fewer than C3 * k elements. A stronger (1/2 - eps) unconstrained routine
+would pair with c1 = 0.198989, c3 = 3.556; that is a different algorithm,
+not a setting of this one.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ from .threshold import (
 from .unconstrained import UnconstrainedParams, unconstrained_max
 
 
+C1 = 1.0 / 7.0  # scale of the threshold grid, relative to delta* / k
+C3 = 3.0  # the sampler breaks for the fallback once |pool| < C3 * k
+
+
 @dataclass(frozen=True)
 class DerivedNonmonotoneValues:
     eps_hat: float
@@ -54,13 +59,15 @@ class DerivedNonmonotoneValues:
 
 @dataclass
 class NonmonotoneParams:
-    """Inputs for one full run; c1 and c3 are the tuned trade-off constants."""
+    """Inputs for one full run.
+
+    sample_override, when set, pins each threshold trial's per-estimate
+    sample count (see ThresholdParams).
+    """
 
     k: int
     eps: float
     delta: float
-    c1: float = 1.0 / 7.0
-    c3: float = 3.0
     sample_override: int | None = None
 
     def __post_init__(self):
@@ -70,17 +77,15 @@ class NonmonotoneParams:
             raise ValueError(f"eps must lie in (0,1), got {self.eps}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0,1), got {self.delta}")
-        if not 0.0 < self.c1 < 1.0:
-            raise ValueError(f"c1 must lie in (0,1), got {self.c1}")
-        if self.c3 <= 1.0:
-            raise ValueError(f"c3 must exceed 1, got {self.c3}")
+        if self.sample_override is not None and self.sample_override < 1:
+            raise ValueError("sample_override must be >= 1 when set")
 
     def derive(self) -> DerivedNonmonotoneValues:
         eps_hat = self.eps / 6.0
         r = math.ceil(2.0 * math.log(self.k) / eps_hat)
         delta_hat = self.delta / (2.0 * (r + 1))
         return DerivedNonmonotoneValues(eps_hat=eps_hat, r=r, delta_hat=delta_hat,
-                                        break_size=math.ceil(self.c3 * self.k))
+                                        break_size=math.ceil(C3 * self.k))
 
 
 @dataclass
@@ -122,7 +127,9 @@ def best_prefix(f: Objective, u_prime: Subset, rng: np.random.Generator,
     adaptive round and records the best value on the ledger; ties go to the
     shortest prefix.
     """
-    order = rng.permutation(u_prime.to_array())
+    # Permute positions, not the set's read-only array: numpy cannot shuffle
+    # an empty read-only array, and the draws are the same either way.
+    order = u_prime.to_array()[rng.permutation(len(u_prime))]
     prefixes = np.tri(order.size + 1, order.size, -1, dtype=bool)  # row i: first i
     values = evaluate_batch(f, pool_masks(f, order, prefixes), ledger)
     best = int(np.argmax(values))
@@ -131,9 +138,9 @@ def best_prefix(f: Objective, u_prime: Subset, rng: np.random.Generator,
 
 
 def threshold_grid(delta_star: float, params: NonmonotoneParams) -> list[float]:
-    """The geometric threshold grid c1 * (1+eps_hat)^i * delta_star / k."""
+    """The geometric threshold grid C1 * (1+eps_hat)^i * delta_star / k."""
     d = params.derive()
-    return [params.c1 * (1.0 + d.eps_hat) ** i * delta_star / params.k
+    return [C1 * (1.0 + d.eps_hat) ** i * delta_star / params.k
             for i in range(d.r + 1)]
 
 

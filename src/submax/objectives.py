@@ -86,7 +86,11 @@ class WeightedGraph:
 
 @dataclass
 class Instance:
-    """A loaded or generated benchmark problem."""
+    """A loaded or generated benchmark problem.
+
+    lam is movie's redundancy weight, checked when the objective is built;
+    None leaves it at MovieRecommendationObjective's default.
+    """
 
     kind: str  # image | movie | revenue | synthetic-cut
     data: SimilarityMatrix | WeightedGraph
@@ -97,11 +101,6 @@ class Instance:
             raise ValueError(f"kind {self.kind!r} needs a similarity matrix")
         if self.kind in ("revenue", "synthetic-cut") and not isinstance(self.data, WeightedGraph):
             raise ValueError(f"kind {self.kind!r} needs a weighted graph")
-        if self.kind == "movie":
-            if self.lam is None:
-                self.lam = 0.95
-            if not 0.0 <= self.lam <= 1.0:
-                raise ValueError(f"lambda must lie in [0,1], got {self.lam}")
 
     @property
     def n(self) -> int:
@@ -111,6 +110,8 @@ class Instance:
         if self.kind == "image":
             return ImageSummarizationObjective(self.data)
         if self.kind == "movie":
+            if self.lam is None:
+                return MovieRecommendationObjective(self.data)
             return MovieRecommendationObjective(self.data, self.lam)
         if self.kind == "revenue":
             return RevenueObjective(self.data)
@@ -235,9 +236,13 @@ class RevenueObjective(Objective):
         return dense.sum(axis=1) - np.sqrt(w_b[:, -1])
 
     def _evaluate_batch(self, masks):
+        # In place after the two (batch, n) allocations: each fresh temporary
+        # of this size can cost page faults once the allocator returns the
+        # last one to the system, and the sums read the same arrays either way.
         m = masks.astype(np.float64)
-        into = np.sqrt(m @ self.w)  # (batch, n): weight into S from each node
-        return into.sum(axis=1) - (into * m).sum(axis=1)
+        into = m @ self.w  # (batch, n): weight into S from each node
+        np.sqrt(into, out=into)
+        return into.sum(axis=1) - np.multiply(into, m, out=m).sum(axis=1)
 
 
 class ImageSummarizationObjective(Objective):
@@ -379,11 +384,12 @@ def _cosine_similarity(n: int, dim: int, rng: np.random.Generator) -> Similarity
 
 
 def generate_synthetic(kind: str, n: int, param: float | None = None,
-                       seed: int = 0, lam: float = 0.95, dim: int = 16) -> Instance:
+                       seed: int = 0, lam: float | None = None) -> Instance:
     """Deterministic synthetic instance of the given kind and size.
 
     For graph kinds ``param`` is the edge probability (default 4/(n-1));
-    for similarity kinds it is the embedding dimension (default ``dim``).
+    for similarity kinds it is the embedding dimension (default 16). lam is
+    passed to a movie instance and ignored for the other kinds.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -392,7 +398,7 @@ def generate_synthetic(kind: str, n: int, param: float | None = None,
         p = param if param is not None else min(1.0, 4.0 / max(1, n - 1))
         return Instance(kind=kind, data=_erdos_renyi(n, float(p), rng))
     if kind in ("image", "movie"):
-        d = int(param) if param is not None else dim
+        d = int(param) if param is not None else 16
         if d < 1:
             raise ValueError(f"embedding dimension must be >= 1, got {d}")
         matrix = _cosine_similarity(n, d, rng)

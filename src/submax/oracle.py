@@ -14,7 +14,9 @@ Whole-set rounds reach ``evaluate_batch`` as a (batch, n) boolean membership
 matrix, the form the objectives score. A round that builds a structured
 family of sets (random subsets of a pool, the prefixes of an order, the
 singletons) writes that matrix directly; a sequence of index arrays or
-Subsets is turned into it first.
+Subsets is turned into it first. A Subset is a thin wrapper around one
+sorted, read-only int64 array, and the entry points read that array as it
+is; pools and other working sets stay plain int64 arrays.
 
 Randomness is always drawn by single-threaded orchestration code before a
 batch is issued, so results are reproducible regardless of how a batch is
@@ -37,12 +39,13 @@ class InvalidSubsetError(ValueError):
 class Subset:
     """Immutable set of ground-set element indices.
 
-    Stored as a sorted int64 array with a companion index tuple and
-    frozenset, so iteration order is deterministic and membership tests
-    are O(1).
+    Holds one sorted, duplicate-free int64 array, made read-only, so the
+    set cannot drift from what it scores. The index tuple, membership,
+    equality, hashing, length and iteration are all read off that array,
+    and iteration order is ascending.
     """
 
-    __slots__ = ("indices", "_members", "_array")
+    __slots__ = ("_array",)
 
     def __init__(self, indices: Iterable[int] = ()):
         # Sort and drop repeats; np.unique does the same but costs about
@@ -52,41 +55,43 @@ class Subset:
             arr = arr[np.concatenate(([True], arr[1:] != arr[:-1]))]
         if arr.size and arr[0] < 0:
             raise InvalidSubsetError(f"negative element index {arr[0]}")
-        items = arr.tolist()
-        self.indices: tuple[int, ...] = tuple(items)
-        self._members = frozenset(items)
+        arr.flags.writeable = False
         self._array = arr
 
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return tuple(self._array.tolist())
+
     def to_array(self) -> np.ndarray:
+        """The members as the set's own read-only sorted int64 array."""
         return self._array
 
     def union(self, other: "Subset | Iterable[int]") -> "Subset":
-        if isinstance(other, Subset):
-            return Subset(self._members | other._members)
-        return Subset(self._members.union(int(i) for i in other))
+        return Subset(np.concatenate((self._array, _as_index_array(other))))
 
     def add(self, element: int) -> "Subset":
-        return Subset(self._members | {int(element)})
+        return self.union((int(element),))
 
-    def __contains__(self, element: int) -> bool:
-        return element in self._members
+    def __contains__(self, element) -> bool:
+        pos = int(np.searchsorted(self._array, element))
+        return pos < self._array.size and bool(self._array[pos] == element)
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return self._array.size
 
     def __iter__(self):
-        return iter(self.indices)
+        return iter(self._array.tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subset):
             return NotImplemented
-        return self._members == other._members
+        return np.array_equal(self._array, other._array)
 
     def __hash__(self) -> int:
-        return hash(self._members)
+        return hash(self._array.tobytes())
 
     def __repr__(self) -> str:
-        return f"Subset({list(self.indices)})"
+        return f"Subset({self._array.tolist()})"
 
 
 class Objective(ABC):

@@ -5,7 +5,8 @@ over the current solution falls below tau, estimates the largest block size t
 whose random insertions still clear tau with frequency near 1, and adds a
 uniform random t-block. An optional break_size turns it into the early-exit
 variant that stops as soon as the candidate pool gets small, which caps every
-element's inclusion probability.
+element's inclusion probability. The candidate pool is a sorted int64 array
+from the first filter to the returned outcome.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ class ThresholdParams:
 class SamplingOutcome:
     """Result of a threshold-sampling run.
 
-    f_s and f_empty are the values already paid for during the run, so
+    s is the solution and a the surviving pool, a sorted int64 array. f_s
+    and f_empty are the values already paid for during the run, so
     downstream argmax steps need no fresh queries; the ledger also holds
     them per round in ``ledger.values``. snapshots holds one dict per outer
     round with keys ``round``, ``a`` (the int64 pool array after the filter),
@@ -103,7 +105,7 @@ class SamplingOutcome:
     """
 
     s: Subset
-    a: Subset
+    a: np.ndarray
     break_reason: BreakReason
     ledger: QueryLedger
     f_s: float
@@ -217,7 +219,7 @@ def threshold_sampling(f: Objective, params: ThresholdParams,
             reason = BreakReason.FULL_S
             break
 
-    return SamplingOutcome(s=s, a=Subset(pool), break_reason=reason,
+    return SamplingOutcome(s=s, a=pool, break_reason=reason,
                            ledger=ledger, f_s=f_s, f_empty=f_empty,
                            snapshots=snapshots)
 

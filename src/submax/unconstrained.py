@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import Objective, QueryLedger, Subset, evaluate_batch, pool_masks
+from .oracle import (
+    Objective,
+    QueryLedger,
+    Subset,
+    _as_index_array,
+    evaluate_batch,
+    pool_masks,
+)
 
 
 @dataclass
@@ -40,15 +47,17 @@ class UnconstrainedParams:
                          / math.log(1.0 + (4.0 / 3.0) * self.eps))
 
 
-def unconstrained_max(f: Objective, a: Subset, params: UnconstrainedParams,
+def unconstrained_max(f: Objective, pool, params: UnconstrainedParams,
                       rng: np.random.Generator, ledger: QueryLedger) -> Subset:
-    """Best of t uniform random subsets of the pool a, in one adaptive round.
+    """Best of t uniform random subsets of pool, in one adaptive round.
 
-    Ties go to the first subset drawn.
+    pool is a duplicate-free index collection; an int64 array, such as a
+    sampler's surviving pool, is used as it is. Ties go to the first subset
+    drawn.
     """
-    if len(a) == 0:
+    pool = _as_index_array(pool)
+    if pool.size == 0:
         raise ValueError("the candidate pool must be nonempty")
-    pool = a.to_array()
     draws = rng.random((params.t, pool.size)) < 0.5
     values = evaluate_batch(f, pool_masks(f, pool, draws), ledger)
     return Subset(pool[draws[int(np.argmax(values))]])

@@ -23,8 +23,8 @@ from pathlib import Path
 
 import pytest
 
-from submax import QueryLedger, max_singleton
-from submax.harness import RunConfig, _run_one, build_instance, run_experiment
+from submax import QueryLedger, harness, max_singleton
+from submax.harness import RunConfig, build_instance, run_experiment
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -52,12 +52,24 @@ def _config(algorithm: str, objective: str, stem: Path | None,
 
 def _run_case(algorithm: str, objective: str, stem: Path,
               specs: dict = SPECS) -> dict:
-    """Write the case's files next to ``stem``; return its per-trial record."""
+    """Write the case's files next to ``stem``; return its per-trial record.
+
+    The records are the very trials that wrote the files: a recorder wraps
+    ``harness._run_one`` for the one ``run_experiment`` pass.
+    """
     config = _config(algorithm, objective, stem, specs)
     f = build_instance(config).objective()
-    run_experiment(config, f)
-    records = [_run_one(config, f, config.ks[0], trial)
-               for trial in range(config.trials)]
+    records = []
+    run_one = harness._run_one
+
+    def recording(*args):
+        records.append(run_one(*args))
+        return records[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_run_one", recording)
+        run_experiment(config, f)
+    assert len(records) == config.trials
     return {"trials": [{"output": list(rec.output.indices),
                         "per_round": [list(p) for p in rec.ledger.per_round]}
                        for rec in records]}

@@ -172,6 +172,25 @@ class TestLoadedData:
         _, summary = run_experiment(cfg)
         assert summary[0][2] > 0
 
+    def test_synthetic_keys_beside_data_are_unknown(self, tmp_path):
+        graph = tmp_path / "g.csv"
+        graph.write_text("0,1,0.5\n1,2,0.8\n")
+        cfg = config(tmp_path, objective="revenue", data=str(graph),
+                     synthetic={"n": "5", "lam": "7", "zz": "1"})
+        with pytest.raises(ConfigError, match=r"\['lam', 'n', 'zz'\]"):
+            build_instance(cfg)
+        sim = tmp_path / "s.csv"
+        sim.write_text("1,0.5\n0.5,1\n")
+        cfg = config(tmp_path, objective="movie", data=str(sim),
+                     synthetic={"lam": "0.5", "dim": "8"})
+        with pytest.raises(ConfigError, match=r"\['dim'\]"):
+            build_instance(cfg)
+        cfg.synthetic = {"lam": "0.5"}
+        assert build_instance(cfg).objective().lam == 0.5
+        cfg.synthetic = None
+        assert build_instance(cfg).objective().lam == \
+            submax.MovieRecommendationObjective(build_instance(cfg).data).lam
+
 
 def cli_env():
     """Environment whose PYTHONPATH finds the imported submax package.
@@ -212,6 +231,14 @@ class TestCli:
         ("image", ["--synthetic", "n=10,dim=0", "--k", "2"], "'dim'"),
         ("image", ["--synthetic", "n=10,lam=0.5", "--k", "2"], "'lam'"),
         ("image", ["--synthetic", "n=10", "--k", "2", "--seed", "-1"], "seed"),
+        # A later --algorithm wins; the missing data file shows that the
+        # anm settings are checked before any instance is built.
+        ("revenue", ["--data", "missing.csv", "--k", "2", "--algorithm", "anm",
+                     "--eps", "2"], "eps"),
+        ("revenue", ["--synthetic", "n=10,p=0.5", "--k", "2", "--algorithm", "anm",
+                     "--delta", "0"], "delta"),
+        ("revenue", ["--synthetic", "n=10,p=0.5", "--k", "2", "--algorithm", "anm",
+                     "--samples", "-5"], "sample_override"),
     ])
     def test_bad_run_config_is_an_error_line(self, capsys, objective, args, named):
         code = submax.cli.main(["run", "--objective", objective,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -24,6 +25,7 @@ from submax import (
     threshold_grid,
     threshold_sampling,
 )
+from submax.nonmonotone import C1, C3
 
 
 class TestParams:
@@ -41,10 +43,18 @@ class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             NonmonotoneParams(k=0, eps=0.3, delta=0.1)
-        with pytest.raises(ValueError):
-            NonmonotoneParams(k=2, eps=0.3, delta=0.1, c3=1.0)
-        with pytest.raises(ValueError):
-            NonmonotoneParams(k=2, eps=0.3, delta=0.1, c1=1.2)
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_sample_override_below_one_rejected(self, samples):
+        with pytest.raises(ValueError, match="sample_override"):
+            NonmonotoneParams(k=2, eps=0.3, delta=0.1, sample_override=samples)
+        assert NonmonotoneParams(k=2, eps=0.3, delta=0.1,
+                                 sample_override=None).sample_override is None
+
+    def test_fields_are_the_run_inputs_only(self):
+        names = [f.name for f in dataclasses.fields(NonmonotoneParams)]
+        assert names == ["k", "eps", "delta", "sample_override"]
+        assert (C1, C3) == (1.0 / 7.0, 3.0)
 
 
 class TestMaxSingleton:
@@ -123,7 +133,7 @@ class TestGridCoverage:
             delta_star = max(evaluate_offline(f, Subset([x])) for x in range(n))
             _, opt = brute_force_opt(f, k)
             assert 0 < opt <= k * delta_star + 1e-12
-            target = params.c1 * opt / k
+            target = C1 * opt / k
             grid = threshold_grid(delta_star, params)
             assert any(tau <= target <= tau * (1 + d.eps_hat) + 1e-12
                        for tau in grid)
@@ -138,7 +148,7 @@ class TestAdaptiveNonmonotoneMax:
         _, opt = brute_force_opt(f, k)
         out, _, _ = adaptive_nonmonotone_max(f, params, 7)
         assert len(out) <= k
-        assert evaluate_offline(f, out) >= (1 - eps) * params.c1 * opt
+        assert evaluate_offline(f, out) >= (1 - eps) * C1 * opt
 
     def test_output_never_exceeds_k(self):
         f = generate_synthetic("revenue", 14, 0.3, seed=4).objective()
@@ -159,8 +169,11 @@ class TestAdaptiveNonmonotoneMax:
         for t in trials:
             small = t.outcome.break_reason is BreakReason.SMALL_A
             assert (t.unconstrained_set is not None) == small
+            # The surviving pool is the sampler's own int64 array.
+            assert t.outcome.a is t.outcome.snapshots[-1]["a"]
+            assert t.outcome.a.dtype == np.int64
             if small:
-                assert set(t.unconstrained_set.indices) <= set(t.outcome.a.indices)
+                assert set(t.unconstrained_set.indices) <= set(t.outcome.a.tolist())
                 assert set(t.downsampled.indices) <= set(t.unconstrained_set.indices)
                 assert set(t.prefix_set.indices) <= set(t.downsampled.indices)
                 assert t.prefix_value == pytest.approx(

@@ -118,7 +118,7 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match="dimension"):
             generate_synthetic(kind, 10, 0.5)
         with pytest.raises(ValueError, match="dimension"):
-            generate_synthetic(kind, 10, dim=0)
+            generate_synthetic(kind, 10, param=0)
 
     @pytest.mark.parametrize("n,p,seed", [(400, 3 / 399, 61), (300, 0.01, 1),
                                           (50, 0.1, 0), (12, 0.3, 5), (1, 0.5, 2),
@@ -135,7 +135,7 @@ class TestGenerateSynthetic:
     def test_similarity_kinds_nonnegative(self):
         inst = generate_synthetic("movie", 20, seed=3)
         assert (inst.data.s >= 0).all()
-        assert inst.lam == 0.95
+        assert inst.objective().lam == 0.95
 
 
 class TestLoaders:

@@ -59,6 +59,36 @@ class TestSubset:
         assert Subset(range(2, 6)) == Subset(np.array([5, 3, 2, 4, 4]))
         assert Subset(range(0)) == Subset() and len(Subset(range(0))) == 0
 
+    def test_one_read_only_array(self):
+        # A write through to_array() would make the set score other members
+        # than it reports; the array refuses it.
+        assert Subset.__slots__ == ("_array",)
+        s = Subset([0, 1])
+        with pytest.raises(ValueError, match="read-only"):
+            s.to_array()[0] = 2
+        assert s.indices == (0, 1) and 2 not in s
+        assert evaluate_offline(ModularObjective([1.0, 10.0, 100.0]), s) == 11.0
+
+    def test_input_array_stays_writable_and_unshared(self):
+        given = np.array([4, 1], dtype=np.int64)
+        s = Subset(given)
+        given[0] = 0
+        assert given.flags.writeable and s.indices == (1, 4)
+
+    @pytest.mark.parametrize("other", [[3, 1], (3, 1), np.array([3, 1]),
+                                       Subset([1, 3]), frozenset({1, 3}), range(1, 4, 2)],
+                             ids=["list", "tuple", "ndarray", "subset", "frozenset", "range"])
+    def test_union_takes_any_index_collection(self, other):
+        assert Subset([5, 1]).union(other) == Subset([1, 3, 5])
+        assert Subset().union(other).to_array().tolist() == [1, 3]
+
+    def test_membership_of_values_outside_the_set(self):
+        s = Subset([2, 7])
+        assert [x in s for x in (-1, 0, 2, 3, 7, 8)] == [False, False, True,
+                                                          False, True, False]
+        assert 2 in s and np.int64(7) in s and 2.5 not in s
+        assert 0 not in Subset()
+
     def test_negative_index_rejected(self):
         for bad in ([-1], [3, -2, 3], np.array([0, -5])):
             with pytest.raises(InvalidSubsetError):

@@ -224,7 +224,7 @@ class TestThresholdSampling:
         a = threshold_sampling(f, p, make_rng(11))
         b = threshold_sampling(f, p, make_rng(11))
         assert a.s == b.s
-        assert a.a == b.a
+        assert np.array_equal(a.a, b.a) and a.a.dtype == np.int64
         assert a.break_reason == b.break_reason
         assert a.ledger.per_round == b.ledger.per_round
 

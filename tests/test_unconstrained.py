@@ -48,6 +48,20 @@ class TestUnconstrainedMax:
             out = unconstrained_max(f, pool, p, make_rng(seed), QueryLedger())
             assert set(out.indices) <= set(pool.indices)
 
+    def test_array_pool_draws_as_its_subset_does(self):
+        # A sampler hands over its pool as an int64 array; the draw must be
+        # the one the same elements as a Subset give.
+        f = generate_synthetic("revenue", 15, 0.3, seed=2).objective()
+        p = UnconstrainedParams(eps=0.2, delta=0.1)
+        pool = np.array([1, 3, 4, 8, 9, 12], dtype=np.int64)
+        for seed in range(5):
+            got = unconstrained_max(f, pool, p, make_rng(seed), QueryLedger())
+            want = unconstrained_max(f, Subset(pool), p, make_rng(seed), QueryLedger())
+            assert got == want
+        assert pool.tolist() == [1, 3, 4, 8, 9, 12]
+        with pytest.raises(ValueError):
+            unconstrained_max(f, pool[:0], p, make_rng(0), QueryLedger())
+
     def test_ledger_one_round_t_queries(self):
         f = ModularObjective(np.ones(6))
         p = UnconstrainedParams(eps=0.2, delta=0.1)
