@@ -22,7 +22,7 @@ from .objectives import (
     generate_synthetic,
     make_random_coverage,
 )
-from .oracle import QueryLedger, Subset, evaluate_offline, make_rng
+from .oracle import QueryLedger, evaluate_offline, make_rng
 from .threshold import (
     BreakReason,
     ThresholdParams,
@@ -48,7 +48,7 @@ class SuiteResult:
 
 
 def _offline_singleton_max(f) -> float:
-    return max(evaluate_offline(f, Subset([x])) for x in range(f.n))
+    return max(evaluate_offline(f, [x]) for x in range(f.n))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +163,7 @@ def suite_lemma4(seed: int = 0) -> SuiteResult:
         freq = hits / runs
         res.check(freq >= threshold,
                   f"{label}: success rate {freq:.3f} >= {threshold:.3f} "
-                  f"(OPT_A={opt:.4f} at {sorted(opt_set.indices)})")
+                  f"(OPT_A={opt:.4f} at {opt_set.tolist()})")
     return res
 
 
@@ -188,9 +188,9 @@ def suite_lemma8(seed: int = 0) -> SuiteResult:
         for size in (6, 7):
             sets.append(tuple(sorted(rng.choice(f.n, size=size, replace=False))))
         for s in sets:
-            f_s = evaluate_offline(f, Subset(s))
+            f_s = evaluate_offline(f, s)
             for k in range(len(s) + 1):
-                vals = [evaluate_offline(f, Subset(c))
+                vals = [evaluate_offline(f, c)
                         for c in itertools.combinations(s, k)]
                 gap = float(np.mean(vals)) - (k / len(s)) * f_s
                 worst = min(worst, gap)
@@ -252,9 +252,9 @@ def suite_appendix(seed: int = 0) -> SuiteResult:
         for size in range(n + 1):
             for combo in itertools.combinations(range(n), size):
                 mask = sum(1 << b for b in combo)
-                values[mask] = evaluate_offline(f, Subset(combo))
+                values[mask] = evaluate_offline(f, combo)
         star, _ = brute_force_opt(f, 3)
-        star_mask = sum(1 << b for b in star.indices)
+        star_mask = sum(1 << b for b in star.tolist())
         ok, worst = True, 0.0
         for a_mask in range(1 << n):
             s2_mask = star_mask & ~a_mask

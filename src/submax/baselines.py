@@ -3,7 +3,8 @@ and a randomized lazy greedy.
 
 Each records the value of its solution on the ledger
 (``QueryLedger.record_value``) after the round that produced it, so
-``ledger.values`` traces value against adaptive rounds.
+``ledger.values`` traces value against adaptive rounds, and returns its
+solution as a sorted int64 array.
 """
 
 from __future__ import annotations
@@ -13,14 +14,13 @@ import numpy as np
 from .oracle import (
     Objective,
     QueryLedger,
-    Subset,
     batch_marginals,
     evaluate_batch,
-    pool_masks,
+    prefix_round,
 )
 
 
-def greedy(f: Objective, k: int, ledger: QueryLedger) -> Subset:
+def greedy(f: Objective, k: int, ledger: QueryLedger) -> np.ndarray:
     """Add the element with maximum positive gain each round, up to k picks.
 
     One initial round evaluates the empty set; each selection round is one
@@ -30,7 +30,7 @@ def greedy(f: Objective, k: int, ledger: QueryLedger) -> Subset:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    s = Subset()
+    s = np.empty(0, dtype=np.int64)
     f_s = float(evaluate_batch(f, [s], ledger)[0])
     ledger.record_value(f_s)
     remaining = np.arange(f.n, dtype=np.int64)
@@ -39,7 +39,7 @@ def greedy(f: Objective, k: int, ledger: QueryLedger) -> Subset:
         best = int(np.argmax(gains))
         if gains[best] <= 0.0:
             break
-        s = s.add(int(remaining[best]))
+        s = np.union1d(s, remaining[best:best + 1])
         f_s += float(gains[best])
         remaining = np.delete(remaining, best)
         ledger.record_value(f_s)
@@ -49,7 +49,7 @@ def greedy(f: Objective, k: int, ledger: QueryLedger) -> Subset:
 
 
 def random_prefix(f: Objective, k: int, rng: np.random.Generator,
-                  ledger: QueryLedger) -> Subset:
+                  ledger: QueryLedger) -> np.ndarray:
     """Best prefix (lengths 0..k) of one uniform random ground-set ordering.
 
     All k+1 prefixes are evaluated in a single adaptive round; ties go to the
@@ -57,23 +57,18 @@ def random_prefix(f: Objective, k: int, rng: np.random.Generator,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    order = rng.permutation(f.n)[:k]
-    prefixes = np.tri(order.size + 1, order.size, -1, dtype=bool)  # row i: first i
-    values = evaluate_batch(f, pool_masks(f, order, prefixes), ledger)
-    best = int(np.argmax(values))
-    ledger.record_value(values[best])
-    return Subset(order[:best])
+    return prefix_round(f, rng.permutation(f.n)[:k], ledger)[0]
 
 
-def random_lazy_greedy(f: Objective, k: int, eps: float,
-                       rng: np.random.Generator, ledger: QueryLedger) -> Subset:
+def random_lazy_greedy(f: Objective, k: int, eps: float | None,
+                       rng: np.random.Generator, ledger: QueryLedger) -> np.ndarray:
     """Each round, pick uniformly among the k highest positive marginals.
 
     Marginals are maintained lazily: cached gains are upper bounds under
     diminishing returns, and only stale bounds that reach the current top-k
-    get refreshed (in batched waves, one round per wave). eps is accepted for
-    configuration parity with the benchmark setup; the refresh here is exact,
-    so it plays no role in selection.
+    get refreshed (in batched waves, one round per wave). The refresh is
+    exact, so eps plays no role; it stays in the signature only because the
+    benchmark workloads pass it by position, and other callers pass None.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -87,8 +82,8 @@ def random_lazy_greedy(f: Objective, k: int, eps: float,
     chosen = np.zeros(n, dtype=bool)
     ledger.record_value(f_s)
 
-    s = Subset()
-    while len(s) < k:
+    s = np.empty(0, dtype=np.int64)
+    while s.size < k:
         while True:
             candidates = np.flatnonzero(~chosen)
             if candidates.size == 0:
@@ -106,7 +101,7 @@ def random_lazy_greedy(f: Objective, k: int, eps: float,
             break
         pick = int(pool[int(rng.integers(pool.size))])
         f_s += float(bounds[pick])
-        s = s.add(pick)
+        s = np.union1d(s, [pick])
         chosen[pick] = True
         fresh[:] = chosen  # every unchosen bound is stale once the solution grows
         ledger.record_value(f_s)

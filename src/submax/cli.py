@@ -54,10 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--samples", type=int, default=100,
                      help="per-estimate sample override; 0 uses the "
                           "theoretical count")
-    run.add_argument("--rlg-eps", type=float, default=0.01,
-                     help="accepted for configuration parity with the lazy-"
-                          "greedy benchmark setup; it has no effect, since "
-                          "the lazy refresh is exact")
     run.add_argument("--out", help="summary CSV path")
     run.add_argument("--trace", help="per-round trace CSV path")
     run.add_argument("--debug-trace", help="JSON-lines threshold-trial trace")
@@ -87,7 +83,6 @@ def _run_command(args) -> int:
             trials=args.trials,
             seed=args.seed,
             samples=None if args.samples == 0 else args.samples,
-            rlg_eps=args.rlg_eps,
             out=args.out,
             trace=args.trace,
             debug_trace=args.debug_trace,

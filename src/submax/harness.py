@@ -9,7 +9,8 @@ with the same config are byte-identical apart from a leading timestamp
 comment, which can be suppressed.
 
 A bad configuration raises ConfigError before any instance is built:
-``RunConfig`` checks the anm settings by building ``NonmonotoneParams``, and
+``RunConfig`` checks the anm settings by building ``NonmonotoneParams`` and
+reports a bad one by the command-line flag that sets it, and
 ``build_instance`` checks the synthetic keys before it loads or generates
 data.
 """
@@ -24,20 +25,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import greedy, random_lazy_greedy, random_prefix
-from .nonmonotone import NonmonotoneParams, adaptive_nonmonotone_max
+from .nonmonotone import NonmonotoneParams, ParamError, adaptive_nonmonotone_max
 from .objectives import (
     Instance,
     generate_synthetic,
     load_edge_list,
     load_similarity_csv,
 )
-from .oracle import QueryLedger, Subset, evaluate_offline, make_rng
+from .oracle import QueryLedger, evaluate_offline, make_rng
 
 ALGORITHMS = ("anm", "greedy", "random", "rlg")
 OBJECTIVES = ("image", "movie", "revenue", "synthetic-cut")
 
 TRACE_HEADER = "algorithm,trial,round,cum_queries,best_value,k,seed"
 SUMMARY_HEADER = "algorithm,k,mean_value,std_value,mean_queries,mean_rounds"
+
+# The command-line flag that sets each anm parameter RunConfig passes on.
+_ANM_FLAGS = {"eps": "--eps", "delta": "--delta", "sample_override": "--samples"}
 
 
 class ConfigError(ValueError):
@@ -58,7 +62,6 @@ class RunConfig:
     trials: int = 1
     seed: int = 0
     samples: int | None = 100
-    rlg_eps: float = 0.01
     out: str | None = None
     trace: str | None = None
     debug_trace: str | None = None
@@ -84,8 +87,9 @@ class RunConfig:
                 for k in self.ks:
                     NonmonotoneParams(k=k, eps=self.eps, delta=self.delta,
                                       sample_override=self.samples)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            except ParamError as exc:
+                raise ConfigError(f"{_ANM_FLAGS[exc.field]} {exc.rule}, "
+                                  f"got {exc.value}") from None
 
 
 @dataclass
@@ -96,7 +100,7 @@ class TrialRecord:
     trial: int
     k: int
     seed: int
-    output: Subset
+    output: np.ndarray
     value: float
     ledger: QueryLedger
     debug: list[dict] = field(default_factory=list)
@@ -166,7 +170,7 @@ def _run_one(config: RunConfig, f, k: int, trial: int) -> TrialRecord:
     elif config.algorithm == "random":
         out = random_prefix(f, k, make_rng(seed), ledger)
     elif config.algorithm == "rlg":
-        out = random_lazy_greedy(f, k, config.rlg_eps, make_rng(seed), ledger)
+        out = random_lazy_greedy(f, k, None, make_rng(seed), ledger)
     else:
         params = NonmonotoneParams(k=k, eps=config.eps, delta=config.delta,
                                    sample_override=config.samples)

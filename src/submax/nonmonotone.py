@@ -4,7 +4,9 @@ Runs the early-exit threshold sampler at logarithmically many thresholds
 bracketing the optimum scale (all logically in parallel), falls back to
 unconstrained maximization on the surviving pool whenever the sampler exits
 because the pool got small, trims oversized fallbacks by uniform downsampling
-and a best-prefix pass, and returns the best set seen anywhere.
+and a best-prefix pass, and returns the best set seen anywhere. Every set
+here, fallback sets and the returned one included, is a sorted,
+duplicate-free int64 array.
 
 Reported adaptivity is the maximum over threshold trials plus one round for
 the initial singleton sweep; reported queries are summed over trials. The
@@ -30,9 +32,8 @@ import numpy as np
 from .oracle import (
     Objective,
     QueryLedger,
-    Subset,
     evaluate_batch,
-    pool_masks,
+    prefix_round,
     sample_without_replacement,
     spawn_seeds,
 )
@@ -47,6 +48,15 @@ from .unconstrained import UnconstrainedParams, unconstrained_max
 
 C1 = 1.0 / 7.0  # scale of the threshold grid, relative to delta* / k
 C3 = 3.0  # the sampler breaks for the fallback once |pool| < C3 * k
+
+
+class ParamError(ValueError):
+    """A parameter outside its range: ``field`` names it, ``value`` is what
+    was given and ``rule`` the range it broke."""
+
+    def __init__(self, field: str, value, rule: str):
+        super().__init__(f"{field} {rule}, got {value}")
+        self.field, self.value, self.rule = field, value, rule
 
 
 @dataclass(frozen=True)
@@ -72,13 +82,14 @@ class NonmonotoneParams:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+            raise ParamError("k", self.k, "must be >= 1")
         if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps must lie in (0,1), got {self.eps}")
+            raise ParamError("eps", self.eps, "must lie in (0,1)")
         if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0,1), got {self.delta}")
+            raise ParamError("delta", self.delta, "must lie in (0,1)")
         if self.sample_override is not None and self.sample_override < 1:
-            raise ValueError("sample_override must be >= 1 when set")
+            raise ParamError("sample_override", self.sample_override,
+                             "must be >= 1 when set")
 
     def derive(self) -> DerivedNonmonotoneValues:
         eps_hat = self.eps / 6.0
@@ -99,9 +110,9 @@ class ThresholdTrial:
     index: int
     tau: float
     outcome: SamplingOutcome
-    unconstrained_set: Subset | None = None
-    downsampled: Subset | None = None
-    prefix_set: Subset | None = None
+    unconstrained_set: np.ndarray | None = None
+    downsampled: np.ndarray | None = None
+    prefix_set: np.ndarray | None = None
     prefix_value: float | None = None
 
 
@@ -112,29 +123,23 @@ def max_singleton(f: Objective, ledger: QueryLedger) -> float:
     return best
 
 
-def downsample(u: Subset, k: int, rng: np.random.Generator) -> Subset:
-    """Uniform k-subset of u when it is oversized, otherwise u unchanged."""
-    if len(u) <= k:
+def downsample(u: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform k-subset of the sorted array u when it is oversized, otherwise
+    u unchanged."""
+    if u.size <= k:
         return u
-    return Subset(sample_without_replacement(rng, u.to_array(), k))
+    return np.sort(sample_without_replacement(rng, u, k))
 
 
-def best_prefix(f: Objective, u_prime: Subset, rng: np.random.Generator,
-                ledger: QueryLedger) -> tuple[Subset, float]:
+def best_prefix(f: Objective, u_prime: np.ndarray, rng: np.random.Generator,
+                ledger: QueryLedger) -> tuple[np.ndarray, float]:
     """Best prefix of a uniform random ordering of u_prime, with its value.
 
     Evaluates the empty prefix and all |u_prime| nonempty prefixes in one
     adaptive round and records the best value on the ledger; ties go to the
     shortest prefix.
     """
-    # Permute positions, not the set's read-only array: numpy cannot shuffle
-    # an empty read-only array, and the draws are the same either way.
-    order = u_prime.to_array()[rng.permutation(len(u_prime))]
-    prefixes = np.tri(order.size + 1, order.size, -1, dtype=bool)  # row i: first i
-    values = evaluate_batch(f, pool_masks(f, order, prefixes), ledger)
-    best = int(np.argmax(values))
-    ledger.record_value(values[best])
-    return Subset(order[:best]), float(values[best])
+    return prefix_round(f, u_prime[rng.permutation(u_prime.size)], ledger)
 
 
 def threshold_grid(delta_star: float, params: NonmonotoneParams) -> list[float]:
@@ -147,7 +152,7 @@ def threshold_grid(delta_star: float, params: NonmonotoneParams) -> list[float]:
 def adaptive_nonmonotone_max(
         f: Objective, params: NonmonotoneParams,
         seed: int | np.random.SeedSequence,
-) -> tuple[Subset, QueryLedger, list[ThresholdTrial]]:
+) -> tuple[np.ndarray, QueryLedger, list[ThresholdTrial]]:
     """Full run: singleton sweep, parallel threshold trials, final argmax.
 
     Takes a seed rather than a generator so each trial can own an independent
@@ -159,7 +164,7 @@ def adaptive_nonmonotone_max(
     ledger = QueryLedger()
     delta_star = max_singleton(f, ledger)
     if delta_star <= 0.0:
-        return Subset(), ledger, []
+        return np.empty(0, dtype=np.int64), ledger, []
 
     taus = threshold_grid(delta_star, params)
     trial_seeds = spawn_seeds(seed, len(taus))
@@ -181,7 +186,7 @@ def adaptive_nonmonotone_max(
                 f, trial.downsampled, rng, led)
         trials.append(trial)
 
-    best = Subset()
+    best = np.empty(0, dtype=np.int64)
     best_value = trials[0].outcome.f_empty
     for trial in trials:
         if trial.outcome.f_s > best_value:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import Objective, Subset, evaluate_offline, make_rng
+from .oracle import Objective, evaluate_offline, make_rng
 
 
 class ParseError(ValueError):
@@ -513,10 +513,11 @@ def save_edge_list(path, graph: WeightedGraph) -> None:
 # oracles and validators
 
 
-def brute_force_opt(f: Objective, k: int) -> tuple[Subset, float]:
+def brute_force_opt(f: Objective, k: int) -> tuple[np.ndarray, float]:
     """Exhaustive maximizer over all subsets of size at most k.
 
-    Ties break toward the lexicographically smallest member list. Guarded to
+    Returns the maximizer as a sorted int64 array, with its value. Ties break
+    toward the lexicographically smallest member list. Guarded to
     n <= 24 since the enumeration is exponential.
     """
     if f.n > 24:
@@ -525,13 +526,13 @@ def brute_force_opt(f: Objective, k: int) -> tuple[Subset, float]:
     if k < 0:
         raise ValueError("k must be nonnegative")
     best_set: tuple[int, ...] = ()
-    best_val = evaluate_offline(f, Subset())
+    best_val = evaluate_offline(f, ())
     for size in range(1, min(k, f.n) + 1):
         for combo in itertools.combinations(range(f.n), size):
             val = float(f._evaluate(np.asarray(combo, dtype=np.int64)))
             if val > best_val or (val == best_val and combo < best_set):
                 best_val, best_set = val, combo
-    return Subset(best_set), best_val
+    return np.array(best_set, dtype=np.int64), best_val
 
 
 @dataclass

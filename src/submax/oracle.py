@@ -1,4 +1,4 @@
-"""Evaluation-oracle core: subsets, objectives, query metering, batched rounds.
+"""Evaluation-oracle core: objectives, query metering, batched rounds.
 
 Adaptivity is a measured quantity here, not a convention. Every oracle access
 made by an algorithm flows through the batched entry points in this module
@@ -13,10 +13,10 @@ oracle values, so a bad value fails at the round that produced it.
 Whole-set rounds reach ``evaluate_batch`` as a (batch, n) boolean membership
 matrix, the form the objectives score. A round that builds a structured
 family of sets (random subsets of a pool, the prefixes of an order, the
-singletons) writes that matrix directly; a sequence of index arrays or
-Subsets is turned into it first. A Subset is a thin wrapper around one
-sorted, read-only int64 array, and the entry points read that array as it
-is; pools and other working sets stay plain int64 arrays.
+singletons) writes that matrix directly; a sequence of index collections is
+turned into it first. Every index set the algorithms carry (a solution, a
+pool, a fallback set) is a sorted, duplicate-free int64 array, and the entry
+points read such an array as it is.
 
 Randomness is always drawn by single-threaded orchestration code before a
 batch is issued, so results are reproducible regardless of how a batch is
@@ -27,71 +27,26 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 
 class InvalidSubsetError(ValueError):
-    """A subset refers to element indices outside the oracle's ground set."""
+    """An index set is malformed: an element outside the oracle's ground set,
+    a repeated element, or a paired-gain base out of order."""
 
 
 class Subset:
-    """Immutable set of ground-set element indices.
+    """Retired: every index set is a sorted, duplicate-free int64 array.
 
-    Holds one sorted, duplicate-free int64 array, made read-only, so the
-    set cannot drift from what it scores. The index tuple, membership,
-    equality, hashing, length and iteration are all read off that array,
-    and iteration order is ascending.
+    The name stays only because the benchmark tracer (``perfbench/tracer.py``)
+    imports it and wraps its ``__init__`` to count constructions, a counter
+    that now reads 0. It goes when the tracer drops that import.
     """
 
-    __slots__ = ("_array",)
-
-    def __init__(self, indices: Iterable[int] = ()):
-        # Sort and drop repeats; np.unique does the same but costs about
-        # twice as much on the pool-sized sets the algorithms build.
-        arr = np.sort(_as_index_array(indices))
-        if arr.size > 1:
-            arr = arr[np.concatenate(([True], arr[1:] != arr[:-1]))]
-        if arr.size and arr[0] < 0:
-            raise InvalidSubsetError(f"negative element index {arr[0]}")
-        arr.flags.writeable = False
-        self._array = arr
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(self._array.tolist())
-
-    def to_array(self) -> np.ndarray:
-        """The members as the set's own read-only sorted int64 array."""
-        return self._array
-
-    def union(self, other: "Subset | Iterable[int]") -> "Subset":
-        return Subset(np.concatenate((self._array, _as_index_array(other))))
-
-    def add(self, element: int) -> "Subset":
-        return self.union((int(element),))
-
-    def __contains__(self, element) -> bool:
-        pos = int(np.searchsorted(self._array, element))
-        return pos < self._array.size and bool(self._array[pos] == element)
-
-    def __len__(self) -> int:
-        return self._array.size
-
-    def __iter__(self):
-        return iter(self._array.tolist())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subset):
-            return NotImplemented
-        return np.array_equal(self._array, other._array)
-
-    def __hash__(self) -> int:
-        return hash(self._array.tobytes())
-
-    def __repr__(self) -> str:
-        return f"Subset({self._array.tolist()})"
+    def __init__(self, *args, **kwargs):
+        raise TypeError("Subset is retired; pass a sorted int64 index array")
 
 
 class Objective(ABC):
@@ -240,8 +195,6 @@ class QueryLedger:
 
 
 def _as_index_array(candidates) -> np.ndarray:
-    if isinstance(candidates, Subset):
-        return candidates.to_array()
     if isinstance(candidates, np.ndarray):
         return candidates.astype(np.int64, copy=False)
     return np.asarray(list(candidates), dtype=np.int64)
@@ -267,7 +220,7 @@ def _membership(f: Objective, queries) -> np.ndarray:
     """The (batch, n) boolean membership matrix of a batch of queries.
 
     A bool ndarray is taken as that matrix and must have n columns; any other
-    query batch is a sequence of Subsets or duplicate-free index arrays.
+    query batch is a sequence of duplicate-free index collections.
     """
     if isinstance(queries, np.ndarray):
         if queries.dtype != np.bool_ or queries.ndim != 2 or queries.shape[1] != f.n:
@@ -302,8 +255,8 @@ def evaluate_batch(f: Objective, queries, ledger: QueryLedger) -> np.ndarray:
     """Evaluate a batch of subsets in one adaptive round.
 
     queries is a (batch, n) boolean membership matrix, one row per subset, or
-    a sequence of Subsets or duplicate-free index arrays, which is turned into
-    that matrix. Returns values in row order; the ledger gains exactly one
+    a sequence of duplicate-free index collections, which is turned into that
+    matrix. Returns values in row order; the ledger gains exactly one
     round and batch queries. Queries within the batch are mutually
     independent, so implementations may evaluate them concurrently (here: the
     objective's vectorized mask path when it has one, else one evaluation per
@@ -318,6 +271,21 @@ def evaluate_batch(f: Objective, queries, ledger: QueryLedger) -> np.ndarray:
     if values is None:
         values = [f._evaluate(np.flatnonzero(row)) for row in masks]
     return _finite(values, "evaluate_batch")
+
+
+def prefix_round(f: Objective, order: np.ndarray,
+                 ledger: QueryLedger) -> tuple[np.ndarray, float]:
+    """Best prefix (lengths 0..len(order)) of an order, in one adaptive round.
+
+    order is a duplicate-free int64 array. Records the best value on the
+    ledger and returns the best prefix as a sorted array, with its value;
+    ties go to the shortest prefix.
+    """
+    prefixes = np.tri(order.size + 1, order.size, -1, dtype=bool)  # row i: first i
+    values = evaluate_batch(f, pool_masks(f, order, prefixes), ledger)
+    best = int(np.argmax(values))
+    ledger.record_value(values[best])
+    return np.sort(order[:best]), float(values[best])
 
 
 def _paired_gains(f: Objective, base_idx: np.ndarray, t_mat: np.ndarray,
@@ -356,35 +324,51 @@ def _paired_gains(f: Objective, base_idx: np.ndarray, t_mat: np.ndarray,
     return _finite(np.where(member, 0.0, gains), entry_point)
 
 
-def batch_marginals(f: Objective, base: Subset, candidates,
+def _base_array(f: Objective, base) -> np.ndarray:
+    """The base of a paired-gain round as an int64 array, checked.
+
+    The base must be strictly increasing: its order keys the base-state memo
+    and orders the kernels' sums, and a repeated element would count twice.
+    """
+    base_idx = _as_index_array(base)
+    if base_idx.size > 1 and not (base_idx[1:] > base_idx[:-1]).all():
+        raise InvalidSubsetError("the base must be strictly increasing")
+    # Sorted, so its ends bound it; _check_bounds names the offender.
+    if base_idx.size and (base_idx[0] < 0 or base_idx[-1] >= f.n):
+        _check_bounds(f, base_idx)
+    return base_idx
+
+
+def batch_marginals(f: Objective, base, candidates,
                     base_value: float, ledger: QueryLedger) -> np.ndarray:
     """Gains f(base + x) - base_value for each candidate x, one adaptive round.
 
-    base_value must already be known, so the round costs exactly
-    len(candidates) queries. A candidate already in base has gain 0. Raises
-    ValueError if any gain is NaN or infinite.
+    base is a strictly increasing index collection. base_value must already
+    be known, so the round costs exactly len(candidates) queries. A candidate
+    already in base has gain 0. Raises InvalidSubsetError for an unsorted or
+    repeating base and ValueError if any gain is NaN or infinite.
     """
     cand = _as_index_array(candidates)
     if cand.size == 0:
         raise ValueError("batch_marginals requires at least one candidate")
     _check_bounds(f, cand)
-    base_idx = base.to_array()
-    _check_bounds(f, base_idx)
+    base_idx = _base_array(f, base)
     ledger.add_round(int(cand.size))
     empty_t = np.empty((cand.size, 0), dtype=np.int64)
     return _paired_gains(f, base_idx, empty_t, cand, "batch_marginals",
                          base_value=base_value)
 
 
-def batch_pair_gains(f: Objective, base: Subset, t_mat: np.ndarray,
+def batch_pair_gains(f: Objective, base, t_mat: np.ndarray,
                      xs: np.ndarray, ledger: QueryLedger) -> np.ndarray:
     """Gains f(base + T_j + x_j) - f(base + T_j) for each row j, one round.
 
     Each row simulates one indicator sample and is metered as two raw
     evaluations (2 * len(xs) queries) plus one logical sample per row.
-    Rows of t_mat must be duplicate-free. A row that overlaps base is
-    answered exactly, and a row whose x_j lies in base + T_j has gain 0.
-    Raises ValueError if any gain is NaN or infinite.
+    base is a strictly increasing index collection and rows of t_mat must be
+    duplicate-free. A row that overlaps base is answered exactly, and a row
+    whose x_j lies in base + T_j has gain 0. Raises InvalidSubsetError for an
+    unsorted or repeating base and ValueError if any gain is NaN or infinite.
     """
     t_mat = np.asarray(t_mat, dtype=np.int64)
     xs = np.asarray(xs, dtype=np.int64)
@@ -395,14 +379,13 @@ def batch_pair_gains(f: Objective, base: Subset, t_mat: np.ndarray,
     _check_bounds(f, xs)
     if t_mat.size:
         _check_bounds(f, t_mat.ravel())
-    base_idx = base.to_array()
-    _check_bounds(f, base_idx)
+    base_idx = _base_array(f, base)
     ledger.add_round(2 * xs.size, logical_samples=xs.size)
     return _paired_gains(f, base_idx, t_mat, xs, "batch_pair_gains")
 
 
 def evaluate_offline(f: Objective, subset) -> float:
-    """Evaluate one subset without touching any ledger.
+    """Evaluate one index collection without touching any ledger.
 
     For tests, validators, and brute-force oracles only; algorithm modules
     must use the metered batch functions. Rejects out-of-range and duplicate

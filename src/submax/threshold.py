@@ -5,8 +5,9 @@ over the current solution falls below tau, estimates the largest block size t
 whose random insertions still clear tau with frequency near 1, and adds a
 uniform random t-block. An optional break_size turns it into the early-exit
 variant that stops as soon as the candidate pool gets small, which caps every
-element's inclusion probability. The candidate pool is a sorted int64 array
-from the first filter to the returned outcome.
+element's inclusion probability. The solution and the candidate pool are
+both sorted, duplicate-free int64 arrays, from the first round to the
+returned outcome.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from .oracle import (
     Objective,
     QueryLedger,
-    Subset,
     batch_marginals,
     batch_pair_gains,
     evaluate_batch,
@@ -93,18 +93,18 @@ class ThresholdParams:
 class SamplingOutcome:
     """Result of a threshold-sampling run.
 
-    s is the solution and a the surviving pool, a sorted int64 array. f_s
-    and f_empty are the values already paid for during the run, so
+    s is the solution and a the surviving pool, both sorted int64 arrays.
+    f_s and f_empty are the values already paid for during the run, so
     downstream argmax steps need no fresh queries; the ledger also holds
     them per round in ``ledger.values``. snapshots holds one dict per outer
-    round with keys ``round``, ``a`` (the int64 pool array after the filter),
-    ``s`` (the solution Subset after the update), ``t`` and ``mu`` (chosen
+    round with keys ``round``, ``a`` (the pool array after the filter),
+    ``s`` (the solution array after the update), ``t`` and ``mu`` (chosen
     block size and its estimate, None when the round broke before the scan)
     and ``estimates`` (every (t, mu) probed). Pool and solution are held by
     reference, never copied.
     """
 
-    s: Subset
+    s: np.ndarray
     a: np.ndarray
     break_reason: BreakReason
     ledger: QueryLedger
@@ -140,13 +140,13 @@ def draw_block_and_probe(rng: np.random.Generator, pool: np.ndarray, t: int,
     return pool[idx[:, :t - 1]], pool[x_idx]
 
 
-def estimate_mean(f: Objective, s: Subset, pool: np.ndarray, t: int,
+def estimate_mean(f: Objective, s: np.ndarray, pool: np.ndarray, t: int,
                   tau: float, ell: int, rng: np.random.Generator,
                   ledger: QueryLedger) -> float:
     """Mean of ell indicator samples, all issued in one adaptive round.
 
     Each sample asks whether the t-th random insertion from the sorted int64
-    candidate array ``pool`` into s clears tau, at two oracle evaluations.
+    candidate array ``pool`` into the sorted int64 array s clears tau, at two oracle evaluations.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
@@ -173,7 +173,7 @@ def threshold_sampling(f: Objective, params: ThresholdParams,
     if ledger is None:
         ledger = QueryLedger()
 
-    s = Subset()
+    s = np.empty(0, dtype=np.int64)
     f_empty = float(evaluate_batch(f, [s], ledger)[0])
     ledger.record_value(f_empty)
     f_s = f_empty
@@ -184,7 +184,7 @@ def threshold_sampling(f: Objective, params: ThresholdParams,
     for outer in range(1, d.r + 1):
         gains = batch_marginals(f, s, pool, f_s, ledger)
         # Members of s gain exactly 0.0, so at tau = 0 they pass the filter.
-        pool = np.setdiff1d(pool[gains >= params.tau], s.to_array(), assume_unique=True)
+        pool = np.setdiff1d(pool[gains >= params.tau], s, assume_unique=True)
         snap = {"round": outer, "a": pool, "s": s, "t": None, "mu": None,
                 "estimates": []}
         snapshots.append(snap)
@@ -210,12 +210,12 @@ def threshold_sampling(f: Objective, params: ThresholdParams,
             if mu <= 1.0 - 1.5 * d.eps_hat:
                 break
 
-        block = sample_without_replacement(rng, pool, min(t, params.k - len(s)))
-        s = s.union(block)
+        block = sample_without_replacement(rng, pool, min(t, params.k - s.size))
+        s = np.union1d(s, block)
         f_s = float(evaluate_batch(f, [s], ledger)[0])
         ledger.record_value(f_s)
         snap.update(s=s, t=t, mu=mu, estimates=estimates)
-        if len(s) == params.k:
+        if s.size == params.k:
             reason = BreakReason.FULL_S
             break
 

@@ -16,7 +16,6 @@ import numpy as np
 from .oracle import (
     Objective,
     QueryLedger,
-    Subset,
     _as_index_array,
     evaluate_batch,
     pool_masks,
@@ -48,16 +47,16 @@ class UnconstrainedParams:
 
 
 def unconstrained_max(f: Objective, pool, params: UnconstrainedParams,
-                      rng: np.random.Generator, ledger: QueryLedger) -> Subset:
+                      rng: np.random.Generator, ledger: QueryLedger) -> np.ndarray:
     """Best of t uniform random subsets of pool, in one adaptive round.
 
     pool is a duplicate-free index collection; an int64 array, such as a
-    sampler's surviving pool, is used as it is. Ties go to the first subset
-    drawn.
+    sampler's surviving pool, is used as it is. Returns the best subset as a
+    sorted int64 array; ties go to the first subset drawn.
     """
     pool = _as_index_array(pool)
     if pool.size == 0:
         raise ValueError("the candidate pool must be nonempty")
     draws = rng.random((params.t, pool.size)) < 0.5
     values = evaluate_batch(f, pool_masks(f, pool, draws), ledger)
-    return Subset(pool[draws[int(np.argmax(values))]])
+    return np.sort(pool[draws[int(np.argmax(values))]])

@@ -5,7 +5,6 @@ from submax import (
     ModularObjective,
     QueryLedger,
     RevenueObjective,
-    Subset,
     WeightedGraph,
     brute_force_opt,
     evaluate_offline,
@@ -23,7 +22,7 @@ class TestGreedy:
         f = ModularObjective([1.0, 2.0, 3.0])
         led = QueryLedger()
         out = greedy(f, 2, led)
-        assert out == Subset([1, 2])
+        assert out.tolist() == [1, 2]
         assert evaluate_offline(f, out) == 5.0
         # One initial round for the empty set, then one batch per pick.
         assert led.rounds == 3
@@ -32,14 +31,14 @@ class TestGreedy:
     def test_revenue_stops_when_gains_turn_negative(self):
         f = RevenueObjective(WeightedGraph(n=2, edges=[(0, 1, 1.0)]))
         out = greedy(f, 2, QueryLedger())
-        assert out == Subset([0])  # tie on the first pick goes to index 0
+        assert out.tolist() == [0]  # tie on the first pick goes to index 0
         assert evaluate_offline(f, out) == pytest.approx(1.0)
 
     def test_all_zero_selects_nothing(self):
         f = ModularObjective(np.zeros(5))
         led = QueryLedger()
         out = greedy(f, 3, led)
-        assert out == Subset()
+        assert out.size == 0
         assert led.rounds == 2  # empty-set round plus one fruitless scan
 
     def test_ledger_bounds(self):
@@ -63,7 +62,7 @@ class TestRandomPrefix:
     def test_full_length_prefix_for_modular(self):
         f = ModularObjective(np.full(6, 1.0))
         out = random_prefix(f, 6, make_rng(0), QueryLedger())
-        assert out == Subset(range(6))
+        assert out.tolist() == list(range(6))
 
     def test_k_one(self):
         f = ModularObjective([2.0, 3.0])
@@ -89,14 +88,14 @@ class TestRandomLazyGreedy:
     def test_modular_selects_everything_when_k_equals_n(self):
         f = ModularObjective([1.0, 2.0, 3.0])
         out = random_lazy_greedy(f, 3, 0.01, make_rng(0), QueryLedger())
-        assert out == Subset([0, 1, 2])
+        assert out.tolist() == [0, 1, 2]
 
     def test_k_one_matches_greedy(self):
         for seed in range(5):
             f = generate_synthetic("synthetic-cut", 15, 0.3, seed=seed).objective()
             lazy = random_lazy_greedy(f, 1, 0.01, make_rng(seed), QueryLedger())
             plain = greedy(f, 1, QueryLedger())
-            assert lazy == plain
+            assert lazy.tolist() == plain.tolist()
 
     def test_each_pick_is_among_true_top_k(self):
         # Replay the run against exhaustively recomputed marginals.
@@ -107,11 +106,11 @@ class TestRandomLazyGreedy:
         # Order of picks is not exposed, so verify set-wise: simulate all
         # prefixes of the run by checking each chosen element against the
         # top-k marginals of some consistent growth order.
-        remaining = set(out.indices)
-        s = Subset()
+        remaining = set(out.tolist())
+        s = []
         while remaining:
             base = evaluate_offline(f, s)
-            gains = {x: evaluate_offline(f, s.add(x)) - base
+            gains = {x: evaluate_offline(f, s + [x]) - base
                      for x in range(f.n) if x not in s}
             order = sorted(gains, key=lambda x: (-gains[x], x))
             top = {x for x in order[:k] if gains[x] > 0}
@@ -119,14 +118,14 @@ class TestRandomLazyGreedy:
             assert inter, (remaining, top)
             x = inter.pop()
             remaining.discard(x)
-            s = s.add(x)
+            s.append(x)
             picked.append(x)
-        assert set(picked) == set(out.indices)
+        assert set(picked) == set(out.tolist())
 
     def test_stops_without_positive_gain(self):
         f = ModularObjective(np.zeros(6))
         out = random_lazy_greedy(f, 3, 0.01, make_rng(0), QueryLedger())
-        assert out == Subset()
+        assert out.size == 0
 
     def test_one_over_e_statistics_on_coverage(self):
         f = make_random_coverage(10, 5, seed=4)

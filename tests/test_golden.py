@@ -70,7 +70,7 @@ def _run_case(algorithm: str, objective: str, stem: Path,
         patch.setattr(harness, "_run_one", recording)
         run_experiment(config, f)
     assert len(records) == config.trials
-    return {"trials": [{"output": list(rec.output.indices),
+    return {"trials": [{"output": rec.output.tolist(),
                         "per_round": [list(p) for p in rec.ledger.per_round]}
                        for rec in records]}
 

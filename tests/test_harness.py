@@ -232,13 +232,14 @@ class TestCli:
         ("image", ["--synthetic", "n=10,lam=0.5", "--k", "2"], "'lam'"),
         ("image", ["--synthetic", "n=10", "--k", "2", "--seed", "-1"], "seed"),
         # A later --algorithm wins; the missing data file shows that the
-        # anm settings are checked before any instance is built.
+        # anm settings are checked before any instance is built. A bad anm
+        # setting is named by its flag, not by the library field behind it.
         ("revenue", ["--data", "missing.csv", "--k", "2", "--algorithm", "anm",
-                     "--eps", "2"], "eps"),
+                     "--eps", "2"], "--eps"),
         ("revenue", ["--synthetic", "n=10,p=0.5", "--k", "2", "--algorithm", "anm",
-                     "--delta", "0"], "delta"),
+                     "--delta", "0"], "--delta"),
         ("revenue", ["--synthetic", "n=10,p=0.5", "--k", "2", "--algorithm", "anm",
-                     "--samples", "-5"], "sample_override"),
+                     "--samples", "-5"], "--samples"),
     ])
     def test_bad_run_config_is_an_error_line(self, capsys, objective, args, named):
         code = submax.cli.main(["run", "--objective", objective,
@@ -247,6 +248,14 @@ class TestCli:
         assert code == 2
         assert err.startswith("error: ") and named in err
         assert "Traceback" not in err
+
+    def test_bad_anm_setting_names_flag_and_value(self, capsys):
+        code = submax.cli.main(["run", "--objective", "revenue", "--synthetic",
+                                "n=10,p=0.5", "--k", "2", "--algorithm", "anm",
+                                "--samples", "-5"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --samples must be >= 1 when set, got -5\n")
 
     def test_k_above_n_exit_code(self):
         cmd = [sys.executable, "-m", "submax.cli", "run",

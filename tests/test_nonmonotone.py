@@ -11,7 +11,6 @@ from submax import (
     NonmonotoneParams,
     QueryLedger,
     RevenueObjective,
-    Subset,
     ThresholdParams,
     WeightedGraph,
     adaptive_nonmonotone_max,
@@ -72,51 +71,52 @@ class TestMaxSingleton:
         f = ModularObjective(np.zeros(6))
         params = NonmonotoneParams(k=2, eps=0.3, delta=0.1, sample_override=20)
         out, ledger, trials = adaptive_nonmonotone_max(f, params, 0)
-        assert out == Subset()
+        assert out.size == 0
         assert trials == []
         assert ledger.rounds == 1
 
 
 class TestDownsample:
     def test_identity_when_small(self):
-        u = Subset([1, 2, 3])
-        assert downsample(u, 3, make_rng(0)) == u
-        assert downsample(Subset(), 2, make_rng(0)) == Subset()
+        u = np.array([1, 2, 3])
+        assert downsample(u, 3, make_rng(0)) is u
+        assert downsample(np.empty(0, dtype=np.int64), 2, make_rng(0)).size == 0
 
     def test_uniform_k_subset(self):
-        u = Subset(range(8))
+        u = np.arange(8)
         got = downsample(u, 3, make_rng(1))
         assert len(got) == 3
-        assert set(got.indices) <= set(range(8))
+        assert set(got.tolist()) <= set(range(8))
 
     def test_modular_exhaustive_expectation(self):
         # Average over all 3-subsets of a 6-set equals half the full value.
         weights = np.array([0.3, 1.1, 0.7, 2.2, 0.5, 1.9])
         f = ModularObjective(weights)
         u = list(range(6))
-        full = evaluate_offline(f, Subset(u))
-        vals = [evaluate_offline(f, Subset(c)) for c in itertools.combinations(u, 3)]
+        full = evaluate_offline(f, u)
+        vals = [evaluate_offline(f, c) for c in itertools.combinations(u, 3)]
         assert np.mean(vals) == pytest.approx(0.5 * full, abs=1e-12)
 
 
 class TestBestPrefix:
     def test_empty(self):
         f = ModularObjective([1.0])
-        out, value = best_prefix(f, Subset(), make_rng(0), QueryLedger())
-        assert out == Subset()
+        out, value = best_prefix(f, np.empty(0, dtype=np.int64), make_rng(0),
+                                 QueryLedger())
+        assert out.size == 0
         assert value == 0.0
 
     def test_modular_full_set_is_best(self):
         f = ModularObjective([0.5, 1.5, 1.0])
         led = QueryLedger()
-        out, value = best_prefix(f, Subset([0, 1, 2]), make_rng(3), led)
-        assert out == Subset([0, 1, 2])
+        out, value = best_prefix(f, np.array([0, 1, 2]), make_rng(3), led)
+        assert out.tolist() == [0, 1, 2]
         assert (led.rounds, led.total_queries) == (1, 4)
         assert value == led.values[1] == 3.0
 
     def test_revenue_two_node_picks_length_one(self):
         f = RevenueObjective(WeightedGraph(n=2, edges=[(0, 1, 1.0)]))
-        out, _ = best_prefix(f, Subset([0, 1]), make_rng(0), QueryLedger())
+        out, _ = best_prefix(f, np.array([0, 1]), make_rng(0), QueryLedger())
         assert len(out) == 1
         assert evaluate_offline(f, out) == pytest.approx(1.0)
 
@@ -130,7 +130,7 @@ class TestGridCoverage:
             k = 4
             params = NonmonotoneParams(k=k, eps=0.3, delta=0.1)
             d = params.derive()
-            delta_star = max(evaluate_offline(f, Subset([x])) for x in range(n))
+            delta_star = max(evaluate_offline(f, [x]) for x in range(n))
             _, opt = brute_force_opt(f, k)
             assert 0 < opt <= k * delta_star + 1e-12
             target = C1 * opt / k
@@ -173,9 +173,9 @@ class TestAdaptiveNonmonotoneMax:
             assert t.outcome.a is t.outcome.snapshots[-1]["a"]
             assert t.outcome.a.dtype == np.int64
             if small:
-                assert set(t.unconstrained_set.indices) <= set(t.outcome.a.tolist())
-                assert set(t.downsampled.indices) <= set(t.unconstrained_set.indices)
-                assert set(t.prefix_set.indices) <= set(t.downsampled.indices)
+                assert set(t.unconstrained_set.tolist()) <= set(t.outcome.a.tolist())
+                assert set(t.downsampled.tolist()) <= set(t.unconstrained_set.tolist())
+                assert set(t.prefix_set.tolist()) <= set(t.downsampled.tolist())
                 assert t.prefix_value == pytest.approx(
                     evaluate_offline(f, t.prefix_set), abs=1e-9)
 
@@ -203,7 +203,7 @@ class TestAdaptiveNonmonotoneMax:
         params = NonmonotoneParams(k=3, eps=0.3, delta=0.1, sample_override=40)
         out1, led1, _ = adaptive_nonmonotone_max(f, params, 23)
         out2, led2, _ = adaptive_nonmonotone_max(f, params, 23)
-        assert out1 == out2
+        assert out1.tolist() == out2.tolist()
         assert led1.per_round == led2.per_round
 
     def test_random_subset_lower_bound_statistics(self):
@@ -212,13 +212,13 @@ class TestAdaptiveNonmonotoneMax:
         f = generate_synthetic("revenue", 12, 0.35, seed=10).objective()
         k = 3
         star, opt = brute_force_opt(f, k)
-        delta_star = max(evaluate_offline(f, Subset([x])) for x in range(f.n))
+        delta_star = max(evaluate_offline(f, [x]) for x in range(f.n))
         tp = ThresholdParams(k=k, tau=0.5 * delta_star / k, eps=0.6, delta=0.1,
                              break_size=3 * k, sample_override=60)
         vals = []
         for i in range(1000):
             out = threshold_sampling(f, tp, make_rng(i))
-            vals.append(evaluate_offline(f, out.s.union(star)))
+            vals.append(evaluate_offline(f, np.union1d(out.s, star)))
         mean = np.mean(vals)
         se = np.std(vals, ddof=1) / math.sqrt(len(vals))
         assert mean >= (1 - 1 / 3) * opt - 2 * se

@@ -14,7 +14,6 @@ from submax import (
     RevenueObjective,
     SaturatedCoverageObjective,
     SimilarityMatrix,
-    Subset,
     WeightedGraph,
     brute_force_opt,
     check_submodularity,
@@ -43,34 +42,34 @@ class SquaredCardinality(Objective):
 class TestImageObjective:
     def test_empty_is_zero(self):
         f = ImageSummarizationObjective(two_by_two())
-        assert evaluate_offline(f, Subset()) == 0.0
+        assert evaluate_offline(f, []) == 0.0
 
     def test_single_and_pair(self):
         f = ImageSummarizationObjective(two_by_two())
-        assert evaluate_offline(f, Subset([0])) == pytest.approx(1.0)
-        assert evaluate_offline(f, Subset([0, 1])) == pytest.approx(0.5)
+        assert evaluate_offline(f, [0]) == pytest.approx(1.0)
+        assert evaluate_offline(f, [0, 1]) == pytest.approx(0.5)
 
     def test_nonmonotone_witness(self):
         f = ImageSummarizationObjective(two_by_two())
-        assert evaluate_offline(f, Subset([0])) > evaluate_offline(f, Subset([0, 1]))
+        assert evaluate_offline(f, [0]) > evaluate_offline(f, [0, 1])
 
 
 class TestMovieObjective:
     def test_empty_is_zero(self):
         f = MovieRecommendationObjective(two_by_two(), 0.95)
-        assert evaluate_offline(f, Subset()) == 0.0
+        assert evaluate_offline(f, []) == 0.0
 
     def test_single(self):
         f = MovieRecommendationObjective(two_by_two(), 0.95)
-        assert evaluate_offline(f, Subset([0])) == pytest.approx(0.55)
+        assert evaluate_offline(f, [0]) == pytest.approx(0.55)
 
     def test_lambda_one_is_cut_like(self):
         f = MovieRecommendationObjective(two_by_two(), 1.0)
-        assert evaluate_offline(f, Subset([0])) == pytest.approx(0.5)
+        assert evaluate_offline(f, [0]) == pytest.approx(0.5)
 
     def test_nonmonotone_witness(self):
         f = MovieRecommendationObjective(two_by_two(), 0.95)
-        assert evaluate_offline(f, Subset([0])) > evaluate_offline(f, Subset([0, 1]))
+        assert evaluate_offline(f, [0]) > evaluate_offline(f, [0, 1])
 
     def test_lambda_bounds(self):
         with pytest.raises(ValueError):
@@ -80,15 +79,15 @@ class TestMovieObjective:
 class TestRevenueObjective:
     def test_examples(self):
         f = RevenueObjective(WeightedGraph(n=2, edges=[(0, 1, 1.0)]))
-        assert evaluate_offline(f, Subset()) == 0.0
-        assert evaluate_offline(f, Subset([0])) == pytest.approx(1.0)
-        assert evaluate_offline(f, Subset([0, 1])) == 0.0  # non-monotone
+        assert evaluate_offline(f, []) == 0.0
+        assert evaluate_offline(f, [0]) == pytest.approx(1.0)
+        assert evaluate_offline(f, [0, 1]) == 0.0  # non-monotone
 
     def test_sqrt_of_weight_sum(self):
         g = WeightedGraph(n=3, edges=[(0, 1, 4.0), (0, 2, 9.0)])
         f = RevenueObjective(g)
         # node 0 outside S={1,2} sees weight 13
-        assert evaluate_offline(f, Subset([1, 2])) == pytest.approx(np.sqrt(13.0))
+        assert evaluate_offline(f, [1, 2]) == pytest.approx(np.sqrt(13.0))
 
 
 class TestGenerateSynthetic:
@@ -208,8 +207,7 @@ class TestLoaders:
         f1 = ImageSummarizationObjective(load_similarity_csv(p))
         for size in range(7):
             for combo in itertools.combinations(range(6), size):
-                s = Subset(combo)
-                assert evaluate_offline(f0, s) == evaluate_offline(f1, s)
+                assert evaluate_offline(f0, combo) == evaluate_offline(f1, combo)
 
     def test_edge_list_round_trip_bit_exact(self, tmp_path):
         inst = generate_synthetic("revenue", 6, 0.6, seed=17)
@@ -219,27 +217,26 @@ class TestLoaders:
         f1 = RevenueObjective(load_edge_list(p, n=6))
         for size in range(7):
             for combo in itertools.combinations(range(6), size):
-                s = Subset(combo)
-                assert evaluate_offline(f0, s) == evaluate_offline(f1, s)
+                assert evaluate_offline(f0, combo) == evaluate_offline(f1, combo)
 
 
 class TestBruteForce:
     def test_modular_top_k(self):
         f = ModularObjective([1.0, 2.0, 3.0])
         best, val = brute_force_opt(f, 2)
-        assert best == Subset([1, 2])
+        assert best.tolist() == [1, 2]
         assert val == 5.0
 
     def test_revenue_tie_breaks_lexicographic(self):
         f = RevenueObjective(WeightedGraph(n=2, edges=[(0, 1, 1.0)]))
         best, val = brute_force_opt(f, 2)
-        assert best == Subset([0])
+        assert best.tolist() == [0]
         assert val == pytest.approx(1.0)
 
     def test_k_zero(self):
         f = ModularObjective([1.0, 2.0])
         best, val = brute_force_opt(f, 0)
-        assert best == Subset()
+        assert best.size == 0
         assert val == 0.0
 
     def test_guard(self):
@@ -279,15 +276,14 @@ def test_optimum_split_order_bound_small_instances():
     for seed in range(3):
         f = generate_synthetic("revenue", 9, 0.4, seed=100 + seed).objective()
         star, _ = brute_force_opt(f, 3)
-        star_set = set(star.indices)
         f_star = evaluate_offline(f, star)
-        for mask in range(1 << len(star_set)):
-            s2 = Subset([x for i, x in enumerate(sorted(star_set)) if not mask & (1 << i)])
+        for mask in range(1 << star.size):
+            s2 = star[[not mask & (1 << i) for i in range(star.size)]]
             f_s2 = evaluate_offline(f, s2)
             for _ in range(40):
-                s = Subset(np.flatnonzero(rng.random(9) < 0.4))
-                lhs = f_s2 - evaluate_offline(f, s2.union(s))
-                rhs = f_star - evaluate_offline(f, star.union(s))
+                s = np.flatnonzero(rng.random(9) < 0.4)
+                lhs = f_s2 - evaluate_offline(f, np.union1d(s2, s))
+                rhs = f_star - evaluate_offline(f, np.union1d(star, s))
                 assert lhs <= rhs + 1e-9
 
 

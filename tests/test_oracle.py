@@ -10,96 +10,36 @@ from submax import (
     QueryLedger,
     RevenueObjective,
     SaturatedCoverageObjective,
-    Subset,
     WeightedGraph,
     adaptive_nonmonotone_max,
     batch_marginals,
     batch_pair_gains,
+    best_prefix,
+    brute_force_opt,
+    downsample,
     evaluate_batch,
     evaluate_offline,
+    generate_synthetic,
     greedy,
     make_rng,
+    random_lazy_greedy,
+    random_prefix,
     sample_without_replacement,
     spawn_seeds,
+    unconstrained_max,
 )
+from submax.unconstrained import UnconstrainedParams
 
 
 def path_graph():
     return WeightedGraph(n=3, edges=[(0, 1, 1.0), (1, 2, 1.0)])
 
 
-class TestSubset:
-    def test_dedup_and_order(self):
-        s = Subset([3, 1, 3, 0])
-        assert s.indices == (0, 1, 3)
-        assert len(s) == 3
-        assert 1 in s and 2 not in s
-
-    def test_union_and_add(self):
-        s = Subset([0]).union([2, 1]).add(2)
-        assert s.indices == (0, 1, 2)
-
-    def test_hash_eq(self):
-        assert Subset([1, 2]) == Subset([2, 1])
-        assert hash(Subset([1, 2])) == hash(Subset([2, 1]))
-        assert Subset([1]) != Subset([1, 2])
-
-    @pytest.mark.parametrize("make", [np.array, list, frozenset,
-                                      lambda xs: (x for x in xs)],
-                             ids=["ndarray", "list", "frozenset", "generator"])
-    def test_every_iterable_gives_the_same_set(self, make):
-        s = Subset(make([5, 2, 9, 2, 0]))
-        assert s.indices == (0, 2, 5, 9)
-        assert all(type(i) is int for i in s.indices)
-        assert s.to_array().dtype == np.int64
-        assert s.to_array().tolist() == [0, 2, 5, 9]
-        assert s == Subset([0, 2, 5, 9]) and hash(s) == hash(Subset([9, 5, 2, 0]))
-
-    def test_range_gives_the_same_set(self):
-        assert Subset(range(2, 6)) == Subset(np.array([5, 3, 2, 4, 4]))
-        assert Subset(range(0)) == Subset() and len(Subset(range(0))) == 0
-
-    def test_one_read_only_array(self):
-        # A write through to_array() would make the set score other members
-        # than it reports; the array refuses it.
-        assert Subset.__slots__ == ("_array",)
-        s = Subset([0, 1])
-        with pytest.raises(ValueError, match="read-only"):
-            s.to_array()[0] = 2
-        assert s.indices == (0, 1) and 2 not in s
-        assert evaluate_offline(ModularObjective([1.0, 10.0, 100.0]), s) == 11.0
-
-    def test_input_array_stays_writable_and_unshared(self):
-        given = np.array([4, 1], dtype=np.int64)
-        s = Subset(given)
-        given[0] = 0
-        assert given.flags.writeable and s.indices == (1, 4)
-
-    @pytest.mark.parametrize("other", [[3, 1], (3, 1), np.array([3, 1]),
-                                       Subset([1, 3]), frozenset({1, 3}), range(1, 4, 2)],
-                             ids=["list", "tuple", "ndarray", "subset", "frozenset", "range"])
-    def test_union_takes_any_index_collection(self, other):
-        assert Subset([5, 1]).union(other) == Subset([1, 3, 5])
-        assert Subset().union(other).to_array().tolist() == [1, 3]
-
-    def test_membership_of_values_outside_the_set(self):
-        s = Subset([2, 7])
-        assert [x in s for x in (-1, 0, 2, 3, 7, 8)] == [False, False, True,
-                                                          False, True, False]
-        assert 2 in s and np.int64(7) in s and 2.5 not in s
-        assert 0 not in Subset()
-
-    def test_negative_index_rejected(self):
-        for bad in ([-1], [3, -2, 3], np.array([0, -5])):
-            with pytest.raises(InvalidSubsetError):
-                Subset(bad)
-
-
 class TestEvaluateBatch:
     def test_modular_example(self):
         f = ModularObjective([1.0, 2.0, 3.0])
         led = QueryLedger()
-        vals = evaluate_batch(f, [Subset([0]), Subset([0, 1]), Subset()], led)
+        vals = evaluate_batch(f, [[0], [0, 1], []], led)
         assert list(vals) == [1.0, 3.0, 0.0]
         assert led.rounds == 1
         assert led.total_queries == 3
@@ -107,20 +47,21 @@ class TestEvaluateBatch:
     def test_empty_set_single_query(self):
         f = ModularObjective([5.0])
         led = QueryLedger()
-        vals = evaluate_batch(f, [Subset()], led)
+        vals = evaluate_batch(f, [[]], led)
         assert vals[0] == 0.0
         assert (led.rounds, led.total_queries) == (1, 1)
 
     def test_path_cut_counts_both_incident_edges(self):
         f = CutObjective(path_graph())
         led = QueryLedger()
-        vals = evaluate_batch(f, [Subset([1])], led)
+        vals = evaluate_batch(f, [[1]], led)
         assert vals[0] == 2.0
 
     def test_out_of_range_rejected(self):
         f = ModularObjective([1.0, 2.0])
-        with pytest.raises(InvalidSubsetError):
-            evaluate_batch(f, [Subset([2])], QueryLedger())
+        for bad in ([2], [-1], [1, -2]):
+            with pytest.raises(InvalidSubsetError):
+                evaluate_batch(f, [bad], QueryLedger())
 
     def test_duplicate_array_query_rejected(self):
         f = ModularObjective([1.0, 2.0, 3.0])
@@ -161,36 +102,36 @@ class TestEvaluateBatch:
         queries = [np.array([2, 0]), np.array([4]), np.array([], dtype=np.int64)]
         vals = evaluate_batch(f, queries, QueryLedger())
         for q, v in zip(queries, vals):
-            assert v == pytest.approx(evaluate_offline(f, Subset(q)), abs=1e-12)
+            assert v == pytest.approx(evaluate_offline(f, q.tolist()), abs=1e-12)
 
 
 class TestBatchMarginals:
     def test_modular_marginals_equal_weights(self):
         f = ModularObjective([1.0, 2.0, 3.0])
         led = QueryLedger()
-        gains = batch_marginals(f, Subset(), [0, 1, 2], 0.0, led)
+        gains = batch_marginals(f, [], [0, 1, 2], 0.0, led)
         assert list(gains) == [1.0, 2.0, 3.0]
         assert (led.rounds, led.total_queries) == (1, 3)
 
     def test_readding_member_is_zero(self):
         f = ModularObjective([1.0, 2.0, 3.0])
-        gains = batch_marginals(f, Subset([0]), [0], 1.0, QueryLedger())
+        gains = batch_marginals(f, [0], [0], 1.0, QueryLedger())
         assert gains[0] == 0.0
 
     def test_revenue_two_node_marginal(self):
         f = RevenueObjective(WeightedGraph(n=2, edges=[(0, 1, 1.0)]))
-        gains = batch_marginals(f, Subset(), [0], 0.0, QueryLedger())
+        gains = batch_marginals(f, [], [0], 0.0, QueryLedger())
         assert gains[0] == pytest.approx(1.0)
 
     def test_matches_offline_differences(self):
         g = WeightedGraph(n=6, edges=[(0, 1, 0.5), (1, 2, 0.9), (3, 4, 0.2),
                                       (0, 5, 1.3), (2, 5, 0.4)])
         f = CutObjective(g)
-        base = Subset([0, 3])
+        base = np.array([0, 3])
         base_val = evaluate_offline(f, base)
         gains = batch_marginals(f, base, range(6), base_val, QueryLedger())
         for x in range(6):
-            expect = evaluate_offline(f, base.add(x)) - base_val
+            expect = evaluate_offline(f, np.union1d(base, [x])) - base_val
             assert gains[x] == pytest.approx(expect, abs=1e-9)
 
 
@@ -205,7 +146,7 @@ class TestBatchPairGains:
                 return None
 
         slow = SlowRevenue(g)
-        base = Subset([3])
+        base = np.array([3])
         t_mat = np.array([[0, 1], [2, 5], [1, 6], [0, 6]])
         xs = np.array([2, 6, 0, 3])  # last row: x already in base
         got = batch_pair_gains(fast, base, t_mat, xs, QueryLedger())
@@ -216,11 +157,59 @@ class TestBatchPairGains:
     def test_ledger_counts_two_per_sample(self):
         f = ModularObjective(np.ones(4))
         led = QueryLedger()
-        batch_pair_gains(f, Subset(), np.empty((5, 0), dtype=np.int64),
+        batch_pair_gains(f, [], np.empty((5, 0), dtype=np.int64),
                          np.arange(4)[[0, 1, 2, 3, 0]], led)
         assert led.rounds == 1
         assert led.total_queries == 10
         assert led.logical_samples == 5
+
+
+def _paired_gains_on(f, make_base, led):
+    """Both paired-gain entry points against the base make_base() builds."""
+    xs = np.array([1, 4, 5])
+    return (batch_marginals(f, make_base(), xs, evaluate_offline(f, [2, 3]), led),
+            batch_pair_gains(f, make_base(), np.array([[6], [1], [6]]), xs, led))
+
+
+# The base {2, 3} as each kind of index collection.
+BASES = {"ndarray": lambda: np.array([2, 3]), "list": lambda: [2, 3],
+         "tuple": lambda: (2, 3), "frozenset": lambda: frozenset({2, 3}),
+         "range": lambda: range(2, 4), "generator": lambda: (x for x in (2, 3))}
+
+
+class TestPairedGainBase:
+    """The base of a paired-gain round is a strictly increasing index set."""
+
+    @pytest.mark.parametrize("make_base", list(BASES.values()), ids=list(BASES))
+    def test_base_may_be_any_index_collection(self, make_base):
+        f = generate_synthetic("revenue", 7, 0.6, seed=2).objective()
+        want = _paired_gains_on(f, BASES["ndarray"], QueryLedger())
+        got = _paired_gains_on(f, make_base, QueryLedger())
+        for g, w in zip(got, want):
+            assert g.tolist() == w.tolist()
+
+    @pytest.mark.parametrize("base", [[3, 0], [0, 2, 2], np.array([2, 0, 3])],
+                             ids=["unsorted", "duplicate", "unsorted-array"])
+    def test_unsorted_or_repeating_base_rejected(self, base):
+        # A sorted wrapper used to guarantee this order; it keys the base-state
+        # memo and orders the kernels' sums, and a repeat would count twice.
+        f = generate_synthetic("revenue", 7, 0.6, seed=2).objective()
+        led = QueryLedger()
+        with pytest.raises(InvalidSubsetError, match="strictly increasing"):
+            batch_marginals(f, base, [1, 4], 0.0, led)
+        with pytest.raises(InvalidSubsetError, match="strictly increasing"):
+            batch_pair_gains(f, base, np.array([[5], [6]]), np.array([1, 4]), led)
+        assert led.rounds == 0
+
+    def test_negative_index_rejected(self):
+        f = ModularObjective(np.ones(4))
+        led = QueryLedger()
+        for bad in ([-1], [-2, 3], np.array([-5, 0])):
+            with pytest.raises(InvalidSubsetError):
+                batch_marginals(f, bad, [1], 0.0, led)
+            with pytest.raises(InvalidSubsetError):
+                batch_pair_gains(f, bad, np.array([[2]]), np.array([1]), led)
+        assert led.rounds == 0
 
 
 class TestQueryLedger:
@@ -290,19 +279,19 @@ class TestNonFiniteValuesRejected:
     def test_evaluate_batch(self, make, bad):
         f = make([1.0, bad, 3.0])
         with pytest.raises(ValueError, match="non-finite"):
-            evaluate_batch(f, [Subset([0]), Subset([0, 1])], QueryLedger())
+            evaluate_batch(f, [[0], [0, 1]], QueryLedger())
 
     @pytest.mark.parametrize("make,bad", NON_FINITE)
     def test_batch_marginals(self, make, bad):
         f = make([1.0, bad, 3.0])
         with pytest.raises(ValueError, match="non-finite"):
-            batch_marginals(f, Subset([0]), [1, 2], 1.0, QueryLedger())
+            batch_marginals(f, [0], [1, 2], 1.0, QueryLedger())
 
     @pytest.mark.parametrize("make,bad", NON_FINITE)
     def test_batch_pair_gains(self, make, bad):
         f = make([1.0, bad, 3.0])
         with pytest.raises(ValueError, match="non-finite"):
-            batch_pair_gains(f, Subset(), np.array([[0]]), np.array([1]),
+            batch_pair_gains(f, [], np.array([[0]]), np.array([1]),
                              QueryLedger())
 
     def test_nan_coverage_contribution_fails_at_first_round(self):
@@ -310,7 +299,7 @@ class TestNonFiniteValuesRejected:
         f = SaturatedCoverageObjective(np.array([[1.0], [2.0]]), np.array([5.0]))
         f.a[1, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            evaluate_batch(f, [Subset([0, 1])], QueryLedger())
+            evaluate_batch(f, [[0, 1]], QueryLedger())
 
     def test_algorithms_fail_instead_of_returning(self):
         f = ModularObjective([1.0, np.nan, 3.0])
@@ -382,7 +371,7 @@ class TestRandomness:
 
 def test_evaluate_offline_leaves_no_trace():
     f = ModularObjective([1.0, 2.0])
-    assert evaluate_offline(f, Subset([1])) == 2.0
+    assert evaluate_offline(f, np.array([1])) == 2.0
     assert evaluate_offline(f, [1, 0]) == 3.0
 
 
@@ -392,3 +381,36 @@ def test_evaluate_offline_rejects_duplicates_like_evaluate_batch():
         evaluate_batch(f, [[1, 1]], QueryLedger())
     with pytest.raises(InvalidSubsetError, match="duplicate"):
         evaluate_offline(f, [1, 1])
+
+
+def _anm_output():
+    f = generate_synthetic("revenue", 30, 0.2, seed=4).objective()
+    params = NonmonotoneParams(k=6, eps=0.3, delta=0.1, sample_override=20)
+    return adaptive_nonmonotone_max(f, params, 3)[0]
+
+
+# Each returns an index set built in some other order than ascending: picks
+# by gain, prefixes of a shuffle, draws from an unsorted pool.
+WEIGHTS = ModularObjective([1.0, 5.0, 3.0, 4.0, 2.0, 6.0, 0.5, 7.0])
+INDEX_SET_OUTPUTS = {
+    "adaptive_nonmonotone_max": _anm_output,
+    "greedy": lambda: greedy(WEIGHTS, 4, QueryLedger()),
+    "random_prefix": lambda: random_prefix(WEIGHTS, 5, make_rng(1), QueryLedger()),
+    "random_lazy_greedy": lambda: random_lazy_greedy(WEIGHTS, 4, None, make_rng(1),
+                                                     QueryLedger()),
+    "unconstrained_max": lambda: unconstrained_max(
+        WEIGHTS, np.array([7, 2, 5, 0, 3]), UnconstrainedParams(eps=0.2, delta=0.1),
+        make_rng(1), QueryLedger()),
+    "downsample": lambda: downsample(np.arange(8), 4, make_rng(1)),
+    "best_prefix": lambda: best_prefix(WEIGHTS, np.array([0, 2, 4, 6]), make_rng(1),
+                                       QueryLedger())[0],
+    "brute_force_opt": lambda: brute_force_opt(WEIGHTS, 3)[0],
+}
+
+
+@pytest.mark.parametrize("run", list(INDEX_SET_OUTPUTS.values()),
+                         ids=list(INDEX_SET_OUTPUTS))
+def test_every_returned_set_is_a_sorted_int64_array(run):
+    out = run()
+    assert type(out) is np.ndarray and out.dtype == np.int64 and out.ndim == 1
+    assert out.size >= 2 and (out[1:] > out[:-1]).all()

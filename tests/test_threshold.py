@@ -10,7 +10,6 @@ from submax import (
     CutObjective,
     ModularObjective,
     QueryLedger,
-    Subset,
     ThresholdParams,
     WeightedGraph,
     estimate_mean,
@@ -27,16 +26,19 @@ def path_cut():
     return CutObjective(WeightedGraph(n=3, edges=[(0, 1, 1.0), (1, 2, 1.0)]))
 
 
+EMPTY = np.empty(0, dtype=np.int64)
+
+
 def exhaustive_indicator_mean(f, s, pool, t, tau):
     """Average the threshold indicator over every (T, x) outcome."""
     hits, total = 0, 0
     for t_set in itertools.combinations(pool, t - 1):
-        base = s.union(t_set)
+        base = np.union1d(s, np.array(t_set, dtype=np.int64))
         f_base = evaluate_offline(f, base)
         for x in pool:
             if x in t_set:
                 continue
-            gain = evaluate_offline(f, base.add(x)) - f_base
+            gain = evaluate_offline(f, np.union1d(base, [x])) - f_base
             hits += gain >= tau
             total += 1
     return hits / total
@@ -74,7 +76,7 @@ class TestSampleIndicator:
     def test_singleton_pool(self):
         f = ModularObjective([2.0])
         led = QueryLedger()
-        bit = estimate_mean(f, Subset(), np.array([0]), 1, 1.0, 1, make_rng(0), led)
+        bit = estimate_mean(f, EMPTY, np.array([0]), 1, 1.0, 1, make_rng(0), led)
         assert bit == 1
         assert (led.rounds, led.total_queries, led.logical_samples) == (1, 2, 1)
 
@@ -82,22 +84,22 @@ class TestSampleIndicator:
         f = ModularObjective([1.0, 2.0, 3.0])
         rng = make_rng(1)
         for t in (1, 2, 3):
-            assert estimate_mean(f, Subset(), np.array([0, 1, 2]), t, 10.0, 1,
+            assert estimate_mean(f, EMPTY, np.array([0, 1, 2]), t, 10.0, 1,
                                  rng, QueryLedger()) == 0
 
     def test_t_out_of_range(self):
         f = ModularObjective([1.0, 2.0])
         with pytest.raises(ValueError):
-            estimate_mean(f, Subset(), np.array([0, 1]), 3, 0.5, 1, make_rng(0),
+            estimate_mean(f, EMPTY, np.array([0, 1]), 3, 0.5, 1, make_rng(0),
                           QueryLedger())
 
     def test_path_graph_estimate_matches_enumeration(self):
         f = path_cut()
         pool = np.array([0, 1, 2])
         for tau, t in ((1.0, 2), (2.0, 2)):
-            exact = exhaustive_indicator_mean(f, Subset(), pool, t, tau)
+            exact = exhaustive_indicator_mean(f, EMPTY, pool, t, tau)
             led = QueryLedger()
-            est = estimate_mean(f, Subset(), pool, t, tau, 100_000, make_rng(3), led)
+            est = estimate_mean(f, EMPTY, pool, t, tau, 100_000, make_rng(3), led)
             assert est == pytest.approx(exact, abs=0.01)
             assert led.rounds == 1
             assert led.total_queries == 200_000
@@ -106,13 +108,13 @@ class TestSampleIndicator:
 class TestEstimateMean:
     def test_all_marginals_clear_threshold(self):
         f = ModularObjective([1.0, 2.0, 3.0])
-        mu = estimate_mean(f, Subset(), np.array([0, 1, 2]), 2, 1.0, 50,
+        mu = estimate_mean(f, EMPTY, np.array([0, 1, 2]), 2, 1.0, 50,
                            make_rng(0), QueryLedger())
         assert mu == 1.0
 
     def test_threshold_above_everything(self):
         f = ModularObjective([1.0, 2.0, 3.0])
-        mu = estimate_mean(f, Subset(), np.array([0, 1, 2]), 2, 100.0, 50,
+        mu = estimate_mean(f, EMPTY, np.array([0, 1, 2]), 2, 100.0, 50,
                            make_rng(0), QueryLedger())
         assert mu == 0.0
 
@@ -121,10 +123,10 @@ class TestEstimateMean:
         # mean nearly always; allow the usual 3-sigma slack on the 99% rate.
         f = path_cut()
         pool = np.array([0, 1, 2])
-        exact = exhaustive_indicator_mean(f, Subset(), pool, 2, 1.0)
+        exact = exhaustive_indicator_mean(f, EMPTY, pool, 2, 1.0)
         reps, hits = 200, 0
         for i in range(reps):
-            est = estimate_mean(f, Subset(), pool, 2, 1.0, 100, make_rng(i),
+            est = estimate_mean(f, EMPTY, pool, 2, 1.0, 100, make_rng(i),
                                 QueryLedger())
             hits += abs(est - exact) <= 0.15
         floor = math.floor(0.99 * reps - 3 * math.sqrt(reps * 0.99 * 0.01))
@@ -186,7 +188,7 @@ class TestThresholdSampling:
         tau = 0.5
         p = ThresholdParams(k=6, tau=tau, eps=0.5, delta=0.1, sample_override=60)
         out = threshold_sampling(f, p, make_rng(7))
-        prev_s = Subset()
+        prev_s = EMPTY
         for snap in out.snapshots:
             survivors = snap["a"]
             if len(survivors):
@@ -195,7 +197,7 @@ class TestThresholdSampling:
                 gains = batch_marginals(f, prev_s, list(survivors), base_val,
                                         QueryLedger())
                 assert np.all(gains >= tau)
-            prev_s = Subset(snap["s"])
+            prev_s = snap["s"]
 
     def test_adaptivity_hard_ceiling(self):
         f = make_random_coverage(40, 10, seed=5)
@@ -223,7 +225,7 @@ class TestThresholdSampling:
         p = ThresholdParams(k=5, tau=0.5, eps=0.5, delta=0.1, sample_override=80)
         a = threshold_sampling(f, p, make_rng(11))
         b = threshold_sampling(f, p, make_rng(11))
-        assert a.s == b.s
+        assert np.array_equal(a.s, b.s) and a.s.dtype == np.int64
         assert np.array_equal(a.a, b.a) and a.a.dtype == np.int64
         assert a.break_reason == b.break_reason
         assert a.ledger.per_round == b.ledger.per_round
@@ -329,9 +331,9 @@ class TestTauZeroDegenerateMode:
         f = generate_synthetic("revenue", 30, 0.2, seed=2).objective()
         p = ThresholdParams(k=8, tau=0.0, eps=0.3, delta=0.1, sample_override=20)
         out = threshold_sampling(f, p, make_rng(0))
-        prev = Subset()
+        prev = EMPTY
         for snap in out.snapshots:
-            assert not set(snap["a"].tolist()) & set(prev)
+            assert not set(snap["a"].tolist()) & set(prev.tolist())
             if snap["t"] is not None:
                 assert len(snap["s"]) > len(prev)
             prev = snap["s"]
@@ -367,7 +369,6 @@ class TestVerifyTermination:
         assert out.break_reason is BreakReason.EMPTY_A
         assert len(out.s) == 5
         assert verify_termination_marginals(f, out, 1.0)
-        dropped = list(out.s.indices)[0]
-        out.s = Subset([x for x in out.s if x != dropped])
+        out.s = out.s[1:]  # drop the smallest member
         out.f_s = evaluate_offline(f, out.s)
         assert not verify_termination_marginals(f, out, 1.0)

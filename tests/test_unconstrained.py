@@ -7,7 +7,6 @@ from submax import (
     InvalidSubsetError,
     ModularObjective,
     QueryLedger,
-    Subset,
     UnconstrainedParams,
     brute_force_opt,
     evaluate_offline,
@@ -37,27 +36,27 @@ class TestUnconstrainedMax:
     def test_singleton_pool_modular(self):
         f = ModularObjective([1.0])
         p = UnconstrainedParams(eps=0.25, delta=0.05)
-        out = unconstrained_max(f, Subset([0]), p, make_rng(0), QueryLedger())
-        assert out == Subset([0])
+        out = unconstrained_max(f, [0], p, make_rng(0), QueryLedger())
+        assert out.tolist() == [0]
 
     def test_output_subset_of_pool(self):
         f = generate_synthetic("revenue", 15, 0.3, seed=2).objective()
-        pool = Subset([1, 3, 4, 8, 9, 12])
+        pool = [1, 3, 4, 8, 9, 12]
         p = UnconstrainedParams(eps=0.2, delta=0.1)
         for seed in range(10):
             out = unconstrained_max(f, pool, p, make_rng(seed), QueryLedger())
-            assert set(out.indices) <= set(pool.indices)
+            assert set(out.tolist()) <= set(pool)
 
     def test_array_pool_draws_as_its_subset_does(self):
         # A sampler hands over its pool as an int64 array; the draw must be
-        # the one the same elements as a Subset give.
+        # the one the same elements as a plain list give.
         f = generate_synthetic("revenue", 15, 0.3, seed=2).objective()
         p = UnconstrainedParams(eps=0.2, delta=0.1)
         pool = np.array([1, 3, 4, 8, 9, 12], dtype=np.int64)
         for seed in range(5):
             got = unconstrained_max(f, pool, p, make_rng(seed), QueryLedger())
-            want = unconstrained_max(f, Subset(pool), p, make_rng(seed), QueryLedger())
-            assert got == want
+            want = unconstrained_max(f, pool.tolist(), p, make_rng(seed), QueryLedger())
+            assert got.tolist() == want.tolist()
         assert pool.tolist() == [1, 3, 4, 8, 9, 12]
         with pytest.raises(ValueError):
             unconstrained_max(f, pool[:0], p, make_rng(0), QueryLedger())
@@ -66,7 +65,7 @@ class TestUnconstrainedMax:
         f = ModularObjective(np.ones(6))
         p = UnconstrainedParams(eps=0.2, delta=0.1)
         led = QueryLedger()
-        unconstrained_max(f, Subset(range(6)), p, make_rng(1), led)
+        unconstrained_max(f, range(6), p, make_rng(1), led)
         assert led.rounds == 1
         assert led.total_queries == p.t
 
@@ -74,13 +73,13 @@ class TestUnconstrainedMax:
         f = ModularObjective([1.0, 2.0])
         p = UnconstrainedParams(eps=0.2, delta=0.1)
         with pytest.raises(InvalidSubsetError):
-            unconstrained_max(f, Subset([0, 2]), p, make_rng(0), QueryLedger())
+            unconstrained_max(f, [0, 2], p, make_rng(0), QueryLedger())
 
     def test_empty_pool_rejected(self):
         f = ModularObjective([1.0])
         p = UnconstrainedParams(eps=0.2, delta=0.1)
         with pytest.raises(ValueError):
-            unconstrained_max(f, Subset(), p, make_rng(0), QueryLedger())
+            unconstrained_max(f, [], p, make_rng(0), QueryLedger())
 
     def test_quarter_approximation_statistics(self):
         eps, delta, runs = 0.2, 0.1, 300
@@ -91,7 +90,7 @@ class TestUnconstrainedMax:
                                      ("movie", 10, None, 5)):
             f = generate_synthetic(kind, n, param, seed=seed).objective()
             _, opt = brute_force_opt(f, n)
-            pool = Subset(range(n))
+            pool = np.arange(n)
             hits = 0
             for i in range(runs):
                 out = unconstrained_max(f, pool, p, make_rng(i), QueryLedger())
