@@ -15,6 +15,7 @@ from .oracle import (
     Objective,
     QueryLedger,
     batch_marginals,
+    check_params,
     evaluate_batch,
     prefix_round,
 )
@@ -28,8 +29,7 @@ def greedy(f: Objective, k: int, ledger: QueryLedger) -> np.ndarray:
     lowest index). Stops early once no strictly positive gain remains, so a
     full run costs |output| + 1 rounds and at most n*k + n queries.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_params(k=k)
     s = np.empty(0, dtype=np.int64)
     f_s = float(evaluate_batch(f, [s], ledger)[0])
     ledger.record_value(f_s)
@@ -55,8 +55,7 @@ def random_prefix(f: Objective, k: int, rng: np.random.Generator,
     All k+1 prefixes are evaluated in a single adaptive round; ties go to the
     shortest prefix.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_params(k=k)
     return prefix_round(f, rng.permutation(f.n)[:k], ledger)[0]
 
 
@@ -70,8 +69,7 @@ def random_lazy_greedy(f: Objective, k: int, eps: float | None,
     exact, so eps plays no role; it stays in the signature only because the
     benchmark workloads pass it by position, and other callers pass None.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_params(k=k)
     del eps
     n = f.n
     # Round 1: empty set plus all singletons, which seeds every bound fresh.
@@ -84,19 +82,17 @@ def random_lazy_greedy(f: Objective, k: int, eps: float | None,
 
     s = np.empty(0, dtype=np.int64)
     while s.size < k:
+        candidates = np.flatnonzero(~chosen)
+        if candidates.size == 0:
+            break
         while True:
-            candidates = np.flatnonzero(~chosen)
-            if candidates.size == 0:
-                break
-            order = candidates[np.argsort(-bounds[candidates], kind="stable")]
-            top = order[:k]
+            top = candidates[np.argsort(-bounds[candidates], kind="stable")[:k]]
             stale = top[~fresh[top]]
             if stale.size == 0:
                 break
-            gains = batch_marginals(f, s, stale, f_s, ledger)
-            bounds[stale] = gains
+            bounds[stale] = batch_marginals(f, s, stale, f_s, ledger)
             fresh[stale] = True
-        pool = top[(bounds[top] > 0.0) & fresh[top]] if candidates.size else np.array([], dtype=np.int64)
+        pool = top[bounds[top] > 0.0]  # the refresh left every top bound fresh
         if pool.size == 0:
             break
         pick = int(pool[int(rng.integers(pool.size))])

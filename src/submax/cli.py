@@ -28,7 +28,7 @@ def _parse_k_list(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",")]
     except ValueError:
-        raise ConfigError(f"--k-list must be comma-separated integers, "
+        raise ConfigError(f"--k must be an integer or comma-separated integers, "
                           f"got {text!r}") from None
 
 
@@ -45,8 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--synthetic", type=_parse_kv,
                      help='synthetic spec, e.g. "n=300,p=0.01"')
     run.add_argument("--algorithm", required=True, choices=ALGORITHMS)
-    run.add_argument("--k", type=int)
-    run.add_argument("--k-list", help="comma-separated k values")
+    run.add_argument("--k", required=True,
+                     help="one k or a comma-separated list, e.g. 10,20,40")
     run.add_argument("--eps", type=float, default=0.25)
     run.add_argument("--delta", type=float, default=0.1)
     run.add_argument("--trials", type=int, default=1)
@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="summary CSV path")
     run.add_argument("--trace", help="per-round trace CSV path")
     run.add_argument("--debug-trace", help="JSON-lines threshold-trial trace")
-    run.add_argument("--no-timestamp", action="store_true",
+    run.add_argument("--no-timestamp", dest="timestamp", action="store_false",
                      help="omit the timestamp comment for byte-stable output")
 
     accept = sub.add_parser("accept", help="run acceptance suites")
@@ -68,27 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_command(args) -> int:
-    if args.k is None and not args.k_list:
-        print("error: provide --k or --k-list", file=sys.stderr)
-        return 2
+    # Every other run flag's dest is the RunConfig field it sets.
+    fields = {name: value for name, value in vars(args).items()
+              if name not in ("command", "k")}
+    fields["samples"] = fields["samples"] or None
     try:
-        config = RunConfig(
-            objective=args.objective,
-            algorithm=args.algorithm,
-            ks=_parse_k_list(args.k_list) if args.k_list else [args.k],
-            data=args.data,
-            synthetic=args.synthetic,
-            eps=args.eps,
-            delta=args.delta,
-            trials=args.trials,
-            seed=args.seed,
-            samples=None if args.samples == 0 else args.samples,
-            out=args.out,
-            trace=args.trace,
-            debug_trace=args.debug_trace,
-            timestamp=not args.no_timestamp,
-        )
-        run_experiment(config)
+        run_experiment(RunConfig(ks=_parse_k_list(args.k), **fields))
     except (ConfigError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

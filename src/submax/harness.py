@@ -8,31 +8,30 @@ header ``algorithm,k,mean_value,std_value,mean_queries,mean_rounds``. Reruns
 with the same config are byte-identical apart from a leading timestamp
 comment, which can be suppressed.
 
-A bad configuration raises ConfigError before any instance is built:
-``RunConfig`` checks the anm settings by building ``NonmonotoneParams`` and
-reports a bad one by the command-line flag that sets it, and
-``build_instance`` checks the synthetic keys before it loads or generates
-data.
+A bad configuration raises ConfigError before any instance is built.
+Every range comes from ``oracle.PARAM_RANGES``: ``RunConfig`` checks seed,
+trials, each k and, for anm, eps, delta and samples against it and reports
+a bad one by the command-line flag that sets it, and ``build_instance``
+checks the synthetic keys, by key, before it loads or generates data.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .baselines import greedy, random_lazy_greedy, random_prefix
-from .nonmonotone import NonmonotoneParams, ParamError, adaptive_nonmonotone_max
+from .nonmonotone import NonmonotoneParams, adaptive_nonmonotone_max
 from .objectives import (
     Instance,
     generate_synthetic,
     load_edge_list,
     load_similarity_csv,
 )
-from .oracle import QueryLedger, evaluate_offline, make_rng
+from .oracle import ParamError, QueryLedger, check_params, evaluate_offline, make_rng
 
 ALGORITHMS = ("anm", "greedy", "random", "rlg")
 OBJECTIVES = ("image", "movie", "revenue", "synthetic-cut")
@@ -40,8 +39,9 @@ OBJECTIVES = ("image", "movie", "revenue", "synthetic-cut")
 TRACE_HEADER = "algorithm,trial,round,cum_queries,best_value,k,seed"
 SUMMARY_HEADER = "algorithm,k,mean_value,std_value,mean_queries,mean_rounds"
 
-# The command-line flag that sets each anm parameter RunConfig passes on.
-_ANM_FLAGS = {"eps": "--eps", "delta": "--delta", "sample_override": "--samples"}
+# The command-line flag that sets each parameter RunConfig checks.
+_FLAGS = {"seed": "--seed", "trials": "--trials", "k": "--k", "eps": "--eps",
+          "delta": "--delta", "sample_override": "--samples"}
 
 
 class ConfigError(ValueError):
@@ -72,24 +72,20 @@ class RunConfig:
             raise ConfigError(f"unknown objective {self.objective!r}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not self.ks or any(k < 1 for k in self.ks):
-            raise ConfigError("k values must be >= 1")
+        if not self.ks:
+            raise ConfigError("provide at least one k")
         if self.data is None and self.synthetic is None:
             raise ConfigError("provide a data path or a synthetic spec")
-        if self.algorithm == "anm":
-            # The parameter class is the one home of the anm ranges; building
-            # it here reports a bad setting before any instance is built.
-            try:
-                for k in self.ks:
-                    NonmonotoneParams(k=k, eps=self.eps, delta=self.delta,
-                                      sample_override=self.samples)
-            except ParamError as exc:
-                raise ConfigError(f"{_ANM_FLAGS[exc.field]} {exc.rule}, "
-                                  f"got {exc.value}") from None
+        try:
+            check_params(seed=self.seed, trials=self.trials)
+            for k in self.ks:
+                check_params(k=k)
+            if self.algorithm == "anm":
+                check_params(eps=self.eps, delta=self.delta,
+                             sample_override=self.samples)
+        except ParamError as exc:
+            raise ConfigError(f"{_FLAGS[exc.field]} {exc.rule}, "
+                              f"got {exc.value}") from None
 
 
 @dataclass
@@ -106,26 +102,22 @@ class TrialRecord:
     debug: list[dict] = field(default_factory=list)
 
 
-# Each synthetic spec key: how its text parses and which values the
-# generators accept, so a bad value is reported against its key.
-_SPEC_KEYS = {
-    "n": (int, lambda v: v >= 1, "an integer >= 1"),
-    "seed": (int, lambda v: v >= 0, "an integer >= 0"),
-    "p": (float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
-    "dim": (float, lambda v: 1.0 <= v < math.inf, "a finite number >= 1"),
-    "lam": (float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
-}
+# How each synthetic spec key's text parses; its range is the table's.
+_SPEC_KEYS = {"n": int, "seed": int, "p": float, "dim": float, "lam": float}
 
 
 def _spec_value(key: str, raw):
-    parse, accepts, wanted = _SPEC_KEYS[key]
+    """A spec value parsed and range-checked, or a ConfigError naming key."""
+    parse = _SPEC_KEYS[key]
     try:
         value = parse(raw)
-        if accepts(value):
-            return value
+        check_params(**{key: value})
+    except ParamError as exc:
+        raise ConfigError(f"synthetic key {key!r} {exc.rule}, got {raw!r}") from None
     except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"synthetic key {key!r} must be {wanted}, got {raw!r}")
+        raise ConfigError(f"synthetic key {key!r} must parse as {parse.__name__}, "
+                          f"got {raw!r}") from None
+    return value
 
 
 def _spec_values(config: RunConfig) -> dict:

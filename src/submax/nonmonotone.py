@@ -32,6 +32,7 @@ import numpy as np
 from .oracle import (
     Objective,
     QueryLedger,
+    check_params,
     evaluate_batch,
     prefix_round,
     sample_without_replacement,
@@ -48,15 +49,6 @@ from .unconstrained import UnconstrainedParams, unconstrained_max
 
 C1 = 1.0 / 7.0  # scale of the threshold grid, relative to delta* / k
 C3 = 3.0  # the sampler breaks for the fallback once |pool| < C3 * k
-
-
-class ParamError(ValueError):
-    """A parameter outside its range: ``field`` names it, ``value`` is what
-    was given and ``rule`` the range it broke."""
-
-    def __init__(self, field: str, value, rule: str):
-        super().__init__(f"{field} {rule}, got {value}")
-        self.field, self.value, self.rule = field, value, rule
 
 
 @dataclass(frozen=True)
@@ -81,15 +73,7 @@ class NonmonotoneParams:
     sample_override: int | None = None
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ParamError("k", self.k, "must be >= 1")
-        if not 0.0 < self.eps < 1.0:
-            raise ParamError("eps", self.eps, "must lie in (0,1)")
-        if not 0.0 < self.delta < 1.0:
-            raise ParamError("delta", self.delta, "must lie in (0,1)")
-        if self.sample_override is not None and self.sample_override < 1:
-            raise ParamError("sample_override", self.sample_override,
-                             "must be >= 1 when set")
+        check_params(**vars(self))
 
     def derive(self) -> DerivedNonmonotoneValues:
         eps_hat = self.eps / 6.0

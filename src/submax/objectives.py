@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import Objective, evaluate_offline, make_rng
+from .oracle import Objective, check_params, evaluate_offline, make_rng
 
 
 class ParseError(ValueError):
@@ -288,8 +288,7 @@ class MovieRecommendationObjective(Objective):
 
     def __init__(self, matrix: SimilarityMatrix, lam: float = 0.95):
         super().__init__(matrix.n)
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"lambda must lie in [0,1], got {lam}")
+        check_params(lam=lam)
         self.s = matrix.s
         self.lam = float(lam)
         self._colsum = self.s.sum(axis=0)
@@ -355,8 +354,7 @@ class SaturatedCoverageObjective(Objective):
 
 def _erdos_renyi(n: int, p: float, rng: np.random.Generator) -> WeightedGraph:
     """G(n, p) with independent uniform (0,1) edge weights."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must lie in [0,1], got {p}")
+    check_params(p=p)
     # Pairs are numbered in the order of itertools.combinations; only the kept
     # ones are mapped back to (u, v). Row u's pairs start at u(2n - u - 1)/2.
     pairs = n * (n - 1) // 2
@@ -391,17 +389,15 @@ def generate_synthetic(kind: str, n: int, param: float | None = None,
     for similarity kinds it is the embedding dimension (default 16). lam is
     passed to a movie instance and ignored for the other kinds.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_params(n=n, seed=seed)
     rng = make_rng(seed)
     if kind in ("revenue", "synthetic-cut"):
         p = param if param is not None else min(1.0, 4.0 / max(1, n - 1))
         return Instance(kind=kind, data=_erdos_renyi(n, float(p), rng))
     if kind in ("image", "movie"):
-        d = int(param) if param is not None else 16
-        if d < 1:
-            raise ValueError(f"embedding dimension must be >= 1, got {d}")
-        matrix = _cosine_similarity(n, d, rng)
+        dim = param if param is not None else 16
+        check_params(dim=dim)
+        matrix = _cosine_similarity(n, int(dim), rng)
         return Instance(kind=kind, data=matrix, lam=lam if kind == "movie" else None)
     raise ValueError(f"unknown synthetic kind {kind!r}")
 
@@ -559,8 +555,7 @@ def check_submodularity(f: Objective, trials: int, seed: int = 0) -> Submodulari
     scale observed while sampling; nonnegativity of f is checked on the same
     sampled sets.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_params(trials=trials)
     rng = make_rng(seed)
     n = f.n
     values: list[float] = []

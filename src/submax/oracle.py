@@ -21,10 +21,15 @@ points read such an array as it is.
 Randomness is always drawn by single-threaded orchestration code before a
 batch is issued, so results are reproducible regardless of how a batch is
 evaluated internally.
+
+Every module imports this one, so it also holds the range of every setting
+(``PARAM_RANGES``): ``check_params`` raises ``ParamError``, naming the field
+and the value, for a setting outside its range.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -35,6 +40,41 @@ import numpy as np
 class InvalidSubsetError(ValueError):
     """An index set is malformed: an element outside the oracle's ground set,
     a repeated element, or a paired-gain base out of order."""
+
+
+class ParamError(ValueError):
+    """A parameter outside its range: ``field`` names it, ``value`` is what
+    was given and ``rule`` the range it broke."""
+
+    def __init__(self, field: str, value, rule: str):
+        super().__init__(f"{field} {rule}, got {value}")
+        self.field, self.value, self.rule = field, value, rule
+
+
+# The one home of every setting's range: field -> (test, rule). The tests are
+# written as comparisons that hold inside the range, so NaN fails every one.
+PARAM_RANGES = {
+    "k": (lambda v: v >= 1, "must be >= 1"),
+    "n": (lambda v: v >= 1, "must be >= 1"),
+    "tau": (lambda v: v >= 0, "must be >= 0"),
+    "eps": (lambda v: 0 < v < 1, "must lie in (0,1)"),
+    "delta": (lambda v: 0 < v < 1, "must lie in (0,1)"),
+    "break_size": (lambda v: v is None or v >= 1, "must be >= 1 when set"),
+    "sample_override": (lambda v: v is None or v >= 1, "must be >= 1 when set"),
+    "seed": (lambda v: v >= 0, "must be >= 0"),
+    "trials": (lambda v: v >= 1, "must be >= 1"),
+    "p": (lambda v: 0 <= v <= 1, "must lie in [0,1]"),
+    "dim": (lambda v: 1 <= v < math.inf, "must be a finite embedding dimension >= 1"),
+    "lam": (lambda v: 0 <= v <= 1, "must lie in [0,1]"),
+}
+
+
+def check_params(**values) -> None:
+    """Raise ParamError for the first value outside its field's range."""
+    for name, value in values.items():
+        test, rule = PARAM_RANGES[name]
+        if not test(value):
+            raise ParamError(name, value, rule)
 
 
 class Subset:
@@ -72,8 +112,7 @@ class Objective(ABC):
     _base_memo: tuple[bytes, tuple] | None = None
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError(f"ground set size must be >= 1, got {n}")
+        check_params(n=n)
         self.n = int(n)
 
     @abstractmethod
@@ -368,7 +407,8 @@ def batch_pair_gains(f: Objective, base, t_mat: np.ndarray,
     base is a strictly increasing index collection and rows of t_mat must be
     duplicate-free. A row that overlaps base is answered exactly, and a row
     whose x_j lies in base + T_j has gain 0. Raises InvalidSubsetError for an
-    unsorted or repeating base and ValueError if any gain is NaN or infinite.
+    unsorted or repeating base or a T row that repeats an element, and
+    ValueError if any gain is NaN or infinite.
     """
     t_mat = np.asarray(t_mat, dtype=np.int64)
     xs = np.asarray(xs, dtype=np.int64)
@@ -379,6 +419,10 @@ def batch_pair_gains(f: Objective, base, t_mat: np.ndarray,
     _check_bounds(f, xs)
     if t_mat.size:
         _check_bounds(f, t_mat.ravel())
+    if t_mat.shape[1] > 1:
+        rows = np.sort(t_mat, axis=1)
+        if (rows[:, 1:] == rows[:, :-1]).any():
+            raise InvalidSubsetError("duplicate element in a T row")
     base_idx = _base_array(f, base)
     ledger.add_round(2 * xs.size, logical_samples=xs.size)
     return _paired_gains(f, base_idx, t_mat, xs, "batch_pair_gains")

@@ -23,6 +23,7 @@ from .oracle import (
     QueryLedger,
     batch_marginals,
     batch_pair_gains,
+    check_params,
     evaluate_batch,
     sample_without_replacement,
 )
@@ -53,7 +54,9 @@ class ThresholdParams:
 
     break_size, when set, is the early-exit pool bound; sample_override pins
     the per-estimate sample count for experiment parity (the theoretical count
-    is still reported in the derived values).
+    is still reported in the derived values). Each field's range lives in
+    ``oracle.PARAM_RANGES``; a value outside it, NaN included, raises
+    ``ParamError`` naming the field and the value.
     """
 
     k: int
@@ -64,18 +67,7 @@ class ThresholdParams:
     sample_override: int | None = None
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.tau < 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps must lie in (0,1), got {self.eps}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0,1), got {self.delta}")
-        if self.break_size is not None and self.break_size < 1:
-            raise ValueError("break_size must be >= 1 when set")
-        if self.sample_override is not None and self.sample_override < 1:
-            raise ValueError("sample_override must be >= 1 when set")
+        check_params(**vars(self))
 
     def derive(self, n: int) -> DerivedThresholdValues:
         eps_hat = self.eps / 3.0

@@ -17,6 +17,7 @@ from .oracle import (
     Objective,
     QueryLedger,
     _as_index_array,
+    check_params,
     evaluate_batch,
     pool_masks,
 )
@@ -30,10 +31,7 @@ class UnconstrainedParams:
     delta: float
 
     def __post_init__(self):
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps must lie in (0,1), got {self.eps}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0,1), got {self.delta}")
+        check_params(**vars(self))
         if self.eps > 0.25:
             # The query-complexity inequality log(1+(4/3)eps) >= 2eps/3 needs
             # eps <= 1/4; larger values still run but lose that bound.

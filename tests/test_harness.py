@@ -216,6 +216,16 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert out.read_text().splitlines()[0].startswith("algorithm,")
 
+    def test_k_list_and_flags_bind_to_run_config(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = submax.cli.main(["run", "--objective", "synthetic-cut", "--synthetic",
+                                "n=20,p=0.3", "--algorithm", "greedy", "--k", "2,4",
+                                "--out", str(out), "--no-timestamp"])
+        assert code == 0, capsys.readouterr().err
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("algorithm,")
+        assert [line.split(",")[1] for line in lines[1:]] == ["2", "4"]
+
     def test_unknown_algorithm_exit_code(self):
         cmd = [sys.executable, "-m", "submax.cli", "run",
                "--objective", "revenue", "--synthetic", "n=10,p=0.5",
@@ -224,7 +234,7 @@ class TestCli:
         assert proc.returncode == 2
 
     @pytest.mark.parametrize("objective,args,named", [
-        ("revenue", ["--synthetic", "n=10,p=0.5", "--k-list", "5,x"], "--k-list"),
+        ("revenue", ["--synthetic", "n=10,p=0.5", "--k", "5,x"], "--k"),
         ("revenue", ["--synthetic", "n=abc", "--k", "2"], "'n'"),
         ("revenue", ["--synthetic", "n=10,p=2", "--k", "2"], "'p'"),
         ("movie", ["--synthetic", "n=10,lam=7", "--k", "2"], "'lam'"),
@@ -232,7 +242,7 @@ class TestCli:
         ("image", ["--synthetic", "n=10,lam=0.5", "--k", "2"], "'lam'"),
         ("image", ["--synthetic", "n=10", "--k", "2", "--seed", "-1"], "seed"),
         # A later --algorithm wins; the missing data file shows that the
-        # anm settings are checked before any instance is built. A bad anm
+        # anm settings are checked before any instance is built. A bad
         # setting is named by its flag, not by the library field behind it.
         ("revenue", ["--data", "missing.csv", "--k", "2", "--algorithm", "anm",
                      "--eps", "2"], "--eps"),
@@ -240,6 +250,8 @@ class TestCli:
                      "--delta", "0"], "--delta"),
         ("revenue", ["--synthetic", "n=10,p=0.5", "--k", "2", "--algorithm", "anm",
                      "--samples", "-5"], "--samples"),
+        ("image", ["--synthetic", "n=10", "--k", "2", "--trials", "0"], "--trials"),
+        ("image", ["--synthetic", "n=10", "--k", "3,0"], "--k must be >= 1, got 0"),
     ])
     def test_bad_run_config_is_an_error_line(self, capsys, objective, args, named):
         code = submax.cli.main(["run", "--objective", objective,

@@ -5,8 +5,10 @@ from submax import (
     CutObjective,
     InvalidSubsetError,
     ModularObjective,
+    MovieRecommendationObjective,
     NonmonotoneParams,
     Objective,
+    ParamError,
     QueryLedger,
     RevenueObjective,
     SaturatedCoverageObjective,
@@ -28,6 +30,7 @@ from submax import (
     spawn_seeds,
     unconstrained_max,
 )
+from submax.threshold import ThresholdParams
 from submax.unconstrained import UnconstrainedParams
 
 
@@ -162,6 +165,18 @@ class TestBatchPairGains:
         assert led.rounds == 1
         assert led.total_queries == 10
         assert led.logical_samples == 5
+
+    def test_repeating_t_row_rejected(self):
+        # Unchecked, the row [1, 1] gave 2.4808 against the true
+        # f({1, 3}) - f({1}) = 2.5600.
+        f = generate_synthetic("synthetic-cut", 8, 0.6, seed=1).objective()
+        led = QueryLedger()
+        with pytest.raises(InvalidSubsetError, match="T row"):
+            batch_pair_gains(f, [], np.array([[0, 2], [1, 1]]), np.array([3, 3]), led)
+        assert led.rounds == 0
+        got = batch_pair_gains(f, [], np.array([[1]]), np.array([3]), led)
+        assert got[0] == pytest.approx(evaluate_offline(f, [1, 3])
+                                       - evaluate_offline(f, [1]))
 
 
 def _paired_gains_on(f, make_base, led):
@@ -414,3 +429,45 @@ def test_every_returned_set_is_a_sorted_int64_array(run):
     out = run()
     assert type(out) is np.ndarray and out.dtype == np.int64 and out.ndim == 1
     assert out.size >= 2 and (out[1:] > out[:-1]).all()
+
+
+_MOVIE_DATA = generate_synthetic("movie", 6, seed=2).data
+
+# Each constructor that takes a setting, one bad value of it per case.
+BAD_SETTINGS = {
+    "threshold-tau-nan": (lambda: ThresholdParams(k=2, tau=float("nan"), eps=0.3,
+                                                  delta=0.1), "tau", "nan"),
+    "threshold-k": (lambda: ThresholdParams(k=0, tau=1.0, eps=0.3, delta=0.1),
+                    "k", "0"),
+    "threshold-break_size": (lambda: ThresholdParams(k=2, tau=1.0, eps=0.3, delta=0.1,
+                                                     break_size=0), "break_size", "0"),
+    "threshold-sample_override": (lambda: ThresholdParams(
+        k=2, tau=1.0, eps=0.3, delta=0.1, sample_override=0), "sample_override", "0"),
+    "unconstrained-eps": (lambda: UnconstrainedParams(eps=1.5, delta=0.1), "eps", "1.5"),
+    "unconstrained-delta-nan": (lambda: UnconstrainedParams(eps=0.2, delta=float("nan")),
+                                "delta", "nan"),
+    "nonmonotone-delta": (lambda: NonmonotoneParams(k=2, eps=0.3, delta=1.0),
+                          "delta", "1.0"),
+    "nonmonotone-sample_override": (lambda: NonmonotoneParams(
+        k=2, eps=0.3, delta=0.1, sample_override=-5), "sample_override", "-5"),
+    "greedy": (lambda: greedy(WEIGHTS, 0, QueryLedger()), "k", "0"),
+    "random_prefix": (lambda: random_prefix(WEIGHTS, -1, make_rng(1), QueryLedger()),
+                      "k", "-1"),
+    "random_lazy_greedy": (lambda: random_lazy_greedy(WEIGHTS, 0, None, make_rng(1),
+                                                      QueryLedger()), "k", "0"),
+    "synthetic-n": (lambda: generate_synthetic("revenue", 0), "n", "0"),
+    "synthetic-seed": (lambda: generate_synthetic("image", 10, seed=-1), "seed", "-1"),
+    "synthetic-p": (lambda: generate_synthetic("revenue", 10, 1.5), "p", "1.5"),
+    "synthetic-dim-inf": (lambda: generate_synthetic("image", 10, float("inf")),
+                          "dim", "inf"),
+    "movie-lam": (lambda: MovieRecommendationObjective(_MOVIE_DATA, lam=7), "lam", "7"),
+}
+
+
+@pytest.mark.parametrize("build,field,shown", list(BAD_SETTINGS.values()),
+                         ids=list(BAD_SETTINGS))
+def test_out_of_range_setting_raises_param_error(build, field, shown):
+    with pytest.raises(ParamError) as info:
+        build()
+    assert info.value.field == field
+    assert f"{field} " in str(info.value) and f"got {shown}" in str(info.value)
