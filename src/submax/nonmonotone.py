@@ -14,6 +14,12 @@ returned ledger is built that way as the run goes: the singleton sweep is its
 round 1, and the trial ledgers are appended with ``extend_parallel``, which
 also carries each round's best value.
 
+The threshold trials run in lockstep (``lockstep_threshold_sampling``): their
+paired-gain queries of one round go to the objective's kernel together, while
+each trial keeps its own random stream and ledger, so every trial is the run
+``threshold_sampling`` would make alone. A trial's fallback chain then
+continues on that trial's stream.
+
 The trade-off constants C1 = 1/7 and C3 = 3 are fixed by the analysis for
 this module's one-round unconstrained subroutine, whose approximation factor
 is 1/4: thresholds scale with C1, and a trial falls back once its pool holds
@@ -42,7 +48,7 @@ from .threshold import (
     BreakReason,
     SamplingOutcome,
     ThresholdParams,
-    threshold_sampling,
+    lockstep_threshold_sampling,
 )
 from .unconstrained import UnconstrainedParams, unconstrained_max
 
@@ -142,8 +148,11 @@ def adaptive_nonmonotone_max(
     Takes a seed rather than a generator so each trial can own an independent
     stream derived by mixing its index; the whole run is reproducible and the
     trials could execute concurrently. The final argmax reuses values paid for
-    when each candidate set was formed, so it costs no fresh queries.
+    when each candidate set was formed, so it costs no fresh queries. An int
+    seed must be >= 0 (ParamError otherwise); a SeedSequence is used as given.
     """
+    if not isinstance(seed, np.random.SeedSequence):
+        check_params(seed=seed)
     d = params.derive()
     ledger = QueryLedger()
     delta_star = max_singleton(f, ledger)
@@ -151,18 +160,18 @@ def adaptive_nonmonotone_max(
         return np.empty(0, dtype=np.int64), ledger, []
 
     taus = threshold_grid(delta_star, params)
-    trial_seeds = spawn_seeds(seed, len(taus))
+    rngs = [np.random.default_rng(s) for s in spawn_seeds(seed, len(taus))]
+    outcomes = lockstep_threshold_sampling(
+        f, [ThresholdParams(k=params.k, tau=tau, eps=d.eps_hat, delta=d.delta_hat,
+                            break_size=d.break_size,
+                            sample_override=params.sample_override)
+            for tau in taus], rngs)
     unc_params = UnconstrainedParams(eps=d.eps_hat, delta=d.delta_hat)
     trials: list[ThresholdTrial] = []
-    for i, tau in enumerate(taus):
-        rng = np.random.default_rng(trial_seeds[i])
-        led = QueryLedger()
-        tp = ThresholdParams(k=params.k, tau=tau, eps=d.eps_hat,
-                             delta=d.delta_hat, break_size=d.break_size,
-                             sample_override=params.sample_override)
-        outcome = threshold_sampling(f, tp, rng, ledger=led)
+    for i, (tau, outcome, rng) in enumerate(zip(taus, outcomes, rngs)):
         trial = ThresholdTrial(index=i, tau=tau, outcome=outcome)
         if outcome.break_reason is BreakReason.SMALL_A:
+            led = outcome.ledger
             trial.unconstrained_set = unconstrained_max(f, outcome.a, unc_params,
                                                         rng, led)
             trial.downsampled = downsample(trial.unconstrained_set, params.k, rng)

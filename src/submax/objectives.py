@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracle import Objective, check_params, evaluate_offline, make_rng
+from .oracle import Objective, ParamError, check_params, evaluate_offline, make_rng
 
 
 class ParseError(ValueError):
@@ -32,9 +32,14 @@ class GroundSetTooLargeError(ValueError):
 
 @dataclass
 class SimilarityMatrix:
-    """Dense symmetric item-similarity matrix."""
+    """Dense symmetric item-similarity matrix.
+
+    s must equal its transpose within 1e-9; ``exactly_symmetric`` records
+    whether it does so exactly, as every generator and loader here makes it.
+    """
 
     s: np.ndarray
+    exactly_symmetric: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=np.float64)
@@ -42,8 +47,10 @@ class SimilarityMatrix:
             raise ValueError(f"similarity matrix must be square, got {self.s.shape}")
         if not np.all(np.isfinite(self.s)):
             raise ValueError("similarity matrix contains non-finite entries")
-        if self.s.size and np.max(np.abs(self.s - self.s.T)) > 1e-9:
+        gap = float(np.max(np.abs(self.s - self.s.T))) if self.s.size else 0.0
+        if gap > 1e-9:
             raise ValueError("similarity matrix is not symmetric within 1e-9")
+        self.exactly_symmetric = gap == 0.0
 
     @property
     def n(self) -> int:
@@ -135,7 +142,7 @@ class ModularObjective(Objective):
     def _evaluate(self, idx):
         return float(self.weights[idx].sum())
 
-    def _gain_batch(self, base_idx, t_mat, xs):
+    def _gain_batch(self, state, t_mat, xs, base_of):
         return self.weights[xs]
 
     def _evaluate_batch(self, masks):
@@ -159,10 +166,10 @@ class CutObjective(Objective):
     def _base_state(self, base_idx):
         return (self.w[:, base_idx].sum(axis=1),)  # weight into the base
 
-    def _gain_batch(self, base_idx, t_mat, xs):
-        w_into_base, = self._cached_base_state(base_idx)
+    def _gain_batch(self, state, t_mat, xs, base_of):
+        w_into_base, = state
         cross = self.w[xs[:, None], t_mat].sum(axis=1)
-        return self.degree[xs] - 2.0 * (w_into_base[xs] + cross)
+        return self.degree[xs] - 2.0 * (w_into_base[base_of, xs] + cross)
 
     def _evaluate_batch(self, masks):
         m = masks.astype(np.float64)
@@ -177,11 +184,11 @@ class RevenueObjective(Objective):
     v's neighbour ids and edge weights, padded with v's own id and weight 0.0
     to one slot past the maximum degree, so the last slot is always v itself.
     A zero-weight edge adds exactly 0, so it is left out. A batch of m paired
-    gains over pools of size t-1 costs O(m·(n + deg·t)): O(deg·t) gathers per
-    row, plus one zero-filled row of all n nodes per gain, summed in the
-    memory layout of the all-nodes formula so the gains are bit-for-bit those
-    of summing every node's increment. The dense matrix stays for
-    :meth:`_evaluate` and :meth:`_evaluate_batch`.
+    gains over pools of size t-1 costs O(m·deg·t) gathers, plus one
+    zero-filled row of all n nodes per gain when T is non-empty. Each gain is
+    summed in the order the all-nodes formula sums it, so the gains are
+    bit-for-bit those of summing every node's increment. The dense matrix
+    stays for :meth:`_evaluate` and :meth:`_evaluate_batch`.
     """
 
     def __init__(self, graph: WeightedGraph):
@@ -207,11 +214,12 @@ class RevenueObjective(Objective):
         in_base[base_idx] = True
         return in_base, self.w[:, base_idx].sum(axis=1)
 
-    def _gain_batch(self, base_idx, t_mat, xs):
-        in_base, w_into_base = self._cached_base_state(base_idx)
+    def _gain_batch(self, state, t_mat, xs, base_of):
+        in_base, w_into_base = state
         m = xs.size
         nbr = self._nbr[xs]  # (m, width); padding and the last slot hold x_j
-        w_b = w_into_base[nbr]
+        at = base_of[:, None]
+        w_b = w_into_base[at, nbr]
         if t_mat.shape[1]:
             # Add the T columns one after another in t_mat order, as the
             # all-nodes (n, m, t-1) reduction does, so W_{B_j}(v) is
@@ -222,18 +230,24 @@ class RevenueObjective(Objective):
                 t_sum += col
             w_b = w_b + t_sum
         inc = np.sqrt(w_b + self._nbr_w[xs]) - np.sqrt(w_b)
-        members = (in_base[nbr] | (nbr == xs[:, None])
+        members = (in_base[at, nbr] | (nbr == xs[:, None])
                    | (nbr[:, :, None] == t_mat[:, None, :]).any(axis=2))
         inc[members] = 0.0
-        # Sum each gain over a zero-filled row of all n nodes, laid out as the
-        # all-nodes formula's (n, m) increments are: n fastest when T is
-        # non-empty (numpy sums pairwise), row-major (n, m) when T is empty
-        # (it sums sequentially over n). Summing only the deg terms would
-        # round differently. The O(m·n) row costs far less than the
-        # O(n·m·t) gather an all-nodes kernel needs.
-        dense = np.zeros((m, self.n)) if t_mat.shape[1] else np.zeros((self.n, m)).T
+        own = np.sqrt(w_b[:, -1])
+        if not t_mat.shape[1] and m > 1:
+            # The all-nodes formula's (n, m) increments are summed
+            # sequentially over n when T is empty. The neighbours, in slot
+            # order, are its non-zero terms in node order, and adding the
+            # +0.0 terms is exact, so a sequential sum over the slots is
+            # bit-identical.
+            return np.ascontiguousarray(inc.T).sum(axis=0) - own
+        # With T non-empty, or for a lone row, numpy sums each gain pairwise
+        # over all n nodes, so it is summed over a zero-filled row of n nodes;
+        # summing only the deg terms would round differently. The O(m·n) row
+        # costs far less than the O(n·m·t) gather an all-nodes kernel needs.
+        dense = np.zeros((m, self.n))
         dense[np.arange(m)[:, None], nbr] = inc
-        return dense.sum(axis=1) - np.sqrt(w_b[:, -1])
+        return dense.sum(axis=1) - own
 
     def _evaluate_batch(self, masks):
         # In place after the two (batch, n) allocations: each fresh temporary
@@ -256,6 +270,10 @@ class ImageSummarizationObjective(Objective):
     def __init__(self, matrix: SimilarityMatrix):
         super().__init__(matrix.n)
         self.s = matrix.s
+        # Row x holds column x of s, for row-major gathers.
+        self._cols = (self.s if matrix.exactly_symmetric
+                      else np.ascontiguousarray(self.s.T))
+        self._diag = np.diag(self.s).copy()
 
     def _evaluate(self, idx):
         if idx.size == 0:
@@ -270,17 +288,18 @@ class ImageSummarizationObjective(Objective):
         best_base = cols.max(axis=1) if base_idx.size else np.zeros(self.n)
         return best_base, cols.sum(axis=1)
 
-    def _gain_batch(self, base_idx, t_mat, xs):
-        m = xs.size
-        best_base, s_into_base = self._cached_base_state(base_idx)
+    def _gain_batch(self, state, t_mat, xs, base_of):
+        best_base, s_into_base = state
+        # (m, n): row j holds each item's best cover in B_j, and each gain is
+        # summed pairwise over the n items of its row.
+        best = best_base if best_base.shape[0] == 1 else best_base[base_of]
         if t_mat.shape[1]:
-            best = np.maximum(best_base[:, None], self.s[:, t_mat].max(axis=2))
-        else:
-            best = np.broadcast_to(best_base[:, None], (self.n, m))
-        cover_inc = (np.maximum(best, self.s[:, xs]) - best).sum(axis=0)
+            best = np.maximum(best, self._cols[t_mat].max(axis=1))
+        cover = np.maximum(best, self._cols[xs])
+        cover -= best
         cross = self.s[xs[:, None], t_mat].sum(axis=1)
-        penalty_inc = (2.0 * (s_into_base[xs] + cross) + np.diag(self.s)[xs]) / self.n
-        return cover_inc - penalty_inc
+        penalty_inc = (2.0 * (s_into_base[base_of, xs] + cross) + self._diag[xs]) / self.n
+        return cover.sum(axis=1) - penalty_inc
 
 
 class MovieRecommendationObjective(Objective):
@@ -302,11 +321,12 @@ class MovieRecommendationObjective(Objective):
     def _base_state(self, base_idx):
         return (self.s[:, base_idx].sum(axis=1),)  # similarity into the base
 
-    def _gain_batch(self, base_idx, t_mat, xs):
-        s_into_base, = self._cached_base_state(base_idx)
+    def _gain_batch(self, state, t_mat, xs, base_of):
+        s_into_base, = state
         cross = self.s[xs[:, None], t_mat].sum(axis=1)
         return (self._colsum[xs]
-                - self.lam * (2.0 * (s_into_base[xs] + cross) + np.diag(self.s)[xs]))
+                - self.lam * (2.0 * (s_into_base[base_of, xs] + cross)
+                              + np.diag(self.s)[xs]))
 
     def _evaluate_batch(self, masks):
         m = masks.astype(np.float64)
@@ -338,9 +358,9 @@ class SaturatedCoverageObjective(Objective):
     def _base_state(self, base_idx):
         return (self.a[base_idx].sum(axis=0),)  # the base's mass per group
 
-    def _gain_batch(self, base_idx, t_mat, xs):
-        base_mass, = self._cached_base_state(base_idx)
-        mass = base_mass + self.a[t_mat].sum(axis=1)  # (m, groups)
+    def _gain_batch(self, state, t_mat, xs, base_of):
+        base_mass, = state
+        mass = base_mass[base_of] + self.a[t_mat].sum(axis=1)  # (m, groups)
         return (np.minimum(self.caps, mass + self.a[xs])
                 - np.minimum(self.caps, mass)).sum(axis=1)
 
@@ -514,13 +534,15 @@ def brute_force_opt(f: Objective, k: int) -> tuple[np.ndarray, float]:
 
     Returns the maximizer as a sorted int64 array, with its value. Ties break
     toward the lexicographically smallest member list. Guarded to
-    n <= 24 since the enumeration is exponential.
+    n <= 24 since the enumeration is exponential. k = 0 (the empty set) is
+    its one exception to the ``k >= 1`` rule of ``oracle.PARAM_RANGES``; a
+    negative k raises ParamError.
     """
     if f.n > 24:
         raise GroundSetTooLargeError(
             f"brute force refuses n={f.n} > 24 (2^n enumeration)")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    if not k >= 0:
+        raise ParamError("k", k, "must be >= 0")
     best_set: tuple[int, ...] = ()
     best_val = evaluate_offline(f, ())
     for size in range(1, min(k, f.n) + 1):
@@ -555,7 +577,7 @@ def check_submodularity(f: Objective, trials: int, seed: int = 0) -> Submodulari
     scale observed while sampling; nonnegativity of f is checked on the same
     sampled sets.
     """
-    check_params(trials=trials)
+    check_params(trials=trials, seed=seed)
     rng = make_rng(seed)
     n = f.n
     values: list[float] = []

@@ -29,10 +29,11 @@ and the value, for a setting outside its range.
 
 from __future__ import annotations
 
+import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,18 +99,20 @@ class Objective(ABC):
     assumed. The underscore methods are the raw oracle: algorithm code goes
     through the module-level batch functions so every query is metered.
 
-    A :meth:`_gain_batch` kernel that reads an aggregate of the base (say,
-    each element's weight into it) computes it in :meth:`_base_state` and
-    fetches it through :meth:`_cached_base_state`. That memo holds the state
-    of the last base asked for, so the many rounds an algorithm issues
-    against one unchanged base build the aggregate once. A hit returns the
-    very arrays a fresh call would compute, so the gains are bit-identical.
-    The memo cannot see changes to an objective's data: objectives must not
-    be mutated after construction.
+    A :meth:`_gain_batch` kernel that reads an aggregate of a base (say,
+    each element's weight into it) computes it in :meth:`_base_state`; the
+    oracle hands the kernel those aggregates for every base of a round,
+    stacked, through :meth:`_round_state`. That memo keeps the states of the
+    latest round's bases, so the many rounds an algorithm issues against
+    unchanged bases build each aggregate once. A hit returns the very arrays
+    a fresh call would compute, so the gains are bit-identical. The memo
+    cannot see changes to an objective's data: objectives must not be
+    mutated after construction.
     """
 
-    # The last (base key, state) pair; an instance attribute once set.
-    _base_memo: tuple[bytes, tuple] | None = None
+    # {base key: state} of the latest round's bases; an instance attribute
+    # once set.
+    _base_memo: dict[bytes, tuple] | None = None
 
     def __init__(self, n: int):
         check_params(n=n)
@@ -120,43 +123,63 @@ class Objective(ABC):
         """Value of the subset given as a sorted index array."""
 
     def _base_state(self, base_idx: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The aggregates of the base that :meth:`_gain_batch` reads.
+        """The aggregates of one base that :meth:`_gain_batch` reads.
 
         A tuple of arrays computed from base_idx alone; the default has none.
         Kernels must not write to them: the memo hands the same arrays to
-        every later call on the same base.
+        every later round on the same base.
         """
         return ()
 
-    def _cached_base_state(self, base_idx: np.ndarray) -> tuple[np.ndarray, ...]:
-        """:meth:`_base_state` of base_idx, memoized for the latest base.
+    def _round_state(self, bases: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+        """:meth:`_base_state` of each base, stacked: array i of the result
+        holds array i of every base's state, one leading row per base.
 
-        The key is base_idx's elements as int64 bytes: the same elements in
-        any integer dtype share an entry, and two bases whose raw bytes merely
-        agree (int32 [1, 0], int64 [1]) do not. The memo is one tuple,
-        read once and replaced whole, so concurrent callers can at worst
-        recompute a state, never read a mismatched one.
+        Each base's state is memoized until a round without that base: the
+        memo keeps exactly the states of the latest call's bases. The key is
+        a base's elements as int64 bytes: the same elements in any integer
+        dtype share an entry, and two bases whose raw bytes merely agree
+        (int32 [1, 0], int64 [1]) do not. The memo is one dict, read once and
+        replaced whole, so concurrent callers can at worst recompute a state,
+        never read a mismatched one. Every returned array is read-only.
         """
-        key = base_idx.astype(np.int64, copy=False).tobytes()
-        memo = self._base_memo
-        if memo is not None and memo[0] == key:
-            return memo[1]
-        state = self._base_state(base_idx)
-        for arr in state:
+        memo = self._base_memo or {}
+        states, per_base = {}, []
+        for base_idx in bases:
+            key = base_idx.astype(np.int64, copy=False).tobytes()
+            state = states.get(key, memo.get(key))
+            if state is None:
+                state = self._base_state(base_idx)
+                for arr in state:
+                    arr.flags.writeable = False
+            states[key] = state
+            per_base.append(state)
+        self._base_memo = states
+        if len(per_base) == 1:  # views of the memoized arrays, read-only too
+            return tuple(arr[None] for arr in per_base[0])
+        stacked = tuple(np.stack(arrays) for arrays in zip(*per_base))
+        for arr in stacked:
             arr.flags.writeable = False
-        self._base_memo = (key, state)
-        return state
+        return stacked
 
-    def _gain_batch(self, base_idx: np.ndarray, t_mat: np.ndarray,
-                    xs: np.ndarray) -> np.ndarray | None:
+    def _gain_batch(self, state: tuple[np.ndarray, ...], t_mat: np.ndarray,
+                    xs: np.ndarray, base_of: np.ndarray) -> np.ndarray | None:
         """Optional vectorized path for paired gain queries.
 
-        Row j asks for f(B_j + x_j) - f(B_j) with B_j = base + t_mat[j]. The
-        oracle calls it only with t_mat rows duplicate-free and disjoint from
-        base (t_mat may have no columns, base may be empty), and sets rows
-        whose x_j already lies in B_j to 0.0 itself, so their value here is
-        ignored. Return None (the default) to fall back to two evaluations
-        per row.
+        Row j asks for f(B_j + x_j) - f(B_j) with B_j = base + t_mat[j], where
+        base is the round's base number base_of[j] and state is the round's
+        :meth:`_round_state`: a kernel reads row j's aggregates at index
+        base_of[j] of each state array. The rows of one call may come from
+        many bases and many groups, but share one T width (t_mat may have no
+        columns, a base may be empty). The oracle calls it only with t_mat
+        rows duplicate-free and disjoint from their base, at most
+        ``oracle.GAIN_ROW_BUDGET`` rows at a time, and sets rows whose x_j
+        already lies in B_j to 0.0 itself, so their value here is ignored.
+        A row's gain must not depend on the other rows of the call, with one
+        exception the oracle keeps apart: numpy reduces a lone row in another
+        order than a batch, so a call holds a single row only when that row
+        is a whole group. Return None (the default) to fall back to two
+        evaluations per row.
         """
         return None
 
@@ -327,44 +350,30 @@ def prefix_round(f: Objective, order: np.ndarray,
     return np.sort(order[:best]), float(values[best])
 
 
-def _paired_gains(f: Objective, base_idx: np.ndarray, t_mat: np.ndarray,
-                  xs: np.ndarray, entry_point: str,
-                  base_value: float | None = None) -> np.ndarray:
-    """Gains f(B_j + x_j) - f(B_j) with B_j = base + t_mat[j], for each row j.
+# Rows per _gain_batch call in a paired-gain round. The revenue and image
+# kernels hold O(n) floats per row, so this bounds a round's working memory
+# however many groups and rows it carries.
+GAIN_ROW_BUDGET = 512
 
-    The one home of the paired-gain rules the objectives' kernels rely on:
-    when any T row overlaps the base, the whole batch takes the exact
-    fallback and ``_gain_batch`` is not called; a row whose x_j already lies
-    in B_j is 0.0 exactly, whichever path ran. The fallback evaluates both
-    sets of each remaining row, memoized within the batch; a known
-    ``base_value`` seeds the memo, so then each row costs one evaluation.
+
+class GainGroup(NamedTuple):
+    """One group of a paired-gain round, metered on its own ledger.
+
+    Row j asks f(B_j + x_j) - f(B_j) with B_j = base + t_mat[j]. With
+    ``base_value`` = f(base) known and t_mat None (no T columns), the group
+    is a marginals batch of one query per row; otherwise each row is one
+    indicator sample metered as two queries.
     """
-    in_base = np.zeros(f.n, dtype=bool)
-    in_base[base_idx] = True
-    member = in_base[xs] | (t_mat == xs[:, None]).any(axis=1)
-    gains = None if in_base[t_mat].any() else f._gain_batch(base_idx, t_mat, xs)
-    if gains is None:
-        base_members = frozenset(base_idx.tolist())
-        memo: dict[frozenset, float] = {}
-        if base_value is not None:
-            memo[base_members] = base_value
 
-        def value(members: frozenset) -> float:
-            got = memo.get(members)
-            if got is None:
-                got = f._evaluate(np.asarray(sorted(members), dtype=np.int64))
-                memo[members] = got
-            return got
-
-        gains = np.zeros(xs.size, dtype=np.float64)
-        for j in np.flatnonzero(~member):
-            b = base_members.union(t_mat[j].tolist())
-            gains[j] = value(b | {int(xs[j])}) - value(b)
-    return _finite(np.where(member, 0.0, gains), entry_point)
+    base: object
+    t_mat: np.ndarray | None
+    xs: object
+    ledger: QueryLedger
+    base_value: float | None = None
 
 
 def _base_array(f: Objective, base) -> np.ndarray:
-    """The base of a paired-gain round as an int64 array, checked.
+    """The base of a paired-gain group as an int64 array, checked.
 
     The base must be strictly increasing: its order keys the base-state memo
     and orders the kernels' sums, and a repeated element would count twice.
@@ -378,54 +387,216 @@ def _base_array(f: Objective, base) -> np.ndarray:
     return base_idx
 
 
+def _checked_group(f: Objective, group: GainGroup) -> GainGroup:
+    """The group with int64 arrays; raises for a malformed group."""
+    if group.base_value is not None:
+        if group.t_mat is not None:
+            raise ValueError("a marginals group takes no T columns")
+        xs = _as_index_array(group.xs)
+        if xs.size == 0:
+            raise ValueError("batch_marginals requires at least one candidate")
+        t_mat = np.empty((xs.size, 0), dtype=np.int64)
+    else:
+        t_mat = np.asarray(group.t_mat, dtype=np.int64)
+        xs = np.asarray(group.xs, dtype=np.int64)
+        if xs.ndim != 1 or t_mat.ndim != 2 or t_mat.shape[0] != xs.size:
+            raise ValueError("t_mat must be (m, t-1) and xs length m")
+        if xs.size == 0:
+            raise ValueError("batch_pair_gains requires at least one pair")
+    return GainGroup(_base_array(f, group.base), t_mat, xs, group.ledger,
+                     group.base_value)
+
+
+def _kernel_calls(sizes: list[int]) -> list[tuple[int, int]]:
+    """Row spans [a, b) of the kernel calls for consecutive groups of these
+    sizes: a one-row group alone, the rest cut to the row budget without
+    leaving a row of a larger group alone."""
+    spans, start, run = [], 0, 0
+    for size in sizes + [1]:  # the sentinel closes the last run
+        if size > 1:
+            run += size
+            continue
+        end = start + run
+        while end - start > GAIN_ROW_BUDGET:
+            cut = start + GAIN_ROW_BUDGET - (end - start == GAIN_ROW_BUDGET + 1)
+            spans.append((start, cut))
+            start = cut
+        if run:
+            spans.append((start, end))
+        spans.append((end, end + size))
+        start, run = end + size, 0
+    return spans[:-1]
+
+
+def _exact_gains(f: Objective, group: GainGroup, rows: np.ndarray) -> np.ndarray:
+    """Gains of the given rows of a group from two evaluations each.
+
+    The values are memoized within the group; a known base_value seeds the
+    memo, so then each row costs one evaluation.
+    """
+    base_members = frozenset(group.base.tolist())
+    memo: dict[frozenset, float] = {}
+    if group.base_value is not None:
+        memo[base_members] = group.base_value
+
+    def value(members: frozenset) -> float:
+        got = memo.get(members)
+        if got is None:
+            got = f._evaluate(np.asarray(sorted(members), dtype=np.int64))
+            memo[members] = got
+        return got
+
+    gains = np.empty(rows.size, dtype=np.float64)
+    for out, j in enumerate(rows.tolist()):
+        b = base_members.union(group.t_mat[j].tolist())
+        gains[out] = value(b | {int(group.xs[j])}) - value(b)
+    return gains
+
+
+def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndarray]:
+    """Gains of every row of every group, as one adaptive round per group.
+
+    All groups go in before any answer comes back, so each is one round on
+    its own ledger: a marginals group adds len(xs) queries, any other group
+    2 * len(xs) queries and len(xs) logical samples. Groups may have
+    different bases and T widths. The round is also the one home of the
+    paired-gain rules the kernels rely on: a group whose T rows overlap its
+    base takes the exact fallback alone, and a kernel that returns None
+    sends every group of its T width there; a row whose x_j lies in
+    base + T_j is 0.0 exactly, whichever path ran. The other rows go to the
+    objective's ``_gain_batch``, one call per T width and at most
+    ``GAIN_ROW_BUDGET`` rows a call, so a row's gain is the same in any
+    grouping.
+
+    Every group is checked before any is metered: InvalidSubsetError for an
+    element outside [0, n), an unsorted or repeating base, or a T row that
+    repeats an element; ValueError for a malformed or empty group, and if
+    any gain is NaN or infinite. Returns one gains array per group.
+    """
+    groups = [_checked_group(f, g) for g in groups]
+    keys: dict[bytes, int] = {}
+    base_of = [keys.setdefault(g.base.tobytes(), len(keys)) for g in groups]
+    bases = [None] * len(keys)
+    for g, b in zip(groups, base_of):
+        bases[b] = g.base
+    in_base = np.zeros((len(bases), f.n), dtype=bool)
+    for b, base in enumerate(bases):
+        in_base[b, base] = True
+
+    def in_own_base(row_base, idx):
+        """in_base[base of row j, idx[j]]; idx is 1-D or one row per row."""
+        if len(bases) == 1:
+            return in_base[0][idx]
+        return in_base[row_base if idx.ndim == 1 else row_base[:, None], idx]
+
+    by_width: dict[int, list[int]] = {}
+    for i, g in enumerate(groups):
+        by_width.setdefault(g.t_mat.shape[1], []).append(i)
+    batches = []
+    for width, members in by_width.items():
+        sizes = [groups[i].xs.size for i in members]
+        xs = _concat([groups[i].xs for i in members])
+        t_mat = _concat([groups[i].t_mat for i in members])
+        _check_bounds(f, xs)
+        if width:
+            _check_bounds(f, t_mat.ravel())
+        if width > 1:
+            rows = np.sort(t_mat, axis=1)
+            if (rows[:, 1:] == rows[:, :-1]).any():
+                raise InvalidSubsetError("duplicate element in a T row")
+        row_base = np.repeat([base_of[i] for i in members], sizes)
+        ends = list(itertools.accumulate(sizes))
+        starts = [end - size for end, size in zip(ends, sizes)]
+        batches.append((members, sizes, starts, ends, row_base, t_mat, xs))
+
+    for g in groups:
+        if g.base_value is not None:
+            g.ledger.add_round(int(g.xs.size))
+        else:
+            g.ledger.add_round(2 * g.xs.size, logical_samples=g.xs.size)
+
+    # A group whose T rows touch its base takes the exact fallback.
+    exact = [False] * len(groups)
+    for members, sizes, starts, ends, row_base, t_mat, xs in batches:
+        if t_mat.shape[1]:
+            touch = in_own_base(row_base, t_mat).any(axis=1)
+            for i, start, end in zip(members, starts, ends):
+                exact[i] = bool(touch[start:end].any())
+    # The kernels read the states of the other groups' bases only.
+    used = sorted({b for b, slow in zip(base_of, exact) if not slow})
+    state = f._round_state([bases[b] for b in used]) if used else ()
+    kernel_base = None
+    if len(used) < len(bases):
+        kernel_base = np.zeros(len(bases), dtype=np.int64)
+        kernel_base[used] = np.arange(len(used))
+
+    out: list[np.ndarray] = [None] * len(groups)
+    for members, sizes, starts, ends, row_base, t_mat, xs in batches:
+        member = in_own_base(row_base, xs)
+        if t_mat.shape[1]:
+            member |= (t_mat == xs[:, None]).any(axis=1)
+        slow = [exact[i] for i in members]
+        keep = np.repeat(np.logical_not(slow), sizes) if any(slow) else slice(None)
+        fast_of = row_base[keep] if kernel_base is None else kernel_base[row_base[keep]]
+        fast_t, fast_xs = t_mat[keep], xs[keep]
+        gains = np.zeros(xs.size, dtype=np.float64)
+        fast_gains = np.empty(fast_xs.size) if any(slow) else gains
+        for a, b in _kernel_calls([n for n, s in zip(sizes, slow) if not s]):
+            got = f._gain_batch(state, fast_t[a:b], fast_xs[a:b], fast_of[a:b])
+            if got is None:  # no kernel: every group of this width is exact
+                slow = [True] * len(members)
+                break
+            fast_gains[a:b] = got
+        else:
+            if fast_gains is not gains:
+                gains[keep] = fast_gains
+        for i, start, end, exact_rows in zip(members, starts, ends, slow):
+            if exact_rows:
+                todo = np.flatnonzero(~member[start:end])
+                gains[start + todo] = _exact_gains(f, groups[i], todo)
+        gains[member] = 0.0
+        if not np.isfinite(gains).all():
+            first = int(np.flatnonzero(~np.isfinite(gains))[0])
+            bad = groups[next(i for i, end in zip(members, ends) if first < end)]
+            kind = "batch_marginals" if bad.base_value is not None else "batch_pair_gains"
+            raise ValueError(f"{kind}: the oracle returned a non-finite value")
+        for i, start, end in zip(members, starts, ends):
+            out[i] = gains[start:end]
+    return out
+
+
+def _concat(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
 def batch_marginals(f: Objective, base, candidates,
                     base_value: float, ledger: QueryLedger) -> np.ndarray:
     """Gains f(base + x) - base_value for each candidate x, one adaptive round.
 
-    base is a strictly increasing index collection. base_value must already
-    be known, so the round costs exactly len(candidates) queries. A candidate
-    already in base has gain 0. Raises InvalidSubsetError for an unsorted or
-    repeating base and ValueError if any gain is NaN or infinite.
+    The one-group case of :func:`paired_gain_round`. base is a strictly
+    increasing index collection. base_value must already be known, so the
+    round costs exactly len(candidates) queries. A candidate already in base
+    has gain 0. Raises InvalidSubsetError for an unsorted or repeating base
+    and ValueError if any gain is NaN or infinite.
     """
-    cand = _as_index_array(candidates)
-    if cand.size == 0:
-        raise ValueError("batch_marginals requires at least one candidate")
-    _check_bounds(f, cand)
-    base_idx = _base_array(f, base)
-    ledger.add_round(int(cand.size))
-    empty_t = np.empty((cand.size, 0), dtype=np.int64)
-    return _paired_gains(f, base_idx, empty_t, cand, "batch_marginals",
-                         base_value=base_value)
+    return paired_gain_round(f, [GainGroup(base, None, candidates, ledger,
+                                           float(base_value))])[0]
 
 
 def batch_pair_gains(f: Objective, base, t_mat: np.ndarray,
                      xs: np.ndarray, ledger: QueryLedger) -> np.ndarray:
     """Gains f(base + T_j + x_j) - f(base + T_j) for each row j, one round.
 
-    Each row simulates one indicator sample and is metered as two raw
-    evaluations (2 * len(xs) queries) plus one logical sample per row.
-    base is a strictly increasing index collection and rows of t_mat must be
-    duplicate-free. A row that overlaps base is answered exactly, and a row
-    whose x_j lies in base + T_j has gain 0. Raises InvalidSubsetError for an
-    unsorted or repeating base or a T row that repeats an element, and
-    ValueError if any gain is NaN or infinite.
+    The one-group case of :func:`paired_gain_round`. Each row simulates one
+    indicator sample and is metered as two raw evaluations (2 * len(xs)
+    queries) plus one logical sample per row. base is a strictly increasing
+    index collection and rows of t_mat must be duplicate-free. A row that
+    overlaps base is answered exactly, and a row whose x_j lies in
+    base + T_j has gain 0. Raises InvalidSubsetError for an unsorted or
+    repeating base or a T row that repeats an element, and ValueError if any
+    gain is NaN or infinite.
     """
-    t_mat = np.asarray(t_mat, dtype=np.int64)
-    xs = np.asarray(xs, dtype=np.int64)
-    if xs.ndim != 1 or t_mat.ndim != 2 or t_mat.shape[0] != xs.size:
-        raise ValueError("t_mat must be (m, t-1) and xs length m")
-    if xs.size == 0:
-        raise ValueError("batch_pair_gains requires at least one pair")
-    _check_bounds(f, xs)
-    if t_mat.size:
-        _check_bounds(f, t_mat.ravel())
-    if t_mat.shape[1] > 1:
-        rows = np.sort(t_mat, axis=1)
-        if (rows[:, 1:] == rows[:, :-1]).any():
-            raise InvalidSubsetError("duplicate element in a T row")
-    base_idx = _base_array(f, base)
-    ledger.add_round(2 * xs.size, logical_samples=xs.size)
-    return _paired_gains(f, base_idx, t_mat, xs, "batch_pair_gains")
+    return paired_gain_round(f, [GainGroup(base, t_mat, xs, ledger)])[0]
 
 
 def evaluate_offline(f: Objective, subset) -> float:

@@ -8,6 +8,13 @@ variant that stops as soon as the candidate pool gets small, which caps every
 element's inclusion probability. The solution and the candidate pool are
 both sorted, duplicate-free int64 arrays, from the first round to the
 returned outcome.
+
+Many samplers run in lockstep (``lockstep_threshold_sampling``): each outer
+round is one filter round for all live trials, and each step of the
+block-size scan one grouped paired-gain round for the trials still
+scanning. Every trial draws from its own generator in the order a lone run
+does and meters on its own ledger, so a trial's stream, rounds and result do
+not depend on the others; ``threshold_sampling`` is the one-trial case.
 """
 
 from __future__ import annotations
@@ -15,16 +22,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from .oracle import (
+    GainGroup,
     Objective,
     QueryLedger,
     batch_marginals,
     batch_pair_gains,
     check_params,
     evaluate_batch,
+    paired_gain_round,
     sample_without_replacement,
 )
 
@@ -105,10 +115,11 @@ class SamplingOutcome:
     snapshots: list[dict] = field(default_factory=list)
 
 
-def draw_block_and_probe(rng: np.random.Generator, pool: np.ndarray, t: int,
-                         count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``count`` independent (T, x) pairs: T uniform over (t-1)-subsets
-    of pool, then x uniform over the rest.
+def draw_blocks(rngs: Sequence[np.random.Generator], pools: Sequence[np.ndarray],
+                t: int, counts: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each trial, draw counts[i] independent (T, x) pairs from pools[i]
+    with its own generator rngs[i]: T uniform over (t-1)-subsets of the pool,
+    then x uniform over the rest.
 
     Each row picks a uniform t-subset of pool positions with Floyd's algorithm
     (Bentley & Floyd, CACM 1987), vectorized over rows: column i draws r from
@@ -116,20 +127,41 @@ def draw_block_and_probe(rng: np.random.Generator, pool: np.ndarray, t: int,
     earlier columns. One more integer per row picks which of the t elements
     is x, so a uniform t-set with a uniform x gives exactly the pair law
     above. That is t+1 random integers per row and O(count*t) memory,
-    whatever the pool size. Returns (t_mat of shape (count, t-1), xs).
+    whatever the pool size. Each trial makes its two draws from its own
+    generator, so its stream does not depend on the other trials; the
+    column resolution then runs once for all of them. Returns one
+    (t_mat of shape (count, t-1), xs) pair per trial.
     """
-    size = pool.size
-    if not 1 <= t <= size:
-        raise ValueError(f"t must lie in [1, {size}], got {t}")
-    idx = rng.integers(np.arange(size - t + 1, size + 1), size=(count, t))
+    sizes = np.array([pool.size for pool in pools], dtype=np.int64)
+    for size in sizes.tolist():
+        if not 1 <= t <= size:
+            raise ValueError(f"t must lie in [1, {size}], got {t}")
+    idx, pick = [], []
+    for rng, size, count in zip(rngs, sizes.tolist(), counts):
+        idx.append(rng.integers(np.arange(size - t + 1, size + 1), size=(count, t)))
+        pick.append(rng.integers(t, size=count))
+    idx, pick = np.concatenate(idx), np.concatenate(pick)
+    last = np.repeat(sizes - t, counts)  # P - t, per row
     for i in range(1, t):
         seen = (idx[:, :i] == idx[:, i:i + 1]).any(axis=1)
-        idx[seen, i] = size - t + i
-    rows = np.arange(count)
-    pick = rng.integers(t, size=count)
+        idx[seen, i] = last[seen] + i
+    rows = np.arange(idx.shape[0])
     x_idx = idx[rows, pick]
     idx[rows, pick] = idx[:, t - 1]
-    return pool[idx[:, :t - 1]], pool[x_idx]
+    # Positions index each row's own pool within the pools laid end to end.
+    start = np.repeat(np.cumsum(sizes) - sizes, counts)
+    flat = np.concatenate(pools)
+    t_all = flat[idx[:, :t - 1] + start[:, None]]
+    x_all = flat[x_idx + start]
+    ends = np.cumsum(counts).tolist()
+    return [(t_all[e - c:e], x_all[e - c:e]) for c, e in zip(counts, ends)]
+
+
+def draw_block_and_probe(rng: np.random.Generator, pool: np.ndarray, t: int,
+                         count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` (T, x) pairs from one pool: the one-trial case of
+    :func:`draw_blocks`."""
+    return draw_blocks([rng], [pool], t, [count])[0]
 
 
 def estimate_mean(f: Objective, s: np.ndarray, pool: np.ndarray, t: int,
@@ -138,13 +170,147 @@ def estimate_mean(f: Objective, s: np.ndarray, pool: np.ndarray, t: int,
     """Mean of ell indicator samples, all issued in one adaptive round.
 
     Each sample asks whether the t-th random insertion from the sorted int64
-    candidate array ``pool`` into the sorted int64 array s clears tau, at two oracle evaluations.
+    candidate array ``pool`` into the sorted int64 array s clears tau, at two
+    oracle evaluations. One trial's scan estimate, as the sampler makes it.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     t_mat, xs = draw_block_and_probe(rng, pool, t, ell)
     gains = batch_pair_gains(f, s, t_mat, xs, ledger)
     return float(np.mean(gains >= tau))
+
+
+@dataclass(eq=False)
+class _Trial:
+    """One sampler's state while it runs in lockstep with others."""
+
+    params: ThresholdParams
+    d: DerivedThresholdValues
+    rng: np.random.Generator
+    ledger: QueryLedger
+    s: np.ndarray
+    f_s: float
+    f_empty: float
+    pool: np.ndarray
+    snapshots: list[dict]
+    reason: BreakReason | None = None  # set when the trial stops
+    # The block-size scan of the current outer round: the latest probe.
+    t: int = 1
+    mu: float | None = None
+    estimates: list[tuple[int, float]] = field(default_factory=list)
+
+
+def lockstep_threshold_sampling(
+        f: Objective, params: Sequence[ThresholdParams],
+        rngs: Sequence[np.random.Generator],
+        ledgers: Sequence[QueryLedger] | None = None) -> list[SamplingOutcome]:
+    """Run one sampler per (params[i], rngs[i], ledgers[i]), in lockstep.
+
+    Each trial is exactly the sampler :func:`threshold_sampling` describes,
+    with its own generator and ledger; running the trials together changes
+    no trial's random stream, rounds, queries or result. Each outer round
+    issues one filter round for all live trials, then the block-size scan
+    step by step: at each step every trial still scanning draws its samples
+    from its own generator, and all those estimates go out as one grouped
+    paired-gain round (one round on each trial's ledger). The whole-set
+    rounds (f(empty) and each updated f(S)) stay one call per trial.
+    """
+    if ledgers is None:
+        ledgers = [QueryLedger() for _ in params]
+    trials = []
+    for p, rng, ledger in zip(params, rngs, ledgers):
+        s = np.empty(0, dtype=np.int64)
+        f_empty = float(evaluate_batch(f, [s], ledger)[0])
+        ledger.record_value(f_empty)
+        trials.append(_Trial(params=p, d=p.derive(f.n), rng=rng, ledger=ledger,
+                             s=s, f_s=f_empty, f_empty=f_empty,
+                             pool=np.arange(f.n, dtype=np.int64), snapshots=[]))
+
+    outer = 0
+    live = trials
+    while live:
+        outer += 1
+        for tr in live:
+            if outer > tr.d.r:
+                tr.reason = BreakReason.EXHAUSTED_ROUNDS
+        live = [tr for tr in live if tr.reason is None]
+        if not live:
+            break
+        filtered = paired_gain_round(f, [GainGroup(tr.s, None, tr.pool, tr.ledger, tr.f_s)
+                                         for tr in live])
+        scanning = []
+        for tr, gains in zip(live, filtered):
+            # Members of s gain exactly 0.0, so at tau = 0 they pass the filter.
+            tr.pool = np.setdiff1d(tr.pool[gains >= tr.params.tau], tr.s,
+                                   assume_unique=True)
+            tr.snapshots.append({"round": outer, "a": tr.pool, "s": tr.s,
+                                 "t": None, "mu": None, "estimates": []})
+            if tr.pool.size == 0:
+                tr.reason = BreakReason.EMPTY_A
+            elif tr.params.break_size is not None and tr.pool.size < tr.params.break_size:
+                tr.reason = BreakReason.SMALL_A
+            else:
+                tr.estimates = []
+                scanning.append(tr)
+
+        _scan(f, scanning)
+
+        for tr in live:
+            if tr.reason is not None:
+                continue
+            block = sample_without_replacement(tr.rng, tr.pool,
+                                               min(tr.t, tr.params.k - tr.s.size))
+            tr.s = np.union1d(tr.s, block)
+            tr.f_s = float(evaluate_batch(f, [tr.s], tr.ledger)[0])
+            tr.ledger.record_value(tr.f_s)
+            tr.snapshots[-1].update(s=tr.s, t=tr.t, mu=tr.mu, estimates=tr.estimates)
+            if tr.s.size == tr.params.k:
+                tr.reason = BreakReason.FULL_S
+        live = [tr for tr in live if tr.reason is None]
+
+    return [SamplingOutcome(s=tr.s, a=tr.pool, break_reason=tr.reason,
+                            ledger=tr.ledger, f_s=tr.f_s, f_empty=tr.f_empty,
+                            snapshots=tr.snapshots) for tr in trials]
+
+
+def _scan(f: Objective, trials: list[_Trial]) -> None:
+    """The block-size scan of one outer round, for every trial at once.
+
+    A trial probes t_i = min(floor((1 + eps_hat)^i), |pool|) for i = 0..m
+    and stops at the first estimate at or below 1 - 1.5 eps_hat. An i whose
+    block size repeats the previous one would probe the identical
+    distribution, so it reuses that estimate and costs no round: a trial's
+    probes are the distinct t_i, and step j of the lockstep issues the j-th
+    probe of every trial still scanning, as one grouped round.
+    """
+    powers = {}  # floor((1 + eps_hat)^i) for i = 0..m, per (eps_hat, m)
+    for tr in trials:
+        key = (tr.d.eps_hat, tr.d.m)
+        if key not in powers:
+            powers[key] = [int((1.0 + tr.d.eps_hat) ** i) for i in range(tr.d.m + 1)]
+    probes = {tr: sorted({min(t, int(tr.pool.size)) for t in powers[tr.d.eps_hat, tr.d.m]})
+              for tr in trials}
+    step = 0
+    while trials:
+        by_t: dict[int, list[_Trial]] = {}
+        for tr in trials:
+            tr.t = probes[tr][step]
+            by_t.setdefault(tr.t, []).append(tr)
+        draws = {}
+        for t, group in by_t.items():
+            draws.update(zip(group, draw_blocks([tr.rng for tr in group],
+                                                [tr.pool for tr in group], t,
+                                                [tr.d.ell for tr in group])))
+        gains = paired_gain_round(f, [GainGroup(tr.s, *draw, tr.ledger)
+                                      for tr, draw in draws.items()])
+        step += 1
+        scanning = []
+        for tr, g in zip(draws, gains):
+            tr.mu = float(np.mean(g >= tr.params.tau))
+            tr.estimates.append((tr.t, tr.mu))
+            if tr.mu > 1.0 - 1.5 * tr.d.eps_hat and step < len(probes[tr]):
+                scanning.append(tr)
+        trials = scanning
 
 
 def threshold_sampling(f: Objective, params: ThresholdParams,
@@ -158,62 +324,11 @@ def threshold_sampling(f: Objective, params: ThresholdParams,
     value available downstream without fresh queries). Both kinds of
     evaluation round record their value on the ledger. Scan iterations whose
     block size repeats the previous one reuse its estimate, since they would
-    probe the identical distribution.
+    probe the identical distribution. The one-trial case of
+    :func:`lockstep_threshold_sampling`.
     """
-    n = f.n
-    d = params.derive(n)
-    if ledger is None:
-        ledger = QueryLedger()
-
-    s = np.empty(0, dtype=np.int64)
-    f_empty = float(evaluate_batch(f, [s], ledger)[0])
-    ledger.record_value(f_empty)
-    f_s = f_empty
-    pool = np.arange(n, dtype=np.int64)
-    snapshots: list[dict] = []
-    reason = BreakReason.EXHAUSTED_ROUNDS
-
-    for outer in range(1, d.r + 1):
-        gains = batch_marginals(f, s, pool, f_s, ledger)
-        # Members of s gain exactly 0.0, so at tau = 0 they pass the filter.
-        pool = np.setdiff1d(pool[gains >= params.tau], s, assume_unique=True)
-        snap = {"round": outer, "a": pool, "s": s, "t": None, "mu": None,
-                "estimates": []}
-        snapshots.append(snap)
-        if pool.size == 0:
-            reason = BreakReason.EMPTY_A
-            break
-        if params.break_size is not None and pool.size < params.break_size:
-            reason = BreakReason.SMALL_A
-            break
-
-        t = 1
-        mu = None
-        last_t = -1
-        estimates: list[tuple[int, float]] = []
-        for i in range(d.m + 1):
-            t_i = min(int((1.0 + d.eps_hat) ** i), int(pool.size))
-            if t_i == last_t:
-                continue
-            last_t = t_i
-            t = t_i
-            mu = estimate_mean(f, s, pool, t_i, params.tau, d.ell, rng, ledger)
-            estimates.append((t_i, mu))
-            if mu <= 1.0 - 1.5 * d.eps_hat:
-                break
-
-        block = sample_without_replacement(rng, pool, min(t, params.k - s.size))
-        s = np.union1d(s, block)
-        f_s = float(evaluate_batch(f, [s], ledger)[0])
-        ledger.record_value(f_s)
-        snap.update(s=s, t=t, mu=mu, estimates=estimates)
-        if s.size == params.k:
-            reason = BreakReason.FULL_S
-            break
-
-    return SamplingOutcome(s=s, a=pool, break_reason=reason,
-                           ledger=ledger, f_s=f_s, f_empty=f_empty,
-                           snapshots=snapshots)
+    return lockstep_threshold_sampling(
+        f, [params], [rng], None if ledger is None else [ledger])[0]
 
 
 def verify_termination_marginals(f: Objective, outcome: SamplingOutcome,

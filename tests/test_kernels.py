@@ -6,8 +6,11 @@ all-nodes formula it replaced, kept below as the reference. The rules every
 kernel relies on (overlapping pools, exact zeros for members) hold at the
 metered entry point ``batch_pair_gains``, so they are checked there. So is the
 base-state memo: a kernel fed a memoized base aggregate must answer exactly as
-one that built it afresh.
+one that built it afresh. A grouped paired-gain round must answer every group
+bit for bit as that group's own one-group call does.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from submax import (
+    GainGroup,
+    ImageSummarizationObjective,
     ModularObjective,
     QueryLedger,
     RevenueObjective,
@@ -26,8 +31,11 @@ from submax import (
     load_edge_list,
     make_random_coverage,
     make_rng,
+    oracle,
+    paired_gain_round,
     random_lazy_greedy,
 )
+from submax.objectives import SimilarityMatrix
 
 EPS = np.finfo(np.float64).eps
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
@@ -108,7 +116,8 @@ def reference_gain(f, base, t_row, x):
 def test_gain_batch_matches_evaluate(kind, q, seed):
     n, base, t_mat, xs = q
     f = make_objective(kind, n, seed)
-    got = f._gain_batch(base, t_mat, xs)
+    got = f._gain_batch(f._round_state([base]), t_mat, xs,
+                        np.zeros(xs.size, dtype=np.int64))
     assert got is not None and got.shape == xs.shape
     metered = metered_gains(f, base, t_mat, xs)
     for j, x in enumerate(xs):
@@ -160,12 +169,12 @@ def test_overlapping_pool_defers_to_fallback(kind):
     f = make_objective(kind, 6, seed=3)
     seen = []
     kernel = f._gain_batch
-    f._gain_batch = lambda b, t, x: seen.append((b, t)) or kernel(b, t, x)
+    f._gain_batch = lambda st, t, x, rows: seen.append(t) or kernel(st, t, x, rows)
     base = np.array([1, 4], dtype=np.int64)
     t_mat = np.array([[0, 4], [2, 3], [0, 2]], dtype=np.int64)  # row 0 reuses 4
     xs = np.array([5, 5, 2], dtype=np.int64)  # row 2: x already in T
     got = metered_gains(f, base, t_mat, xs)
-    assert all(not np.isin(t, b).any() for b, t in seen)
+    assert all(not np.isin(t, base).any() for t in seen)
     for j in range(2):
         b = np.union1d(base, t_mat[j])
         want = f._evaluate(np.union1d(b, xs[j])) - f._evaluate(b)
@@ -271,12 +280,25 @@ def test_memoized_base_state_equals_fresh_objective(kind, q, seed):
         assert np.array_equal(got, want)
 
 
+def _state_key(state):
+    return b"".join(arr.tobytes() for arr in state)
+
+
 def test_lazy_greedy_builds_each_base_state_once():
+    # Lazy greedy's rounds have one base each, so a round's stacked state has
+    # the bytes of that base's own state.
     f = generate_synthetic("image", 60, seed=2).objective()
     built, asked = [], []
     state, kernel = f._base_state, f._gain_batch
-    f._base_state = lambda b: built.append(b.tobytes()) or state(b)
-    f._gain_batch = lambda b, t, x: asked.append(b.tobytes()) or kernel(b, t, x)
+
+    def build(b):
+        got = state(b)
+        built.append(_state_key(got))
+        return got
+
+    f._base_state = build
+    f._gain_batch = lambda st, t, x, rows: asked.append(_state_key(st)) or kernel(
+        st, t, x, rows)
     ledger = QueryLedger()
     out = random_lazy_greedy(f, 8, 0.01, make_rng(4), ledger)
     changes = [key for j, key in enumerate(asked) if j == 0 or key != asked[j - 1]]
@@ -292,16 +314,155 @@ def test_base_state_memo_keys_on_int64_elements():
     narrow, wide = np.array([1, 0], dtype=np.int32), np.array([1], dtype=np.int64)
     assert narrow.tobytes() == wide.tobytes()
     f = make_objective("image", 5, seed=0)
-    first = f._cached_base_state(narrow)
-    second = f._cached_base_state(wide)
-    assert second is not first
-    for got, want in zip(second, f._base_state(wide)):
-        assert np.array_equal(got, want)
-    assert f._cached_base_state(wide) is second
+    first = f._round_state([narrow])
+    second = f._round_state([wide])
+    for got, want, other in zip(second, f._base_state(wide), first):
+        assert np.array_equal(got[0], want)
+        assert not np.array_equal(got, other)
+    memo = f._base_memo
+    assert f._round_state([wide, narrow])[0].shape[0] == 2
+    assert f._base_memo[wide.tobytes()] is memo[wide.tobytes()]  # a hit
+    assert len(f._base_memo) == 2
+
+
+def test_base_state_memo_holds_the_latest_rounds_bases():
+    f = make_objective("movie", 9, seed=1)
+    a, b, c = (np.array(x, dtype=np.int64) for x in ([0, 3], [1], []))
+    f._round_state([a, b])
+    kept = f._base_memo[a.tobytes()]
+    f._round_state([c, a])  # b leaves the memo; a's state is reused
+    assert set(f._base_memo) == {c.tobytes(), a.tobytes()}
+    assert f._base_memo[a.tobytes()] is kept
+    stacked, = f._round_state([a, c, a])
+    for row, base in zip(stacked, (a, c, a)):
+        assert np.array_equal(row, f._base_state(base)[0])
 
 
 def test_memoized_base_state_is_read_only():
     f = make_objective("revenue", 8, seed=0)
-    for arr in f._cached_base_state(np.array([2, 5], dtype=np.int64)):
+    bases = [np.array([2, 5], dtype=np.int64), np.array([1], dtype=np.int64)]
+    stacked = f._round_state(bases)
+    memoized = [arr for state in f._base_memo.values() for arr in state]
+    for arr in list(stacked) + memoized:
         with pytest.raises(ValueError):
             arr[0] = arr[0]
+
+
+@st.composite
+def grouped_rounds(draw):
+    """(n, seed, specs): one spec (base size, T width, rows, kind) per group.
+
+    kind is "marginals" (no T, f(base) known), "pairs", or "overlap": pairs
+    whose first T row takes an element of the base when both are non-empty.
+    """
+    n = draw(st.integers(12, 20))
+    seed = draw(st.integers(0, 2**16))
+    specs = draw(st.lists(st.tuples(st.integers(0, 3), st.sampled_from([0, 1, 8, 9]),
+                                    st.sampled_from([1, 2, 3, 7]),
+                                    st.sampled_from(["marginals", "pairs", "overlap"])),
+                          min_size=1, max_size=5))
+    return n, seed, specs
+
+
+def _grouped_inputs(n, seed, specs):
+    """(base, t_mat or None, xs, base_value or None) per spec."""
+    rng = np.random.default_rng(seed)
+    groups = []
+    for b, width, rows, kind in specs:
+        perm = rng.permutation(n)
+        base, rest = np.sort(perm[:b]), perm[b:]
+        xs = rng.integers(0, n, rows)
+        if kind == "marginals":
+            groups.append((base, None, xs, None))
+            continue
+        t_mat = np.stack([rng.choice(rest, width, replace=False)
+                          for _ in range(rows)]).reshape(rows, width)
+        if kind == "overlap" and b and width:
+            t_mat[0, 0] = base[0]
+        groups.append((base, t_mat, xs, None))
+    return groups
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@SETTINGS
+@given(case=grouped_rounds())
+@example(case=(16, 3, [(2, 0, 7, "marginals"), (1, 1, 3, "pairs"), (3, 9, 7, "overlap"),
+                       (0, 8, 1, "pairs"), (2, 8, 7, "pairs")]))
+@example(case=(12, 5, [(3, 8, 7, "overlap")]))
+def test_grouped_round_equals_one_group_calls(kind, case):
+    n, seed, specs = case
+    f = make_objective(kind, n, seed)
+    inputs = _grouped_inputs(n, seed, specs)
+    inputs = [(base, t_mat, xs, evaluate_offline(f, base) if t_mat is None else None)
+              for base, t_mat, xs, _ in inputs]
+    ledgers = [QueryLedger() for _ in inputs]
+    calls = []
+    kernel = f._gain_batch
+    f._gain_batch = lambda st_, t, x, rows: calls.append(x.size) or kernel(st_, t, x, rows)
+    budget = 4  # the 7-row groups span chunks
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "GAIN_ROW_BUDGET", budget)
+        got = paired_gain_round(f, [GainGroup(base, t_mat, xs, led, value)
+                                    for (base, t_mat, xs, value), led in zip(inputs, ledgers)])
+    del f._gain_batch
+
+    overlaps = [t_mat is not None and np.isin(t_mat, base).any()
+                for base, t_mat, _, _ in inputs]
+    # Only the overlapping groups skip the kernel; a call holds at most the
+    # budget, and a lone row only when that row is a whole group.
+    assert sum(calls) == sum(xs.size for (_, _, xs, _), o in zip(inputs, overlaps) if not o)
+    assert max(calls, default=0) <= budget
+    assert calls.count(1) == sum(xs.size == 1 for (_, _, xs, _), o in zip(inputs, overlaps)
+                                 if not o)
+    for (base, t_mat, xs, value), gains, led in zip(inputs, got, ledgers):
+        alone = QueryLedger()
+        if value is None:
+            want = batch_pair_gains(f, base, t_mat, xs, alone)
+            assert (led.per_round, led.logical_samples) == ([(1, 2 * xs.size)], xs.size)
+            members = np.isin(xs, base) | (t_mat == xs[:, None]).any(axis=1)
+        else:
+            want = batch_marginals(f, base, xs, value, alone)
+            assert (led.per_round, led.logical_samples) == ([(1, xs.size)], 0)
+            members = np.isin(xs, base)
+        assert gains.tobytes() == want.tobytes()
+        assert (led.per_round, led.logical_samples) == (alone.per_round, alone.logical_samples)
+        assert (gains[members] == 0.0).all()
+
+
+def test_grouped_round_memory_is_bounded_by_the_row_budget():
+    # 40 groups of 512 rows at n = 400: one kernel call over all 20,480 rows
+    # would hold a 20,480 x 400 float matrix (65.5 MB) for the revenue sums.
+    f = generate_synthetic("revenue", 400, 3.0 / 399, seed=61).objective()
+    rng = np.random.default_rng(0)
+    groups = []
+    for _ in range(40):
+        perm = rng.permutation(f.n)
+        rest = perm[20:]
+        t_mat = rest[np.argsort(rng.random((512, rest.size)), axis=1)[:, :9]]
+        groups.append(GainGroup(np.sort(perm[:20]), t_mat, rng.integers(0, f.n, 512),
+                                QueryLedger()))
+    tracemalloc.start()
+    try:
+        gains = paired_gain_round(f, groups)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(g.size for g in gains) == 20_480
+    assert peak < 16e6, peak
+
+
+def test_image_kernel_reads_columns_of_a_nearly_symmetric_matrix():
+    # Within the 1e-9 tolerance s may differ from its transpose; the cover
+    # term reads column x of s, so a kernel reading row x would be 1e-10 off.
+    s = generate_synthetic("image", 12, seed=5).data.s.copy()
+    exact = ImageSummarizationObjective(SimilarityMatrix(s))
+    assert exact._cols is exact.s  # no copy for an exactly symmetric s
+    s[3, 8] += 1e-10
+    matrix = SimilarityMatrix(s)
+    assert not matrix.exactly_symmetric
+    f = ImageSummarizationObjective(matrix)
+    got = batch_marginals(f, [], [8], 0.0, QueryLedger())[0]
+    assert abs(got - evaluate_offline(f, [8])) < 1e-13
+    t_gain = batch_pair_gains(f, [1], np.array([[5, 6]]), np.array([8]), QueryLedger())[0]
+    want, _ = reference_gain(f, np.array([1]), np.array([5, 6]), 8)
+    assert abs(t_gain - want) < 1e-13

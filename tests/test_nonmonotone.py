@@ -21,6 +21,7 @@ from submax import (
     generate_synthetic,
     make_rng,
     max_singleton,
+    spawn_seeds,
     threshold_grid,
     threshold_sampling,
 )
@@ -222,3 +223,37 @@ class TestAdaptiveNonmonotoneMax:
         mean = np.mean(vals)
         se = np.std(vals, ddof=1) / math.sqrt(len(vals))
         assert mean >= (1 - 1 / 3) * opt - 2 * se
+
+
+@pytest.mark.parametrize("kind,param,k", [("revenue", 0.15, 5), ("synthetic-cut", 0.15, 5),
+                                          ("image", None, 5), ("movie", None, 8)])
+def test_each_trial_equals_a_standalone_sampler_run(kind, param, k):
+    # The trials run in lockstep; each must be the run threshold_sampling
+    # makes alone with the trial's tau and its own child seed. Every case
+    # mixes at least two break reasons.
+    f = generate_synthetic(kind, 40, param, seed=3).objective()
+    params = NonmonotoneParams(k=k, eps=0.3, delta=0.1, sample_override=30)
+    d = params.derive()
+    _, _, trials = adaptive_nonmonotone_max(f, params, 11)
+    reasons = set()
+    for trial, child in zip(trials, spawn_seeds(11, len(trials))):
+        tp = ThresholdParams(k=params.k, tau=trial.tau, eps=d.eps_hat, delta=d.delta_hat,
+                             break_size=d.break_size, sample_override=30)
+        alone = threshold_sampling(f, tp, np.random.default_rng(child))
+        got = trial.outcome
+        reasons.add(got.break_reason)
+        assert got.s.tolist() == alone.s.tolist() and got.a.tolist() == alone.a.tolist()
+        assert got.break_reason is alone.break_reason
+        assert (got.f_s, got.f_empty) == (alone.f_s, alone.f_empty)
+        # The fallback of a small_A trial adds its two rounds after the sampler's.
+        rounds = alone.ledger.rounds
+        fallback = 2 if got.break_reason is BreakReason.SMALL_A else 0
+        assert got.ledger.rounds == rounds + fallback
+        assert got.ledger.per_round[:rounds] == alone.ledger.per_round
+        assert {r: v for r, v in got.ledger.values.items() if r <= rounds} == alone.ledger.values
+        assert got.ledger.logical_samples == alone.ledger.logical_samples
+        assert len(got.snapshots) == len(alone.snapshots)
+        for mine, theirs in zip(got.snapshots, alone.snapshots):
+            assert (mine["t"], mine["mu"], mine["estimates"]) == (
+                theirs["t"], theirs["mu"], theirs["estimates"])
+    assert len(reasons) >= 2, reasons

@@ -18,6 +18,7 @@ from submax import (
     batch_pair_gains,
     best_prefix,
     brute_force_opt,
+    check_submodularity,
     downsample,
     evaluate_batch,
     evaluate_offline,
@@ -145,7 +146,7 @@ class TestBatchPairGains:
         fast = RevenueObjective(g)
 
         class SlowRevenue(RevenueObjective):
-            def _gain_batch(self, base_idx, t_mat, xs):
+            def _gain_batch(self, state, t_mat, xs, base_of):
                 return None
 
         slow = SlowRevenue(g)
@@ -461,6 +462,11 @@ BAD_SETTINGS = {
     "synthetic-dim-inf": (lambda: generate_synthetic("image", 10, float("inf")),
                           "dim", "inf"),
     "movie-lam": (lambda: MovieRecommendationObjective(_MOVIE_DATA, lam=7), "lam", "7"),
+    "adaptive_nonmonotone_max-seed": (lambda: adaptive_nonmonotone_max(
+        WEIGHTS, NonmonotoneParams(k=2, eps=0.3, delta=0.1), -1), "seed", "-1"),
+    "check_submodularity-seed": (lambda: check_submodularity(WEIGHTS, 5, seed=-3),
+                                 "seed", "-3"),
+    "brute_force_opt-k": (lambda: brute_force_opt(WEIGHTS, -1), "k", "-1"),
 }
 
 
@@ -471,3 +477,15 @@ def test_out_of_range_setting_raises_param_error(build, field, shown):
         build()
     assert info.value.field == field
     assert f"{field} " in str(info.value) and f"got {shown}" in str(info.value)
+
+
+def test_seed_sequence_and_empty_brute_force_stay_valid():
+    # A SeedSequence seeds the run as the int it was built from; k = 0 is
+    # brute_force_opt's one exception to the k >= 1 rule.
+    f = generate_synthetic("revenue", 14, 0.3, seed=2).objective()
+    params = NonmonotoneParams(k=3, eps=0.3, delta=0.1, sample_override=20)
+    by_int = adaptive_nonmonotone_max(f, params, 5)
+    by_sequence = adaptive_nonmonotone_max(f, params, np.random.SeedSequence(5))
+    assert by_sequence[0].tolist() == by_int[0].tolist()
+    assert by_sequence[1].per_round == by_int[1].per_round
+    assert brute_force_opt(WEIGHTS, 0)[0].tolist() == []
