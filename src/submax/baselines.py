@@ -59,15 +59,31 @@ def random_prefix(f: Objective, k: int, rng: np.random.Generator,
     return prefix_round(f, rng.permutation(f.n)[:k], ledger)[0]
 
 
+def _top_k(candidates: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
+    """The k candidates of highest value, highest first; ties go to the
+    earlier candidate. Equal to ``candidates[np.argsort(-values,
+    kind="stable")[:k]]``, but only the candidates at or above the k-th
+    highest value are sorted."""
+    neg = -values
+    if neg.size > k:
+        # Every candidate that can place in the top k, in candidate order.
+        kept = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
+        return candidates[kept[np.argsort(neg[kept], kind="stable")[:k]]]
+    return candidates[np.argsort(neg, kind="stable")]
+
+
 def random_lazy_greedy(f: Objective, k: int, eps: float | None,
                        rng: np.random.Generator, ledger: QueryLedger) -> np.ndarray:
     """Each round, pick uniformly among the k highest positive marginals.
 
     Marginals are maintained lazily: cached gains are upper bounds under
     diminishing returns, and only stale bounds that reach the current top-k
-    get refreshed (in batched waves, one round per wave). The refresh is
-    exact, so eps plays no role; it stays in the signature only because the
-    benchmark workloads pass it by position, and other callers pass None.
+    get refreshed (in batched waves, one round per wave). The top k are the
+    k highest bounds, ties going to the lower index, and the random pick
+    indexes the positive ones in that order: by bound, highest first, then
+    by index. The refresh is exact, so eps plays no role; it stays in the
+    signature only because the benchmark workloads pass it by position, and
+    other callers pass None.
     """
     check_params(k=k)
     del eps
@@ -86,7 +102,7 @@ def random_lazy_greedy(f: Objective, k: int, eps: float | None,
         if candidates.size == 0:
             break
         while True:
-            top = candidates[np.argsort(-bounds[candidates], kind="stable")[:k]]
+            top = _top_k(candidates, bounds[candidates], k)
             stale = top[~fresh[top]]
             if stale.size == 0:
                 break

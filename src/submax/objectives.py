@@ -283,8 +283,10 @@ class ImageSummarizationObjective(Objective):
         return float(cover - penalty)
 
     def _base_state(self, base_idx):
-        # Best cover and total similarity of each item into the base.
-        cols = self.s[:, base_idx]
+        # Best cover and total similarity of each item into the base. The
+        # rows of _cols are the columns of s, so this is s[:, base_idx] with
+        # its strides, reduced in the same order, from a gather of whole rows.
+        cols = self._cols[base_idx].T
         best_base = cols.max(axis=1) if base_idx.size else np.zeros(self.n)
         return best_base, cols.sum(axis=1)
 

@@ -29,7 +29,6 @@ and the value, for a setting outside its range.
 
 from __future__ import annotations
 
-import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -146,7 +145,7 @@ class Objective(ABC):
         memo = self._base_memo or {}
         states, per_base = {}, []
         for base_idx in bases:
-            key = base_idx.astype(np.int64, copy=False).tobytes()
+            key = _as_index_array(base_idx).tobytes()
             state = states.get(key, memo.get(key))
             if state is None:
                 state = self._base_state(base_idx)
@@ -173,8 +172,8 @@ class Objective(ABC):
         many bases and many groups, but share one T width (t_mat may have no
         columns, a base may be empty). The oracle calls it only with t_mat
         rows duplicate-free and disjoint from their base, at most
-        ``oracle.GAIN_ROW_BUDGET`` rows at a time, and sets rows whose x_j
-        already lies in B_j to 0.0 itself, so their value here is ignored.
+        ``oracle.GAIN_CELL_BUDGET`` // n rows at a time, and sets rows whose
+        x_j already lies in B_j to 0.0 itself, so their value here is ignored.
         A row's gain must not depend on the other rows of the call, with one
         exception the oracle keeps apart: numpy reduces a lone row in another
         order than a batch, so a call holds a single row only when that row
@@ -258,7 +257,8 @@ class QueryLedger:
 
 def _as_index_array(candidates) -> np.ndarray:
     if isinstance(candidates, np.ndarray):
-        return candidates.astype(np.int64, copy=False)
+        # A dtype test first: astype costs a call even when it copies nothing.
+        return candidates if candidates.dtype == np.int64 else candidates.astype(np.int64)
     return np.asarray(list(candidates), dtype=np.int64)
 
 
@@ -270,10 +270,10 @@ def _finite(values, entry_point: str) -> np.ndarray:
 
 
 def _check_bounds(f: Objective, idx: np.ndarray) -> None:
-    if idx.size == 0:
-        return
-    lo, hi = int(idx.min()), int(idx.max())
-    if lo < 0 or hi >= f.n:
+    # Read as unsigned, a negative index lies above every index in range.
+    idx = _as_index_array(idx)
+    if np.count_nonzero(idx.view(np.uint64) >= f.n):
+        lo, hi = int(idx.min()), int(idx.max())
         raise InvalidSubsetError(
             f"element index out of range [0, {f.n}): saw {lo if lo < 0 else hi}")
 
@@ -350,10 +350,11 @@ def prefix_round(f: Objective, order: np.ndarray,
     return np.sort(order[:best]), float(values[best])
 
 
-# Rows per _gain_batch call in a paired-gain round. The revenue and image
-# kernels hold O(n) floats per row, so this bounds a round's working memory
-# however many groups and rows it carries.
-GAIN_ROW_BUDGET = 512
+# Float cells (rows x n) per _gain_batch call in a paired-gain round. The
+# revenue and image kernels hold O(n) floats per row, so this bounds a round's
+# working memory however many groups and rows it carries; at n = 400 a call
+# holds 512 rows, at n = 50 4,096.
+GAIN_CELL_BUDGET = 512 * 400
 
 
 class GainGroup(NamedTuple):
@@ -379,7 +380,7 @@ def _base_array(f: Objective, base) -> np.ndarray:
     and orders the kernels' sums, and a repeated element would count twice.
     """
     base_idx = _as_index_array(base)
-    if base_idx.size > 1 and not (base_idx[1:] > base_idx[:-1]).all():
+    if base_idx.size > 1 and np.count_nonzero(base_idx[1:] <= base_idx[:-1]):
         raise InvalidSubsetError("the base must be strictly increasing")
     # Sorted, so its ends bound it; _check_bounds names the offender.
     if base_idx.size and (base_idx[0] < 0 or base_idx[-1] >= f.n):
@@ -407,18 +408,18 @@ def _checked_group(f: Objective, group: GainGroup) -> GainGroup:
                      group.base_value)
 
 
-def _kernel_calls(sizes: list[int]) -> list[tuple[int, int]]:
+def _kernel_calls(sizes: list[int], budget: int) -> list[tuple[int, int]]:
     """Row spans [a, b) of the kernel calls for consecutive groups of these
-    sizes: a one-row group alone, the rest cut to the row budget without
-    leaving a row of a larger group alone."""
+    sizes: a one-row group alone, the rest cut to at most budget (>= 2) rows
+    without leaving a row of a larger group alone."""
     spans, start, run = [], 0, 0
     for size in sizes + [1]:  # the sentinel closes the last run
         if size > 1:
             run += size
             continue
         end = start + run
-        while end - start > GAIN_ROW_BUDGET:
-            cut = start + GAIN_ROW_BUDGET - (end - start == GAIN_ROW_BUDGET + 1)
+        while end - start > budget:
+            cut = start + budget - (end - start == budget + 1)
             spans.append((start, cut))
             start = cut
         if run:
@@ -453,6 +454,15 @@ def _exact_gains(f: Objective, group: GainGroup, rows: np.ndarray) -> np.ndarray
     return gains
 
 
+def _in_own_base(in_base: np.ndarray, row_base: np.ndarray,
+                 idx: np.ndarray) -> np.ndarray:
+    """in_base[row_base[j], idx[j]]: whether each entry of idx (one per row,
+    or one row of entries per row) lies in its row's base."""
+    if in_base.shape[0] == 1:
+        return in_base[0][idx]
+    return in_base[row_base if idx.ndim == 1 else row_base[:, None], idx]
+
+
 def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndarray]:
     """Gains of every row of every group, as one adaptive round per group.
 
@@ -465,8 +475,14 @@ def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndar
     sends every group of its T width there; a row whose x_j lies in
     base + T_j is 0.0 exactly, whichever path ran. The other rows go to the
     objective's ``_gain_batch``, one call per T width and at most
-    ``GAIN_ROW_BUDGET`` rows a call, so a row's gain is the same in any
-    grouping.
+    ``GAIN_CELL_BUDGET`` // n rows (never fewer than 2) a call, so a row's
+    gain is the same in any grouping.
+
+    The groups of one T width are laid end to end and checked together, and
+    membership in a row's base is read from one row of n booleans per
+    distinct base. A round of one group, such as every round of greedy and
+    lazy greedy, concatenates nothing: it costs its checks, that one row,
+    its base's memoized state and one kernel call per row chunk.
 
     Every group is checked before any is metered: InvalidSubsetError for an
     element outside [0, n), an unsorted or repeating base, or a T row that
@@ -474,40 +490,46 @@ def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndar
     any gain is NaN or infinite. Returns one gains array per group.
     """
     groups = [_checked_group(f, g) for g in groups]
-    keys: dict[bytes, int] = {}
-    base_of = [keys.setdefault(g.base.tobytes(), len(keys)) for g in groups]
-    bases = [None] * len(keys)
-    for g, b in zip(groups, base_of):
-        bases[b] = g.base
-    in_base = np.zeros((len(bases), f.n), dtype=bool)
-    for b, base in enumerate(bases):
-        in_base[b, base] = True
-
-    def in_own_base(row_base, idx):
-        """in_base[base of row j, idx[j]]; idx is 1-D or one row per row."""
-        if len(bases) == 1:
-            return in_base[0][idx]
-        return in_base[row_base if idx.ndim == 1 else row_base[:, None], idx]
-
+    numbers: dict[bytes, int] = {}
+    bases, base_of = [], []
     by_width: dict[int, list[int]] = {}
     for i, g in enumerate(groups):
+        b = numbers.setdefault(g.base.tobytes(), len(bases))
+        if b == len(bases):
+            bases.append(g.base)
+        base_of.append(b)
         by_width.setdefault(g.t_mat.shape[1], []).append(i)
+    in_base = np.zeros((len(bases), f.n), dtype=bool)
+    for b, base in enumerate(bases):
+        in_base[b][base] = True
+
+    exact = [False] * len(groups)  # the group's T rows touch its base
     batches = []
     for width, members in by_width.items():
-        sizes = [groups[i].xs.size for i in members]
-        xs = _concat([groups[i].xs for i in members])
-        t_mat = _concat([groups[i].t_mat for i in members])
+        if len(members) == 1:  # nothing to lay end to end
+            g = groups[members[0]]
+            sizes, xs, t_mat = [g.xs.size], g.xs, g.t_mat
+            row_base = np.empty(xs.size, dtype=np.int64)
+            row_base.fill(base_of[members[0]])
+        else:
+            sizes = [groups[i].xs.size for i in members]
+            xs = np.concatenate([groups[i].xs for i in members])
+            t_mat = np.concatenate([groups[i].t_mat for i in members])
+            row_base = np.repeat([base_of[i] for i in members], sizes)
         _check_bounds(f, xs)
+        member = _in_own_base(in_base, row_base, xs)
         if width:
-            _check_bounds(f, t_mat.ravel())
-        if width > 1:
-            rows = np.sort(t_mat, axis=1)
-            if (rows[:, 1:] == rows[:, :-1]).any():
-                raise InvalidSubsetError("duplicate element in a T row")
-        row_base = np.repeat([base_of[i] for i in members], sizes)
-        ends = list(itertools.accumulate(sizes))
-        starts = [end - size for end, size in zip(ends, sizes)]
-        batches.append((members, sizes, starts, ends, row_base, t_mat, xs))
+            _check_bounds(f, t_mat)
+            if width > 1:
+                rows = np.sort(t_mat, axis=1)
+                if np.count_nonzero(rows[:, 1:] == rows[:, :-1]):
+                    raise InvalidSubsetError("duplicate element in a T row")
+            member |= (t_mat == xs[:, None]).any(axis=1)
+            touch = _in_own_base(in_base, row_base, t_mat).any(axis=1)
+            starts = np.cumsum(sizes) - sizes
+            for i, hit in zip(members, np.logical_or.reduceat(touch, starts).tolist()):
+                exact[i] = hit
+        batches.append((members, sizes, row_base, t_mat, xs, member))
 
     for g in groups:
         if g.base_value is not None:
@@ -515,33 +537,28 @@ def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndar
         else:
             g.ledger.add_round(2 * g.xs.size, logical_samples=g.xs.size)
 
-    # A group whose T rows touch its base takes the exact fallback.
-    exact = [False] * len(groups)
-    for members, sizes, starts, ends, row_base, t_mat, xs in batches:
-        if t_mat.shape[1]:
-            touch = in_own_base(row_base, t_mat).any(axis=1)
-            for i, start, end in zip(members, starts, ends):
-                exact[i] = bool(touch[start:end].any())
     # The kernels read the states of the other groups' bases only.
-    used = sorted({b for b, slow in zip(base_of, exact) if not slow})
-    state = f._round_state([bases[b] for b in used]) if used else ()
     kernel_base = None
-    if len(used) < len(bases):
+    if any(exact):
+        used = sorted({b for b, slow in zip(base_of, exact) if not slow})
         kernel_base = np.zeros(len(bases), dtype=np.int64)
         kernel_base[used] = np.arange(len(used))
+        bases = [bases[b] for b in used]
+    state = f._round_state(bases) if bases else ()
 
+    budget = max(2, GAIN_CELL_BUDGET // f.n)
     out: list[np.ndarray] = [None] * len(groups)
-    for members, sizes, starts, ends, row_base, t_mat, xs in batches:
-        member = in_own_base(row_base, xs)
-        if t_mat.shape[1]:
-            member |= (t_mat == xs[:, None]).any(axis=1)
+    for members, sizes, row_base, t_mat, xs, member in batches:
+        gains = np.empty(xs.size, dtype=np.float64)
         slow = [exact[i] for i in members]
-        keep = np.repeat(np.logical_not(slow), sizes) if any(slow) else slice(None)
-        fast_of = row_base[keep] if kernel_base is None else kernel_base[row_base[keep]]
-        fast_t, fast_xs = t_mat[keep], xs[keep]
-        gains = np.zeros(xs.size, dtype=np.float64)
-        fast_gains = np.empty(fast_xs.size) if any(slow) else gains
-        for a, b in _kernel_calls([n for n, s in zip(sizes, slow) if not s]):
+        if any(slow):
+            keep = np.repeat(np.logical_not(slow), sizes)
+            fast_t, fast_xs, fast_of = t_mat[keep], xs[keep], kernel_base[row_base[keep]]
+            fast_gains = np.empty(fast_xs.size, dtype=np.float64)
+        else:
+            fast_t, fast_xs, fast_gains = t_mat, xs, gains
+            fast_of = row_base if kernel_base is None else kernel_base[row_base]
+        for a, b in _kernel_calls([n for n, s in zip(sizes, slow) if not s], budget):
             got = f._gain_batch(state, fast_t[a:b], fast_xs[a:b], fast_of[a:b])
             if got is None:  # no kernel: every group of this width is exact
                 slow = [True] * len(members)
@@ -550,23 +567,20 @@ def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndar
         else:
             if fast_gains is not gains:
                 gains[keep] = fast_gains
-        for i, start, end, exact_rows in zip(members, starts, ends, slow):
+        end = 0
+        for i, size, exact_rows in zip(members, sizes, slow):
+            start, end = end, end + size
             if exact_rows:
                 todo = np.flatnonzero(~member[start:end])
                 gains[start + todo] = _exact_gains(f, groups[i], todo)
+            out[i] = gains[start:end]
         gains[member] = 0.0
-        if not np.isfinite(gains).all():
+        if np.count_nonzero(np.isfinite(gains)) != gains.size:
             first = int(np.flatnonzero(~np.isfinite(gains))[0])
-            bad = groups[next(i for i, end in zip(members, ends) if first < end)]
+            bad = groups[members[np.searchsorted(np.cumsum(sizes), first, side="right")]]
             kind = "batch_marginals" if bad.base_value is not None else "batch_pair_gains"
             raise ValueError(f"{kind}: the oracle returned a non-finite value")
-        for i, start, end in zip(members, starts, ends):
-            out[i] = gains[start:end]
     return out
-
-
-def _concat(arrays: list[np.ndarray]) -> np.ndarray:
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def batch_marginals(f: Objective, base, candidates,

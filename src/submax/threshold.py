@@ -19,6 +19,7 @@ not depend on the others; ``threshold_sampling`` is the one-trial case.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -273,6 +274,22 @@ def lockstep_threshold_sampling(
                             snapshots=tr.snapshots) for tr in trials]
 
 
+@functools.lru_cache(maxsize=64)
+def _powers(eps_hat: float, m: int) -> np.ndarray:
+    """The distinct floor((1 + eps_hat)^i) for i = 0..m, increasing; read-only."""
+    powers = np.unique([int((1.0 + eps_hat) ** i) for i in range(m + 1)])
+    powers.flags.writeable = False
+    return powers
+
+
+def _probes(d: DerivedThresholdValues, pool_size: int) -> list[int]:
+    """The distinct block sizes min(floor((1 + eps_hat)^i), pool_size) for
+    i = 0..m, increasing: the powers below pool_size, then pool_size if
+    some power reaches it."""
+    powers = _powers(d.eps_hat, d.m)
+    return np.minimum(powers[:powers.searchsorted(pool_size) + 1], pool_size).tolist()
+
+
 def _scan(f: Objective, trials: list[_Trial]) -> None:
     """The block-size scan of one outer round, for every trial at once.
 
@@ -283,13 +300,7 @@ def _scan(f: Objective, trials: list[_Trial]) -> None:
     probes are the distinct t_i, and step j of the lockstep issues the j-th
     probe of every trial still scanning, as one grouped round.
     """
-    powers = {}  # floor((1 + eps_hat)^i) for i = 0..m, per (eps_hat, m)
-    for tr in trials:
-        key = (tr.d.eps_hat, tr.d.m)
-        if key not in powers:
-            powers[key] = [int((1.0 + tr.d.eps_hat) ** i) for i in range(tr.d.m + 1)]
-    probes = {tr: sorted({min(t, int(tr.pool.size)) for t in powers[tr.d.eps_hat, tr.d.m]})
-              for tr in trials}
+    probes = {tr: _probes(tr.d, tr.pool.size) for tr in trials}
     step = 0
     while trials:
         by_t: dict[int, list[_Trial]] = {}

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from submax import (
     ModularObjective,
@@ -14,6 +16,7 @@ from submax import (
     random_lazy_greedy,
     random_prefix,
 )
+from submax.baselines import _top_k
 from submax.objectives import make_random_coverage
 
 
@@ -136,3 +139,31 @@ class TestRandomLazyGreedy:
             out = random_lazy_greedy(f, k, 0.01, make_rng(i), QueryLedger())
             vals.append(evaluate_offline(f, out))
         assert np.mean(vals) >= (1 / np.e - 0.05) * opt
+
+
+@st.composite
+def tied_bounds(draw):
+    """(bounds, k): bounds drawn from at most three values, 0.0 and -0.0
+    among the choices, and k below, at or above the number of bounds."""
+    values = draw(st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0, 3.0, 5e-324]),
+                           min_size=1, max_size=3))
+    bounds = draw(st.lists(st.sampled_from(values), min_size=1, max_size=60))
+    return np.array(bounds), draw(st.integers(1, len(bounds) + 3))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=tied_bounds())
+@example(case=(np.full(9, 2.5), 4))
+@example(case=(np.array([0.0, -0.0, 0.0, -0.0, 1.0]), 3))
+@example(case=(np.array([-0.0, 0.0, 1.0]), 3))
+@example(case=(np.array([1.0, 1.0]), 5))
+def test_top_k_equals_the_stable_sort(case):
+    # Lazy greedy's pool and its random pick index this order, so it must be
+    # the full stable sort's to the last tie: highest bound first, then the
+    # lower candidate.
+    bounds, k = case
+    candidates = np.arange(bounds.size, dtype=np.int64) * 3 + 1
+    got = _top_k(candidates, bounds, k)
+    want = candidates[np.argsort(-bounds, kind="stable")[:k]]
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist()

@@ -399,9 +399,9 @@ def test_grouped_round_equals_one_group_calls(kind, case):
     calls = []
     kernel = f._gain_batch
     f._gain_batch = lambda st_, t, x, rows: calls.append(x.size) or kernel(st_, t, x, rows)
-    budget = 4  # the 7-row groups span chunks
+    budget = 4  # rows per call: the 7-row groups span chunks
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "GAIN_ROW_BUDGET", budget)
+        patch.setattr(oracle, "GAIN_CELL_BUDGET", budget * n)
         got = paired_gain_round(f, [GainGroup(base, t_mat, xs, led, value)
                                     for (base, t_mat, xs, value), led in zip(inputs, ledgers)])
     del f._gain_batch
@@ -466,3 +466,19 @@ def test_image_kernel_reads_columns_of_a_nearly_symmetric_matrix():
     t_gain = batch_pair_gains(f, [1], np.array([[5, 6]]), np.array([8]), QueryLedger())[0]
     want, _ = reference_gain(f, np.array([1]), np.array([5, 6]), 8)
     assert abs(t_gain - want) < 1e-13
+
+
+@pytest.mark.parametrize("nudge", [0.0, 1e-10], ids=["symmetric", "nearly-symmetric"])
+def test_image_base_state_equals_column_reductions_bit_for_bit(nudge):
+    # The state is gathered from rows of _cols; it must equal the reductions
+    # of s[:, base] to the last bit, since every image gain reads it.
+    s = generate_synthetic("image", 40, seed=7).data.s.copy()
+    s[3, 8] += nudge
+    f = ImageSummarizationObjective(SimilarityMatrix(s))
+    rng = np.random.default_rng(1)
+    for size in (0, 1, 2, 7, 8, 9, 17, 25, 40):
+        base = np.sort(rng.choice(f.n, size, replace=False))
+        cols = s[:, base]
+        want = (cols.max(axis=1) if size else np.zeros(f.n), cols.sum(axis=1))
+        for got, expect in zip(f._base_state(base), want):
+            assert got.tobytes() == expect.tobytes(), size

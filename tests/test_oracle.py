@@ -3,6 +3,7 @@ import pytest
 
 from submax import (
     CutObjective,
+    GainGroup,
     InvalidSubsetError,
     ModularObjective,
     MovieRecommendationObjective,
@@ -25,6 +26,7 @@ from submax import (
     generate_synthetic,
     greedy,
     make_rng,
+    paired_gain_round,
     random_lazy_greedy,
     random_prefix,
     sample_without_replacement,
@@ -226,6 +228,99 @@ class TestPairedGainBase:
             with pytest.raises(InvalidSubsetError):
                 batch_pair_gains(f, bad, np.array([[2]]), np.array([1]), led)
         assert led.rounds == 0
+
+
+class _NoKernelRevenue(RevenueObjective):
+    def _gain_batch(self, state, t_mat, xs, base_of):
+        return None
+
+
+def _revenue(cls=RevenueObjective):
+    return cls(generate_synthetic("revenue", 9, 0.5, seed=3).data)
+
+
+# Each case: (objective, base, t_mat rows for a pairs group, xs). Element 5 of
+# the NaN objective is never touched by the other groups of a grouped round.
+LONE_GROUP_CASES = {
+    "out-of-range": (_revenue, [1], [[3], [4]], [2, 9]),
+    "negative": (_revenue, [1], [[3], [4]], [-1, 2]),
+    "unsorted-base": (_revenue, [4, 1], [[3], [5]], [2, 6]),
+    "repeating-base": (_revenue, [1, 1], [[3], [5]], [2, 6]),
+    "repeating-T-row": (_revenue, [1], [[3, 3], [4, 6]], [2, 5]),
+    "member": (_revenue, [1, 4], [[3, 8], [2, 6], [5, 8]], [1, 6, 2]),
+    "non-finite": (lambda: ModularObjective([1.0, 2.0, 3.0, 4.0, 0.5, np.nan,
+                                             1.0, 2.0, 1.5]),
+                   [1], [[3], [4]], [2, 5]),
+    "no-kernel": (lambda: _revenue(_NoKernelRevenue), [1, 4], [[3, 8], [2, 6], [5, 8]],
+                  [0, 6, 7]),
+}
+LONE_GROUPS = [(case, kind) for case in LONE_GROUP_CASES for kind in ("marginals", "pairs")
+               if not (case == "repeating-T-row" and kind == "marginals")]
+
+
+def _lone_group_outcome(case, kind, alone):
+    """Gains and ledger of the case's group, or the error it raised, run
+    alone or in the middle of a round with two more groups of its widths."""
+    make, base, t_rows, xs = LONE_GROUP_CASES[case]
+    f = make()
+    led = QueryLedger()
+    if kind == "marginals":
+        group = GainGroup(base, None, xs, led, _value_or_zero(f, base))
+    else:
+        group = GainGroup(base, np.array(t_rows), np.array(xs), led)
+    others = [GainGroup([0], np.array([[6], [7]]), np.array([7, 8]), QueryLedger()),
+              GainGroup([6, 8], None, [0, 7], QueryLedger(), evaluate_offline(f, [6, 8]))]
+    groups = [group] if alone else [others[0], group, others[1]]
+    try:
+        gains = paired_gain_round(f, groups)[groups.index(group)]
+    except ValueError as err:  # InvalidSubsetError included
+        return type(err), str(err), [g.ledger.rounds for g in groups]
+    return gains.tobytes(), led.per_round, led.logical_samples, f, gains
+
+
+def _value_or_zero(f, base):
+    try:
+        return evaluate_offline(f, base)
+    except InvalidSubsetError:
+        return 0.0
+
+
+@pytest.mark.parametrize("case,kind", LONE_GROUPS, ids=[f"{c}-{k}" for c, k in LONE_GROUPS])
+def test_lone_group_is_checked_as_in_a_grouped_round(case, kind):
+    lone = _lone_group_outcome(case, kind, alone=True)
+    grouped = _lone_group_outcome(case, kind, alone=False)
+    assert lone[:2] == grouped[:2]
+    _, base, t_rows, xs = LONE_GROUP_CASES[case]
+    entry = "batch_marginals" if kind == "marginals" else "batch_pair_gains"
+    expected_error = {"out-of-range": (InvalidSubsetError, "out of range"),
+                      "negative": (InvalidSubsetError, "out of range"),
+                      "unsorted-base": (InvalidSubsetError, "strictly increasing"),
+                      "repeating-base": (InvalidSubsetError, "strictly increasing"),
+                      "repeating-T-row": (InvalidSubsetError, "T row"),
+                      "non-finite": (ValueError, f"{entry}: the oracle returned a "
+                                                 "non-finite value")}
+    if case in expected_error:
+        kind_of_error, text = expected_error[case]
+        assert lone[0] is kind_of_error and text in lone[1]
+        # A check fails before any group is metered; a bad gain after.
+        metered = int(case == "non-finite")
+        assert lone[2] == [metered] and grouped[2] == [metered] * 3
+        return
+    assert lone[2] == grouped[2]
+    _, per_round, samples, f, gains = lone
+    rows = [[]] * len(xs) if kind == "marginals" else t_rows
+    assert (per_round, samples) == (([(1, len(xs))], 0) if kind == "marginals"
+                                    else ([(1, 2 * len(xs))], len(xs)))
+    for j, x in enumerate(xs):
+        b = sorted(set(base) | set(rows[j]))
+        if x in b:  # a member row is exactly zero, whichever path ran
+            assert gains[j] == 0.0 and not np.signbit(gains[j])
+            continue
+        want = evaluate_offline(f, b + [x]) - evaluate_offline(f, b)
+        if case == "no-kernel":  # the exact fallback: two evaluations per row
+            assert gains[j] == want
+        else:
+            assert gains[j] == pytest.approx(want, abs=1e-12)
 
 
 class TestQueryLedger:

@@ -20,6 +20,7 @@ from submax import (
     verify_termination_marginals,
 )
 from submax.objectives import make_random_coverage
+from submax.threshold import _probes
 
 
 def path_cut():
@@ -372,3 +373,14 @@ class TestVerifyTermination:
         out.s = out.s[1:]  # drop the smallest member
         out.f_s = evaluate_offline(f, out.s)
         assert not verify_termination_marginals(f, out, 1.0)
+
+
+@pytest.mark.parametrize("eps,k", [(0.25, 30), (0.1, 5), (0.5, 100), (0.3, 1), (0.05, 60)])
+def test_scan_probes_are_the_distinct_clipped_powers(eps, k):
+    n = 400
+    d = ThresholdParams(k=k, tau=1.0, eps=eps, delta=0.1).derive(n)
+    for size in range(1, n + 1):
+        want = sorted({min(int((1.0 + d.eps_hat) ** i), size) for i in range(d.m + 1)})
+        got = _probes(d, size)
+        assert got == want, size
+        assert all(type(t) is int for t in got)
