@@ -35,8 +35,11 @@ SPECS = {
     "movie": ({"n": 30, "dim": 8, "seed": 3}, 6),
 }
 CASES = [(alg, obj) for alg in ("anm", "greedy", "random", "rlg") for obj in SPECS]
-SCALE_SPECS = {"image": ({"n": 1000, "seed": 1}, 50)}
-SCALE_CASES = [(alg, "image") for alg in ("greedy", "rlg")]
+SCALE_SPECS = {
+    "image": ({"n": 1000, "seed": 1}, 50),
+    "revenue": ({"n": 400, "p": 3 / 399, "seed": 61}, 30),
+}
+SCALE_CASES = [("greedy", "image"), ("rlg", "image"), ("anm", "revenue")]
 
 
 def _config(algorithm: str, objective: str, stem: Path | None,
@@ -75,6 +78,10 @@ def _run_case(algorithm: str, objective: str, stem: Path,
                        for rec in records]}
 
 
+def _scale_name(algorithm: str, objective: str) -> str:
+    return f"{algorithm}_{objective}_n{SCALE_SPECS[objective][0]['n']}"
+
+
 def _suffixes(algorithm: str) -> tuple[str, ...]:
     # Only anm has threshold trials, so only anm writes a debug trace.
     base = (".trace.csv", ".summary.csv")
@@ -105,7 +112,7 @@ def test_golden_case(algorithm, objective, golden_cases, tmp_path):
 
 @pytest.mark.parametrize("algorithm,objective", SCALE_CASES)
 def test_golden_scale_case(algorithm, objective, tmp_path):
-    name = f"{algorithm}_{objective}_n1000"
+    name = _scale_name(algorithm, objective)
     want = json.loads((GOLDEN / "scale_cases.json").read_text())[name]
     got = _run_case(algorithm, objective, tmp_path / name, SCALE_SPECS)
     _check_case(name, algorithm, got, want, tmp_path)
@@ -133,7 +140,7 @@ def regenerate() -> None:
     (GOLDEN / "cases.json").write_text(json.dumps(cases, indent=1) + "\n")
     scale = {}
     for algorithm, objective in SCALE_CASES:
-        name = f"{algorithm}_{objective}_n1000"
+        name = _scale_name(algorithm, objective)
         scale[name] = _run_case(algorithm, objective, GOLDEN / name, SCALE_SPECS)
     (GOLDEN / "scale_cases.json").write_text(json.dumps(scale, indent=1) + "\n")
 
