@@ -180,28 +180,24 @@ class RevenueObjective(Objective):
     """Influence-style revenue: sum over non-members of sqrt(weight into S).
 
     Adding x to B changes sqrt(W_B(v)) only at x's neighbours v, so
-    :meth:`_gain_batch` reads a neighbour table built once here: row v holds
-    v's neighbour ids and edge weights, padded with v's own id and weight 0.0
-    to one slot past the maximum degree, so the last slot is always v itself.
-    A zero-weight edge adds exactly 0, so it is left out. A batch of m paired
-    gains over pools of size t-1 costs O(m·deg·t) gathers, plus one
-    zero-filled row of all n nodes per gain when T is non-empty. Each gain is
-    summed in the order the all-nodes formula sums it, so the gains are
-    bit-for-bit those of summing every node's increment. The dense matrix
-    stays for :meth:`_evaluate` and :meth:`_evaluate_batch`.
+    :meth:`_gain_batch` reads the graph as CSR arrays built once here: node
+    v's neighbours are ``indices[indptr[v]:indptr[v + 1]]``, in increasing
+    order, with edge weights ``data`` at the same positions. A zero-weight
+    edge adds exactly 0, so it is left out. A batch of m paired gains over
+    pools of size t-1 costs O(Σ deg(x_j)·t) gathers, plus one zero-filled
+    row of all n nodes per gain when T is non-empty. Each gain is summed in
+    the order the all-nodes formula sums it, so the gains are bit-for-bit
+    those of summing every node's increment. The dense matrix stays for
+    :meth:`_evaluate`, :meth:`_evaluate_batch` and the weights into T.
     """
 
     def __init__(self, graph: WeightedGraph):
         super().__init__(graph.n)
         self.w = graph.dense()
-        rows, cols = np.nonzero(self.w)
-        degree = np.bincount(rows, minlength=self.n)
-        width = (int(degree.max()) if rows.size else 0) + 1
-        slot = np.arange(rows.size) - np.repeat(np.cumsum(degree) - degree, degree)
-        self._nbr = np.repeat(np.arange(self.n, dtype=np.int64)[:, None], width, axis=1)
-        self._nbr[rows, slot] = cols
-        self._nbr_w = np.zeros((self.n, width))
-        self._nbr_w[rows, slot] = self.w[rows, cols]
+        rows, self.indices = np.nonzero(self.w)
+        self.indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.n), out=self.indptr[1:])
+        self.data = self.w[rows, self.indices]
 
     def _evaluate(self, idx):
         if idx.size == 0:
@@ -216,37 +212,52 @@ class RevenueObjective(Objective):
 
     def _gain_batch(self, state, t_mat, xs, base_of):
         in_base, w_into_base = state
-        m = xs.size
-        nbr = self._nbr[xs]  # (m, width); padding and the last slot hold x_j
-        at = base_of[:, None]
-        w_b = w_into_base[at, nbr]
+        m, n = xs.size, self.n
+        first = self.indptr[xs]
+        deg = self.indptr[xs + 1] - first
+        # Entry e is a neighbour nbr[e] of x_{row[e]}: the rows in order, each
+        # row's neighbours in CSR order, at CSR positions pos.
+        row = np.repeat(np.arange(m), deg)
+        pos = np.arange(row.size) + np.repeat(first - (np.cumsum(deg) - deg), deg)
+        nbr = self.indices[pos]
+        # W_{B_j}(v) at every neighbour, then at each x_j for its own term;
+        # the state and w are C-contiguous, so they are read at flat offsets.
+        at = np.concatenate([nbr, xs])
+        of = np.concatenate([row, np.arange(m)])
+        cell = base_of[of] * n + at
+        w_b = w_into_base.ravel()[cell]
+        members = in_base.ravel()[cell[:row.size]]
         if t_mat.shape[1]:
+            t_at = t_mat.T[:, of]  # (t-1, entries + m)
+            members |= (t_at[:, :row.size] == nbr).any(axis=0)
             # Add the T columns one after another in t_mat order, as the
             # all-nodes (n, m, t-1) reduction does, so W_{B_j}(v) is
             # bit-identical.
-            cols = self.w[nbr, t_mat.T[:, :, None]]  # (t-1, m, width)
+            t_at += at * n
+            cols = self.w.ravel()[t_at]
             t_sum = cols[0].copy()
             for col in cols[1:]:
                 t_sum += col
-            w_b = w_b + t_sum
-        inc = np.sqrt(w_b + self._nbr_w[xs]) - np.sqrt(w_b)
-        members = (in_base[at, nbr] | (nbr == xs[:, None])
-                   | (nbr[:, :, None] == t_mat[:, None, :]).any(axis=2))
+            w_b += t_sum
+        own = np.sqrt(w_b[row.size:])
+        w_b = w_b[:row.size]
+        inc = np.sqrt(w_b + self.data[pos]) - np.sqrt(w_b)
         inc[members] = 0.0
-        own = np.sqrt(w_b[:, -1])
         if not t_mat.shape[1] and m > 1:
             # The all-nodes formula's (n, m) increments are summed
-            # sequentially over n when T is empty. The neighbours, in slot
+            # sequentially over n when T is empty. The neighbours, in CSR
             # order, are its non-zero terms in node order, and adding the
-            # +0.0 terms is exact, so a sequential sum over the slots is
-            # bit-identical.
-            return np.ascontiguousarray(inc.T).sum(axis=0) - own
+            # +0.0 terms is exact, so a sequential sum over the slots, padded
+            # with zeros to the batch's largest degree, is bit-identical.
+            slots = np.zeros((int(deg.max()), m))
+            slots[pos - first[row], row] = inc
+            return slots.sum(axis=0) - own
         # With T non-empty, or for a lone row, numpy sums each gain pairwise
         # over all n nodes, so it is summed over a zero-filled row of n nodes;
         # summing only the deg terms would round differently. The O(m·n) row
         # costs far less than the O(n·m·t) gather an all-nodes kernel needs.
-        dense = np.zeros((m, self.n))
-        dense[np.arange(m)[:, None], nbr] = inc
+        dense = np.zeros((m, n))
+        dense[row, nbr] = inc
         return dense.sum(axis=1) - own
 
     def _evaluate_batch(self, masks):

@@ -178,7 +178,7 @@ def estimate_mean(f: Objective, s: np.ndarray, pool: np.ndarray, t: int,
         raise ValueError(f"ell must be >= 1, got {ell}")
     t_mat, xs = draw_block_and_probe(rng, pool, t, ell)
     gains = batch_pair_gains(f, s, t_mat, xs, ledger)
-    return float(np.mean(gains >= tau))
+    return np.count_nonzero(gains >= tau) / gains.size
 
 
 @dataclass(eq=False)
@@ -317,7 +317,8 @@ def _scan(f: Objective, trials: list[_Trial]) -> None:
         step += 1
         scanning = []
         for tr, g in zip(draws, gains):
-            tr.mu = float(np.mean(g >= tr.params.tau))
+            # The count is exact, so mu is the correctly rounded fraction.
+            tr.mu = np.count_nonzero(g >= tr.params.tau) / g.size
             tr.estimates.append((tr.t, tr.mu))
             if tr.mu > 1.0 - 1.5 * tr.d.eps_hat and step < len(probes[tr]):
                 scanning.append(tr)

@@ -7,8 +7,16 @@ trial's output set and ``ledger.per_round`` must match ``cases.json``.
 
 The small cases run at n <= 50. numpy picks its reduction order by array
 shape, so a kernel change can move sums only at larger n; the scale cases
-run greedy and lazy greedy on image at the benchmark's n = 1000, k = 50 and
-keep their records in ``scale_cases.json``.
+run greedy and lazy greedy on image at the benchmark's n = 1000, k = 50, and
+ANM on revenue G(400, 3/399) at k = 30, the shape of the sampler benchmark,
+and keep their records in ``scale_cases.json``.
+
+The goldens were captured with OpenBLAS's SkylakeX kernel (an AVX-512 host).
+Under another kernel, such as ``OPENBLAS_CORETYPE=Haswell`` or ``Zen``, four
+cases fail: anm-image, anm-movie, rlg-image and rlg-movie. The product
+``v @ v.T`` in ``objectives._cosine_similarity`` rounds differently there, so
+the similarity instance itself differs. ``OPENBLAS_VERBOSE=2`` prints the
+kernel numpy's OpenBLAS picked.
 
 A change that is meant to move these outputs regenerates them and says which
 cells moved and why:

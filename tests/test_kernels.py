@@ -2,7 +2,8 @@
 
 ``_gain_batch`` and ``_evaluate_batch`` are checked against ``_evaluate`` on
 generated instances, and the revenue neighbour kernel against the dense
-all-nodes formula it replaced, kept below as the reference. The rules every
+all-nodes formula it replaced, kept below as the reference, on random graphs
+and on a skewed one whose hub has many times the mean degree. The rules every
 kernel relies on (overlapping pools, exact zeros for members) hold at the
 metered entry point ``batch_pair_gains``, so they are checked there. So is the
 base-state memo: a kernel fed a memoized base aggregate must answer exactly as
@@ -23,6 +24,7 @@ from submax import (
     ModularObjective,
     QueryLedger,
     RevenueObjective,
+    WeightedGraph,
     batch_marginals,
     batch_pair_gains,
     evaluate_batch,
@@ -217,17 +219,60 @@ def test_revenue_kernel_equals_dense_formula(case):
 
 
 def test_revenue_kernel_isolated_node_and_zero_weight_edge(tmp_path):
-    # Node 5 is isolated; edge (2, 3) has weight 0 and so no table slot.
+    # Node 5 is isolated, so its CSR row is empty; edge (2, 3) has weight 0
+    # and so no entry in either row.
     p = tmp_path / "g.csv"
     p.write_text("0,1,0.7\n1,2,0.3\n2,3,0.0\n3,4,1.9\n0,4,0.2\n1,4,0.5\n")
     f = RevenueObjective(load_edge_list(p, n=6))
-    assert f.w[2, 3] == 0.0 and 3 not in f._nbr[2, :-1]
+    assert f.w[2, 3] == 0.0
+    assert f.indptr.tolist() == [0, 2, 5, 6, 7, 10, 10]
+    assert f.indices.tolist() == [1, 4, 0, 2, 4, 1, 4, 0, 1, 3]
+    assert f.data.tolist() == [0.7, 0.2, 0.7, 0.3, 0.5, 0.3, 1.9, 0.2, 0.5, 1.9]
     rng = np.random.default_rng(7)
     for b, t, m in [(0, 0, 6), (1, 0, 4), (0, 3, 5), (2, 2, 1), (1, 4, 6)]:
         base, t_mat, xs = _revenue_query(6, b, t, m, rng)
-        xs[0] = 5  # the isolated node: no neighbour slot, gain 0
+        xs[0] = 5  # the isolated node: no neighbours, gain 0
         want = dense_revenue_gain_batch(f.w, base, t_mat, xs)
         assert np.array_equal(metered_gains(f, base, t_mat, xs), want)
+
+
+def _skewed_graph():
+    """Node 0 is a hub with 40 leaves (1..40); 41..45 form a sparse cycle
+    with a chord, and node 47 is isolated. Mean degree is under 2."""
+    rng = np.random.default_rng(11)
+    edges = [(0, v, w) for v, w in zip(range(1, 41), rng.random(40).tolist())]
+    edges += [(1, 2, 0.8), (41, 42, 0.6), (42, 43, 1.3), (43, 44, 0.2),
+              (44, 45, 0.9), (41, 45, 0.4), (41, 43, 0.7)]
+    return WeightedGraph(n=48, edges=edges)
+
+
+@pytest.mark.parametrize("m", [1, 2, 30])
+@pytest.mark.parametrize("width", [0, 1, 8, 12])
+def test_revenue_kernel_on_a_skewed_graph(width, m):
+    # Rows of the hub (40 neighbours), the isolated node (none) and small-
+    # degree nodes, from two bases, share the kernel's calls (one call when
+    # m > 1); each group must equal the all-nodes formula on its own base.
+    f = RevenueObjective(_skewed_graph())
+    degree = np.diff(f.indptr)
+    assert degree[0] == 40 and degree[47] == 0 and degree.mean() < 2
+    rng = np.random.default_rng(100 * width + m)
+    groups, wants = [], []
+    for base, lead in [([2, 41], [0, 47, 5]), ([7, 9, 43], [47, 0, 42])]:
+        base = np.asarray(base, dtype=np.int64)
+        rest = np.setdiff1d(np.arange(f.n), base)
+        t_mat = np.stack([rng.choice(rest, width, replace=False)
+                          for _ in range(m)]).reshape(m, width)
+        xs = rng.integers(0, f.n, m)
+        xs[:3] = lead[:m]  # hub, isolated node and a leaf or tail node
+        groups.append(GainGroup(base, t_mat, xs, QueryLedger()))
+        wants.append(dense_revenue_gain_batch(f.w, base, t_mat, xs))
+    rows = []
+    kernel = f._gain_batch
+    f._gain_batch = lambda st_, t, x, of: rows.append(x.size) or kernel(st_, t, x, of)
+    got = paired_gain_round(f, groups)
+    assert sum(rows) == 2 * m  # every row went through the kernel
+    for gains, want in zip(got, wants):
+        assert np.array_equal(gains, want)
 
 
 
