@@ -9,16 +9,21 @@ here, fallback sets and the returned one included, is a sorted,
 duplicate-free int64 array.
 
 Reported adaptivity is the maximum over threshold trials plus one round for
-the initial singleton sweep; reported queries are summed over trials. The
-returned ledger is built that way as the run goes: the singleton sweep is its
-round 1, and the trial ledgers are appended with ``extend_parallel``, which
-also carries each round's best value.
+the initial sweep; reported queries are summed over trials. The returned
+ledger is built that way as the run goes: the sweep of f(empty) and every
+singleton is its round 1, and the trial ledgers are appended with
+``extend_parallel``, which also carries each round's best value. The sweep
+serves every trial: it gives delta*, and each trial reads its first filter
+off it, so no trial ledger holds an f(empty) round or a first-filter round.
+A trial that stops on that first filter without a fallback has a ledger
+with no rounds at all.
 
 The threshold trials run in lockstep (``lockstep_threshold_sampling``): their
 paired-gain queries of one round go to the objective's kernel together, while
 each trial keeps its own random stream and ledger, so every trial is the run
-``threshold_sampling`` would make alone. A trial's fallback chain then
-continues on that trial's stream.
+``threshold_sampling`` would make alone, with that run's round 1 (the same
+sweep) removed. A trial's fallback chain then continues on that trial's
+stream.
 
 The trade-off constants C1 = 1/7 and C3 = 3 are fixed by the analysis for
 this module's one-round unconstrained subroutine, whose approximation factor
@@ -39,9 +44,9 @@ from .oracle import (
     Objective,
     QueryLedger,
     check_params,
-    evaluate_batch,
     prefix_round,
     sample_without_replacement,
+    singleton_round,
     spawn_seeds,
 )
 from .threshold import (
@@ -107,10 +112,9 @@ class ThresholdTrial:
 
 
 def max_singleton(f: Objective, ledger: QueryLedger) -> float:
-    """Largest single-element value, via one round of n singleton queries."""
-    best = float(evaluate_batch(f, np.eye(f.n, dtype=bool), ledger).max())
-    ledger.record_value(best)
-    return best
+    """Largest single-element value, via ANM's round 1: f(empty) and every
+    singleton, n + 1 queries (``oracle.singleton_round``)."""
+    return float(singleton_round(f, ledger)[1:].max())
 
 
 def downsample(u: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -143,7 +147,8 @@ def adaptive_nonmonotone_max(
         f: Objective, params: NonmonotoneParams,
         seed: int | np.random.SeedSequence,
 ) -> tuple[np.ndarray, QueryLedger, list[ThresholdTrial]]:
-    """Full run: singleton sweep, parallel threshold trials, final argmax.
+    """Full run: the sweep of f(empty) and every singleton, parallel
+    threshold trials, final argmax.
 
     Takes a seed rather than a generator so each trial can own an independent
     stream derived by mixing its index; the whole run is reproducible and the
@@ -155,7 +160,8 @@ def adaptive_nonmonotone_max(
         check_params(seed=seed)
     d = params.derive()
     ledger = QueryLedger()
-    delta_star = max_singleton(f, ledger)
+    sweep = singleton_round(f, ledger)
+    delta_star = float(sweep[1:].max())
     if delta_star <= 0.0:
         return np.empty(0, dtype=np.int64), ledger, []
 
@@ -165,7 +171,7 @@ def adaptive_nonmonotone_max(
         f, [ThresholdParams(k=params.k, tau=tau, eps=d.eps_hat, delta=d.delta_hat,
                             break_size=d.break_size,
                             sample_override=params.sample_override)
-            for tau in taus], rngs)
+            for tau in taus], rngs, sweep)
     unc_params = UnconstrainedParams(eps=d.eps_hat, delta=d.delta_hat)
     trials: list[ThresholdTrial] = []
     for i, (tau, outcome, rng) in enumerate(zip(taus, outcomes, rngs)):

@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracle import Objective, ParamError, check_params, evaluate_offline, make_rng
+from .oracle import (
+    GAIN_CELL_BUDGET,
+    Objective,
+    ParamError,
+    check_params,
+    evaluate_offline,
+    make_rng,
+)
 
 
 class ParseError(ValueError):
@@ -313,6 +320,38 @@ class ImageSummarizationObjective(Objective):
         cross = self.s[xs[:, None], t_mat].sum(axis=1)
         penalty_inc = (2.0 * (s_into_base[base_of, xs] + cross) + self._diag[xs]) / self.n
         return cover.sum(axis=1) - penalty_inc
+
+    def _evaluate_batch(self, masks):
+        # Each row as _evaluate scores it, bit for bit. The cover gathers the
+        # row's members as rows of _cols (columns of s), padded to the widest
+        # row by repeating its first member, which leaves the max exact; each
+        # row of best covers is contiguous, so it is summed over the n items
+        # as _evaluate's 1-D sum is. Chunks of at most GAIN_CELL_BUDGET
+        # gathered cells, or one row where a row alone holds more, keep the
+        # working memory of a paired-gain round.
+        # The penalty is s[x, x] for a singleton, else the np.ix_ block sum.
+        values = np.zeros(masks.shape[0])  # an empty row scores 0
+        sizes = np.count_nonzero(masks, axis=1)
+        full = np.flatnonzero(sizes)
+        if full.size == 0:
+            return values
+        members = np.nonzero(masks)[1]  # row by row, in increasing order
+        sizes = sizes[full]
+        starts = np.cumsum(sizes) - sizes
+        width = int(sizes.max())
+        table = np.repeat(members[starts], width).reshape(full.size, width)
+        rows = np.repeat(np.arange(full.size), sizes)
+        table[rows, np.arange(members.size) - starts[rows]] = members
+        cover = np.empty(full.size)
+        step = max(1, GAIN_CELL_BUDGET // (width * self.n))
+        for a in range(0, full.size, step):
+            cover[a:a + step] = self._cols[table[a:a + step]].max(axis=1).sum(axis=1)
+        block = self._diag[table[:, 0]]  # right for the singletons
+        for i in np.flatnonzero(sizes > 1).tolist():
+            idx = members[starts[i]:starts[i] + sizes[i]]
+            block[i] = self.s[np.ix_(idx, idx)].sum()
+        values[full] = cover - block / self.n
+        return values
 
 
 class MovieRecommendationObjective(Objective):

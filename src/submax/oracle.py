@@ -329,10 +329,25 @@ def evaluate_batch(f: Objective, queries, ledger: QueryLedger) -> np.ndarray:
     if masks.shape[0] == 0:
         raise ValueError("evaluate_batch requires a nonempty batch")
     ledger.add_round(masks.shape[0])
+    return _mask_values(f, masks, "evaluate_batch")
+
+
+def _mask_values(f: Objective, masks: np.ndarray, entry_point: str) -> np.ndarray:
+    """Values of the rows of a mask batch: the objective's vectorized mask
+    path when it has one, else one evaluation per row."""
     values = f._evaluate_batch(masks)
     if values is None:
         values = [f._evaluate(np.flatnonzero(row)) for row in masks]
-    return _finite(values, "evaluate_batch")
+    return _finite(values, entry_point)
+
+
+def singleton_round(f: Objective, ledger: QueryLedger) -> np.ndarray:
+    """f(empty), then f({x}) for each x, in one adaptive round of n + 1
+    queries. Records the best of these values on the ledger; returns all
+    n + 1 in that order."""
+    values = evaluate_batch(f, np.eye(f.n + 1, f.n, -1, dtype=bool), ledger)
+    ledger.record_value(values.max())
+    return values
 
 
 def prefix_round(f: Objective, order: np.ndarray,
@@ -361,9 +376,12 @@ class GainGroup(NamedTuple):
     """One group of a paired-gain round, metered on its own ledger.
 
     Row j asks f(B_j + x_j) - f(B_j) with B_j = base + t_mat[j]. With
-    ``base_value`` = f(base) known and t_mat None (no T columns), the group
-    is a marginals batch of one query per row; otherwise each row is one
-    indicator sample metered as two queries.
+    t_mat None (no T columns) the group is a marginals batch of one query
+    per row, against ``base_value`` = f(base) when it is known. A marginals
+    group without base_value also asks f(base) in its round: one more
+    query, answered by one whole-set evaluation, whose value the round
+    records on the group's ledger (``ledger.values[ledger.rounds]``). With
+    t_mat given, each row is one indicator sample metered as two queries.
     """
 
     base: object
@@ -390,13 +408,13 @@ def _base_array(f: Objective, base) -> np.ndarray:
 
 def _checked_group(f: Objective, group: GainGroup) -> GainGroup:
     """The group with int64 arrays; raises for a malformed group."""
-    if group.base_value is not None:
-        if group.t_mat is not None:
-            raise ValueError("a marginals group takes no T columns")
+    if group.t_mat is None:
         xs = _as_index_array(group.xs)
         if xs.size == 0:
             raise ValueError("batch_marginals requires at least one candidate")
         t_mat = np.empty((xs.size, 0), dtype=np.int64)
+    elif group.base_value is not None:
+        raise ValueError("a marginals group takes no T columns")
     else:
         t_mat = np.asarray(group.t_mat, dtype=np.int64)
         xs = np.asarray(group.xs, dtype=np.int64)
@@ -467,8 +485,9 @@ def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndar
     """Gains of every row of every group, as one adaptive round per group.
 
     All groups go in before any answer comes back, so each is one round on
-    its own ledger: a marginals group adds len(xs) queries, any other group
-    2 * len(xs) queries and len(xs) logical samples. Groups may have
+    its own ledger: a marginals group adds len(xs) queries, plus one when
+    it also asks f(base), and any other group 2 * len(xs) queries and
+    len(xs) logical samples. Groups may have
     different bases and T widths. The round is also the one home of the
     paired-gain rules the kernels rely on: a group whose T rows overlap its
     base takes the exact fallback alone, and a kernel that returns None
@@ -487,8 +506,11 @@ def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndar
     Every group is checked before any is metered: InvalidSubsetError for an
     element outside [0, n), an unsorted or repeating base, or a T row that
     repeats an element; ValueError for a malformed or empty group, and if
-    any gain is NaN or infinite. Returns one gains array per group.
+    any gain or asked f(base) is NaN or infinite. Returns one gains array
+    per group.
     """
+    # A marginals group without its base value asks f(base) in the round.
+    asks = [g.t_mat is None and g.base_value is None for g in groups]
     groups = [_checked_group(f, g) for g in groups]
     numbers: dict[bytes, int] = {}
     bases, base_of = [], []
@@ -531,11 +553,16 @@ def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndar
                 exact[i] = hit
         batches.append((members, sizes, row_base, t_mat, xs, member))
 
-    for g in groups:
-        if g.base_value is not None:
-            g.ledger.add_round(int(g.xs.size))
+    for g, ask in zip(groups, asks):
+        if g.base_value is not None or ask:
+            g.ledger.add_round(int(g.xs.size) + ask)
         else:
             g.ledger.add_round(2 * g.xs.size, logical_samples=g.xs.size)
+    for i in [i for i, ask in enumerate(asks) if ask]:
+        # One whole-set evaluation per base; its membership row is its mask.
+        value = float(_mask_values(f, in_base[base_of[i]][None], "batch_marginals")[0])
+        groups[i].ledger.record_value(value)
+        groups[i] = groups[i]._replace(base_value=value)
 
     # The kernels read the states of the other groups' bases only.
     kernel_base = None

@@ -9,12 +9,18 @@ element's inclusion probability. The solution and the candidate pool are
 both sorted, duplicate-free int64 arrays, from the first round to the
 returned outcome.
 
-Many samplers run in lockstep (``lockstep_threshold_sampling``): each outer
-round is one filter round for all live trials, and each step of the
-block-size scan one grouped paired-gain round for the trials still
-scanning. Every trial draws from its own generator in the order a lone run
-does and meters on its own ledger, so a trial's stream, rounds and result do
-not depend on the others; ``threshold_sampling`` is the one-trial case.
+A run's first round asks f(empty) and every singleton at once; the first
+filter is read off those values. Each later outer round opens with a filter
+round that also asks f(S) of the previous update, a known set, so no round
+is spent on f(S) alone unless no filter follows.
+
+Many samplers run in lockstep (``lockstep_threshold_sampling``) after one
+shared first round: each later outer round is one filter round for all live
+trials, and each step of the block-size scan one grouped paired-gain round
+for the trials still scanning. Every trial draws from its own generator in
+the order a lone run does and meters on its own ledger, so a trial's stream,
+rounds and result do not depend on the others; ``threshold_sampling`` is
+the first round plus the one-trial case.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .oracle import (
     evaluate_batch,
     paired_gain_round,
     sample_without_replacement,
+    singleton_round,
 )
 
 
@@ -99,12 +106,13 @@ class SamplingOutcome:
     s is the solution and a the surviving pool, both sorted int64 arrays.
     f_s and f_empty are the values already paid for during the run, so
     downstream argmax steps need no fresh queries; the ledger also holds
-    them per round in ``ledger.values``. snapshots holds one dict per outer
-    round with keys ``round``, ``a`` (the pool array after the filter),
-    ``s`` (the solution array after the update), ``t`` and ``mu`` (chosen
-    block size and its estimate, None when the round broke before the scan)
-    and ``estimates`` (every (t, mu) probed). Pool and solution are held by
-    reference, never copied.
+    each f(S) in ``ledger.values`` at the round that asked it (f_empty comes
+    from the first round, which a lockstep trial does not hold). snapshots
+    holds one dict per outer round with keys ``round``, ``a`` (the pool
+    array after the filter), ``s`` (the solution array after the update),
+    ``t`` and ``mu`` (chosen block size and its estimate, None when the
+    round broke before the scan) and ``estimates`` (every (t, mu) probed).
+    Pool and solution are held by reference, never copied.
     """
 
     s: np.ndarray
@@ -203,47 +211,50 @@ class _Trial:
 
 def lockstep_threshold_sampling(
         f: Objective, params: Sequence[ThresholdParams],
-        rngs: Sequence[np.random.Generator],
+        rngs: Sequence[np.random.Generator], sweep: np.ndarray,
         ledgers: Sequence[QueryLedger] | None = None) -> list[SamplingOutcome]:
-    """Run one sampler per (params[i], rngs[i], ledgers[i]), in lockstep.
+    """Run one sampler per (params[i], rngs[i], ledgers[i]), in lockstep,
+    from a first round already paid for.
 
-    Each trial is exactly the sampler :func:`threshold_sampling` describes,
-    with its own generator and ledger; running the trials together changes
-    no trial's random stream, rounds, queries or result. Each outer round
-    issues one filter round for all live trials, then the block-size scan
-    step by step: at each step every trial still scanning draws its samples
-    from its own generator, and all those estimates go out as one grouped
-    paired-gain round (one round on each trial's ledger). The whole-set
-    rounds (f(empty) and each updated f(S)) stay one call per trial.
+    sweep holds f(empty), then f({x}) for each x: the values of
+    :func:`oracle.singleton_round`, which the caller has already paid for.
+    Each trial is exactly the sampler :func:`threshold_sampling` describes
+    with that first round removed: it starts from S = empty and reads its
+    first filter, {x : f({x}) - f(empty) >= tau}, off the sweep. Running the
+    trials together changes no trial's random stream, rounds, queries or
+    result. Each outer round after the first opens with one filter round for
+    all live trials, in which each trial also asks f(S) of its last update;
+    then comes the block-size scan, step by step: at each step every trial
+    still scanning draws its samples from its own generator, and all those
+    estimates go out as one grouped paired-gain round (one round on each
+    trial's ledger). A trial whose update is its last (full S, or its r-th
+    outer round) asks that f(S) in a one-query round of its own.
     """
     if ledgers is None:
         ledgers = [QueryLedger() for _ in params]
-    trials = []
-    for p, rng, ledger in zip(params, rngs, ledgers):
-        s = np.empty(0, dtype=np.int64)
-        f_empty = float(evaluate_batch(f, [s], ledger)[0])
-        ledger.record_value(f_empty)
-        trials.append(_Trial(params=p, d=p.derive(f.n), rng=rng, ledger=ledger,
-                             s=s, f_s=f_empty, f_empty=f_empty,
-                             pool=np.arange(f.n, dtype=np.int64), snapshots=[]))
+    f_empty = float(sweep[0])
+    singleton_gains = sweep[1:] - sweep[0]
+    trials = [_Trial(params=p, d=p.derive(f.n), rng=rng, ledger=ledger,
+                     s=np.empty(0, dtype=np.int64), f_s=f_empty, f_empty=f_empty,
+                     pool=np.flatnonzero(singleton_gains >= p.tau), snapshots=[])
+              for p, rng, ledger in zip(params, rngs, ledgers)]
 
     outer = 0
     live = trials
     while live:
         outer += 1
-        for tr in live:
-            if outer > tr.d.r:
-                tr.reason = BreakReason.EXHAUSTED_ROUNDS
-        live = [tr for tr in live if tr.reason is None]
-        if not live:
-            break
-        filtered = paired_gain_round(f, [GainGroup(tr.s, None, tr.pool, tr.ledger, tr.f_s)
-                                         for tr in live])
+        if outer > 1:
+            # f(S) of each trial's latest update is asked beside its filter.
+            filtered = paired_gain_round(f, [GainGroup(tr.s, None, tr.pool, tr.ledger)
+                                             for tr in live])
+            for tr, gains in zip(live, filtered):
+                tr.f_s = tr.ledger.values[tr.ledger.rounds]
+                # Members of s gain exactly 0.0, so at tau = 0 they pass the
+                # filter.
+                tr.pool = np.setdiff1d(tr.pool[gains >= tr.params.tau], tr.s,
+                                       assume_unique=True)
         scanning = []
-        for tr, gains in zip(live, filtered):
-            # Members of s gain exactly 0.0, so at tau = 0 they pass the filter.
-            tr.pool = np.setdiff1d(tr.pool[gains >= tr.params.tau], tr.s,
-                                   assume_unique=True)
+        for tr in live:
             tr.snapshots.append({"round": outer, "a": tr.pool, "s": tr.s,
                                  "t": None, "mu": None, "estimates": []})
             if tr.pool.size == 0:
@@ -256,17 +267,18 @@ def lockstep_threshold_sampling(
 
         _scan(f, scanning)
 
-        for tr in live:
-            if tr.reason is not None:
-                continue
+        for tr in scanning:
             block = sample_without_replacement(tr.rng, tr.pool,
                                                min(tr.t, tr.params.k - tr.s.size))
             tr.s = np.union1d(tr.s, block)
-            tr.f_s = float(evaluate_batch(f, [tr.s], tr.ledger)[0])
-            tr.ledger.record_value(tr.f_s)
             tr.snapshots[-1].update(s=tr.s, t=tr.t, mu=tr.mu, estimates=tr.estimates)
             if tr.s.size == tr.params.k:
                 tr.reason = BreakReason.FULL_S
+            elif outer == tr.d.r:
+                tr.reason = BreakReason.EXHAUSTED_ROUNDS
+            if tr.reason is not None:  # no filter round follows to ask f(S)
+                tr.f_s = float(evaluate_batch(f, [tr.s], tr.ledger)[0])
+                tr.ledger.record_value(tr.f_s)
         live = [tr for tr in live if tr.reason is None]
 
     return [SamplingOutcome(s=tr.s, a=tr.pool, break_reason=tr.reason,
@@ -330,17 +342,21 @@ def threshold_sampling(f: Objective, params: ThresholdParams,
                        ledger: QueryLedger | None = None) -> SamplingOutcome:
     """Run the sampler to completion and return (solution, surviving pool).
 
-    Round structure: one initial round evaluates f(empty); each outer round is
-    one filter round, the estimate rounds of the block-size scan, and one
-    round to evaluate the updated solution (which is what makes the final
-    value available downstream without fresh queries). Both kinds of
-    evaluation round record their value on the ledger. Scan iterations whose
-    block size repeats the previous one reuse its estimate, since they would
-    probe the identical distribution. The one-trial case of
+    Round structure: round 1 evaluates f(empty) and every singleton, which
+    is the first filter; each later outer round opens with one filter round
+    of |A| + 1 queries, the +1 being f(S) of the previous update. The
+    estimate rounds of the block-size scan follow. The update that ends
+    the run (full S, or the last outer round) asks its f(S) in a one-query
+    round of its own, so the final value is available downstream without
+    fresh queries. Round 1 records the best value it saw, and each f(S) is
+    recorded in the round that asked it. Scan iterations whose block size
+    repeats the previous one reuse its estimate, since they would probe the
+    identical distribution. Round 1, then the one-trial case of
     :func:`lockstep_threshold_sampling`.
     """
-    return lockstep_threshold_sampling(
-        f, [params], [rng], None if ledger is None else [ledger])[0]
+    ledger = QueryLedger() if ledger is None else ledger
+    sweep = singleton_round(f, ledger)
+    return lockstep_threshold_sampling(f, [params], [rng], sweep, [ledger])[0]
 
 
 def verify_termination_marginals(f: Objective, outcome: SamplingOutcome,

@@ -22,10 +22,17 @@ A change that is meant to move these outputs regenerates them and says which
 cells moved and why:
 
     PYTHONPATH=src python tests/test_golden.py
+
+Regenerating prints, per golden file, the columns that moved: trace and
+summary CSV columns, debug-trace fields and each case's output set and
+per-round queries. A trace's best value is compared as the sequence of
+values each trial reached, so renumbered rounds move only the round and
+query columns.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -137,8 +144,54 @@ def test_anm_round_one_value_is_exact_max_singleton():
     assert rows[0][4] == max_singleton(f, QueryLedger())
 
 
+def _columns(name: str, text: str) -> dict[str, list]:
+    """A golden file's cells, column by column."""
+    cols: dict[str, list] = {}
+    if name.endswith(".json"):
+        for case, record in json.loads(text).items():
+            for key in ("output", "per_round"):
+                cols[f"{case}.{key}"] = [trial[key] for trial in record["trials"]]
+    elif name.endswith(".jsonl"):
+        for line in text.splitlines():
+            record = json.loads(line)
+            for key, value in record.items():
+                if key != "trials":
+                    cols.setdefault(key, []).append(value)
+            for trial in record["trials"]:
+                for key, value in trial.items():
+                    cols.setdefault(f"trials.{key}", []).append(value)
+    else:
+        header, *rows = text.splitlines()
+        names = header.split(",")
+        cols = {column: [] for column in names}
+        for row in rows:
+            for column, cell in zip(names, row.split(",")):
+                cols[column].append(cell)
+        # Beside the round and query columns, a trace holds per-trial
+        # constants and a best value carried forward over rounds: keep each
+        # trial's steps, and its final best value on its own.
+        trials = cols.get("trial")
+        for column in names:
+            if trials is not None and column not in ("round", "cum_queries"):
+                cols[column] = [key for key, _ in itertools.groupby(
+                    zip(trials, cols[column]))]
+        if "best_value" in cols:
+            steps = cols.pop("best_value")
+            cols["best_value"] = list(dict(steps).items())
+            cols["best_value steps"] = steps
+    return cols
+
+
+def changed_columns(name: str, old: str, new: str) -> list[str]:
+    """The columns of golden file ``name`` whose cells differ."""
+    before, after = _columns(name, old), _columns(name, new)
+    return [column for column in {**before, **after}
+            if before.get(column) != after.get(column)]
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
+    old = {path.name: path.read_text() for path in GOLDEN.iterdir()}
     for path in GOLDEN.iterdir():
         path.unlink()
     cases = {}
@@ -151,6 +204,14 @@ def regenerate() -> None:
         name = _scale_name(algorithm, objective)
         scale[name] = _run_case(algorithm, objective, GOLDEN / name, SCALE_SPECS)
     (GOLDEN / "scale_cases.json").write_text(json.dumps(scale, indent=1) + "\n")
+    for path in sorted(GOLDEN.iterdir()):
+        if path.name not in old:
+            print(f"{path.name}: new")
+            continue
+        moved = changed_columns(path.name, old.pop(path.name), path.read_text())
+        print(f"{path.name}: {', '.join(moved) if moved else 'unchanged'}")
+    for name in sorted(old):
+        print(f"{name}: removed")
 
 
 if __name__ == "__main__":

@@ -133,7 +133,6 @@ def test_gain_batch_matches_evaluate(kind, q, seed):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_evaluate_batch_mask_form_equals_list_form(kind):
-    # Image has no _evaluate_batch, so its rows go one by one to _evaluate.
     f = make_objective(kind, 17, seed=4)
     rng = np.random.default_rng(9)
     masks = rng.random((12, f.n)) < 0.4
@@ -158,9 +157,6 @@ def test_evaluate_batch_matches_evaluate(kind, n, seed, data):
         st.lists(st.booleans(), min_size=f.n, max_size=f.n),
         min_size=rows, max_size=rows)), dtype=bool)
     got = f._evaluate_batch(masks)
-    if got is None:  # image has no batched evaluator
-        assert kind == "image"
-        return
     for mask, value in zip(masks, got):
         want = f._evaluate(np.flatnonzero(mask).astype(np.int64))
         assert abs(value - want) <= 16 * f.n * EPS * max(1.0, abs(want))
@@ -527,3 +523,26 @@ def test_image_base_state_equals_column_reductions_bit_for_bit(nudge):
         want = (cols.max(axis=1) if size else np.zeros(f.n), cols.sum(axis=1))
         for got, expect in zip(f._base_state(base), want):
             assert got.tobytes() == expect.tobytes(), size
+
+
+@pytest.mark.parametrize("nudge", [0.0, 1e-10], ids=["symmetric", "nearly-symmetric"])
+@pytest.mark.parametrize("n", [30, 300])
+def test_image_evaluate_batch_equals_evaluate_bit_for_bit(n, nudge):
+    # Every whole-set round on image goes through _evaluate_batch, so each
+    # row must be _evaluate's value to the last bit: empty rows, the
+    # singleton sweep, the prefixes of an order and random masks.
+    s = generate_synthetic("image", n, seed=4).data.s.copy()
+    s[3, 8] += nudge
+    f = ImageSummarizationObjective(SimilarityMatrix(s))
+    rng = np.random.default_rng(2)
+    order = rng.permutation(n)[:50]
+    batches = [np.zeros((3, n), dtype=bool),
+               np.eye(n + 1, n, -1, dtype=bool),
+               np.tri(order.size + 1, order.size, -1, dtype=bool),
+               rng.random((25, n)) < rng.random((25, 1)) * 0.3]
+    batches[2] = oracle.pool_masks(f, order, batches[2])
+    batches[3][[0, 7]] = False
+    for masks in batches:
+        got = f._evaluate_batch(masks)
+        want = [f._evaluate(np.flatnonzero(mask)) for mask in masks]
+        assert got.tobytes() == np.array(want).tobytes()

@@ -28,6 +28,20 @@ from submax import (
 from submax.nonmonotone import C1, C3
 
 
+class _Offset(ModularObjective):
+    """A constant plus modular weights: submodular, with f(empty) > 0."""
+
+    def __init__(self, offset, weights):
+        super().__init__(weights)
+        self.offset = offset
+
+    def _evaluate(self, idx):
+        return self.offset + super()._evaluate(idx)
+
+    def _evaluate_batch(self, masks):
+        return self.offset + super()._evaluate_batch(masks)
+
+
 class TestParams:
     def test_grid_example(self):
         # k=10, eps=0.6: eps_hat=0.1, r=47, first threshold 1/70 per unit.
@@ -62,7 +76,9 @@ class TestMaxSingleton:
         f = ModularObjective([1.0, 2.0, 3.0])
         led = QueryLedger()
         assert max_singleton(f, led) == 3.0
-        assert (led.rounds, led.total_queries) == (1, 3)
+        # ANM's round 1: f(empty) and the three singletons.
+        assert led.per_round == [(1, 4)]
+        assert led.values == {1: 3.0}
 
     def test_revenue_two_node(self):
         f = RevenueObjective(WeightedGraph(n=2, edges=[(0, 1, 1.0)]))
@@ -186,9 +202,41 @@ class TestAdaptiveNonmonotoneMax:
         _, ledger, trials = adaptive_nonmonotone_max(f, params, 13)
         per_trial = [t.outcome.ledger for t in trials]
         assert ledger.rounds == 1 + max(led.rounds for led in per_trial)
-        assert ledger.total_queries == f.n + sum(led.total_queries
-                                                 for led in per_trial)
-        assert ledger.per_round[0] == (1, f.n)
+        assert ledger.total_queries == f.n + 1 + sum(led.total_queries
+                                                     for led in per_trial)
+        assert ledger.per_round[0] == (1, f.n + 1)  # f(empty) and each singleton
+
+    def test_empty_a_trial_has_no_rounds_and_merges_cleanly(self):
+        # f = 10 + modular weights: three heavy elements gain 2.0, the rest
+        # 0.001, and delta* = 12 puts the grid at 0.86..3.4. Trials with
+        # tau <= 2 keep the three heavy elements, fewer than 3k, and fall
+        # back; the others find an empty pool on the sweep, so the sampler
+        # asks nothing and their ledgers hold no rounds.
+        weights = np.concatenate([np.full(3, 2.0), np.full(27, 0.001)])
+        f = _Offset(10.0, weights)
+        params = NonmonotoneParams(k=2, eps=0.3, delta=0.1, sample_override=20)
+        _, ledger, trials = adaptive_nonmonotone_max(f, params, 5)
+        reasons = [t.outcome.break_reason for t in trials]
+        assert set(reasons) == {BreakReason.SMALL_A, BreakReason.EMPTY_A}
+        for t in trials:
+            if t.outcome.break_reason is BreakReason.EMPTY_A:
+                assert t.tau > 2.0
+                assert t.outcome.a.size == 0 and t.outcome.s.size == 0
+                assert t.outcome.f_s == t.outcome.f_empty == 10.0
+                led = t.outcome.ledger
+                assert (led.per_round, led.values, led.logical_samples) == ([], {}, 0)
+        fallbacks = [t.outcome.ledger for t in trials
+                     if t.outcome.break_reason is BreakReason.SMALL_A]
+        assert {led.rounds for led in fallbacks} == {2}
+        assert ledger.per_round == [
+            (1, f.n + 1), (2, sum(led.per_round[0][1] for led in fallbacks)),
+            (3, sum(led.per_round[1][1] for led in fallbacks))]
+        assert ledger.values[1] == 12.0
+        assert ledger.values[3] == max(led.values[2] for led in fallbacks)
+        alone = QueryLedger()
+        alone.extend_parallel([t.outcome.ledger for t in trials
+                               if t.outcome.break_reason is BreakReason.EMPTY_A])
+        assert (alone.per_round, alone.values) == ([], {})
 
     def test_returned_set_is_best_candidate_seen(self):
         f = generate_synthetic("revenue", 14, 0.3, seed=8).objective()
@@ -245,12 +293,17 @@ def test_each_trial_equals_a_standalone_sampler_run(kind, param, k):
         assert got.s.tolist() == alone.s.tolist() and got.a.tolist() == alone.a.tolist()
         assert got.break_reason is alone.break_reason
         assert (got.f_s, got.f_empty) == (alone.f_s, alone.f_empty)
-        # The fallback of a small_A trial adds its two rounds after the sampler's.
-        rounds = alone.ledger.rounds
+        # The trial is the standalone run without its round 1, the sweep
+        # ANM's round 1 already made; the fallback of a small_A trial adds
+        # its two rounds after the sampler's.
+        assert alone.ledger.per_round[0] == (1, f.n + 1)
+        rounds = alone.ledger.rounds - 1
         fallback = 2 if got.break_reason is BreakReason.SMALL_A else 0
         assert got.ledger.rounds == rounds + fallback
-        assert got.ledger.per_round[:rounds] == alone.ledger.per_round
-        assert {r: v for r, v in got.ledger.values.items() if r <= rounds} == alone.ledger.values
+        assert got.ledger.per_round[:rounds] == [
+            (r - 1, q) for r, q in alone.ledger.per_round[1:]]
+        assert {r: v for r, v in got.ledger.values.items() if r <= rounds} == {
+            r - 1: v for r, v in alone.ledger.values.items() if r > 1}
         assert got.ledger.logical_samples == alone.ledger.logical_samples
         assert len(got.snapshots) == len(alone.snapshots)
         for mine, theirs in zip(got.snapshots, alone.snapshots):

@@ -254,8 +254,10 @@ LONE_GROUP_CASES = {
     "no-kernel": (lambda: _revenue(_NoKernelRevenue), [1, 4], [[3, 8], [2, 6], [5, 8]],
                   [0, 6, 7]),
 }
-LONE_GROUPS = [(case, kind) for case in LONE_GROUP_CASES for kind in ("marginals", "pairs")
-               if not (case == "repeating-T-row" and kind == "marginals")]
+# A marginals group knows f(base) or, as "asks", asks it in the round.
+LONE_GROUPS = [(case, kind) for case in LONE_GROUP_CASES
+               for kind in ("marginals", "asks", "pairs")
+               if not (case == "repeating-T-row" and kind != "pairs")]
 
 
 def _lone_group_outcome(case, kind, alone):
@@ -266,6 +268,8 @@ def _lone_group_outcome(case, kind, alone):
     led = QueryLedger()
     if kind == "marginals":
         group = GainGroup(base, None, xs, led, _value_or_zero(f, base))
+    elif kind == "asks":
+        group = GainGroup(base, None, xs, led)
     else:
         group = GainGroup(base, np.array(t_rows), np.array(xs), led)
     others = [GainGroup([0], np.array([[6], [7]]), np.array([7, 8]), QueryLedger()),
@@ -275,7 +279,7 @@ def _lone_group_outcome(case, kind, alone):
         gains = paired_gain_round(f, groups)[groups.index(group)]
     except ValueError as err:  # InvalidSubsetError included
         return type(err), str(err), [g.ledger.rounds for g in groups]
-    return gains.tobytes(), led.per_round, led.logical_samples, f, gains
+    return gains.tobytes(), led.per_round, led.logical_samples, f, gains, led.values
 
 
 def _value_or_zero(f, base):
@@ -291,7 +295,7 @@ def test_lone_group_is_checked_as_in_a_grouped_round(case, kind):
     grouped = _lone_group_outcome(case, kind, alone=False)
     assert lone[:2] == grouped[:2]
     _, base, t_rows, xs = LONE_GROUP_CASES[case]
-    entry = "batch_marginals" if kind == "marginals" else "batch_pair_gains"
+    entry = "batch_pair_gains" if kind == "pairs" else "batch_marginals"
     expected_error = {"out-of-range": (InvalidSubsetError, "out of range"),
                       "negative": (InvalidSubsetError, "out of range"),
                       "unsorted-base": (InvalidSubsetError, "strictly increasing"),
@@ -306,21 +310,52 @@ def test_lone_group_is_checked_as_in_a_grouped_round(case, kind):
         metered = int(case == "non-finite")
         assert lone[2] == [metered] and grouped[2] == [metered] * 3
         return
-    assert lone[2] == grouped[2]
-    _, per_round, samples, f, gains = lone
-    rows = [[]] * len(xs) if kind == "marginals" else t_rows
-    assert (per_round, samples) == (([(1, len(xs))], 0) if kind == "marginals"
-                                    else ([(1, 2 * len(xs))], len(xs)))
+    assert lone[2] == grouped[2] and lone[5] == grouped[5]
+    _, per_round, samples, f, gains, values = lone
+    rows = t_rows if kind == "pairs" else [[]] * len(xs)
+    assert (per_round, samples) == {"marginals": ([(1, len(xs))], 0),
+                                    "asks": ([(1, len(xs) + 1)], 0),
+                                    "pairs": ([(1, 2 * len(xs))], len(xs))}[kind]
+    f_base = evaluate_offline(f, base)
+    if kind == "asks":  # f(base) by one whole-set evaluation, recorded
+        assert values == {1: evaluate_batch(f, [base], QueryLedger())[0]}
+        f_base = values[1]
+    else:
+        assert values == {}
     for j, x in enumerate(xs):
         b = sorted(set(base) | set(rows[j]))
         if x in b:  # a member row is exactly zero, whichever path ran
             assert gains[j] == 0.0 and not np.signbit(gains[j])
             continue
-        want = evaluate_offline(f, b + [x]) - evaluate_offline(f, b)
+        want = evaluate_offline(f, b + [x]) - (f_base if b == sorted(base)
+                                               else evaluate_offline(f, b))
         if case == "no-kernel":  # the exact fallback: two evaluations per row
             assert gains[j] == want
         else:
             assert gains[j] == pytest.approx(want, abs=1e-12)
+
+
+def test_asked_base_value_must_be_finite():
+    f = ModularObjective([1.0, np.nan, 2.0, 3.0])
+    led = QueryLedger()
+    with pytest.raises(ValueError, match="batch_marginals: the oracle returned a non-finite"):
+        paired_gain_round(f, [GainGroup([1], None, [0, 2], led)])
+    assert led.per_round == [(1, 3)]  # metered before it was answered
+
+
+def test_asking_the_base_value_changes_no_gain():
+    # The asked f(base) is the value evaluate_batch gives the base, and each
+    # gain is what a group told that value answers.
+    f = generate_synthetic("revenue", 30, 0.2, seed=4).objective()
+    base = np.array([2, 7, 11, 19])
+    xs = np.arange(30)
+    told = evaluate_batch(f, [base], QueryLedger())[0]
+    asked_led, told_led = QueryLedger(), QueryLedger()
+    asked, told_gains = paired_gain_round(f, [GainGroup(base, None, xs, asked_led),
+                                              GainGroup(base, None, xs, told_led, told)])
+    assert asked.tobytes() == told_gains.tobytes()
+    assert asked_led.per_round == [(1, 31)] and told_led.per_round == [(1, 30)]
+    assert asked_led.values == {1: told}
 
 
 class TestQueryLedger:

@@ -141,8 +141,9 @@ class TestThresholdSampling:
         out = threshold_sampling(f, p, make_rng(0))
         assert out.break_reason is BreakReason.EMPTY_A
         assert len(out.s) == 0
-        assert len(out.snapshots) == 1  # exactly one filter round ran
-        assert out.ledger.rounds == 2  # empty-set evaluation plus the filter
+        assert len(out.snapshots) == 1  # exactly one filter ran
+        assert out.ledger.rounds == 1  # the sweep of f(empty) and singletons is it
+        assert out.ledger.per_round == [(1, 21)]
 
     def test_modular_saturation_fills_k(self):
         f = ModularObjective(np.full(20, 2.0))
@@ -232,24 +233,28 @@ class TestThresholdSampling:
         assert a.ledger.per_round == b.ledger.per_round
 
     def test_ledger_breakdown_is_exact(self):
-        # Per-round query counts follow the run structure exactly: the
-        # empty-set round, then per outer round a filter of |A| queries,
-        # estimate rounds of 2*ell queries each, and a 1-query update.
+        # Per-round query counts follow the run structure exactly: round 1
+        # asks f(empty) and all n singletons, which is the first filter. Each
+        # later outer round opens with a filter of |A| queries plus f(S) of
+        # the previous update; estimate rounds of 2*ell queries each follow;
+        # the update that ends the run asks f(S) in a 1-query round.
         f = ModularObjective(np.full(12, 2.0))
         ell = 40
         p = ThresholdParams(k=4, tau=1.0, eps=0.25, delta=0.05,
                             sample_override=ell)
         out = threshold_sampling(f, p, make_rng(0))
+        assert out.break_reason is BreakReason.FULL_S
         rounds = [q for _, q in out.ledger.per_round]
-        expected = [1]
+        expected = [1 + 12]
         pool_size = 12
-        for snap in out.snapshots:
-            expected.append(pool_size)  # filter over the incoming pool
+        for i, snap in enumerate(out.snapshots):
+            if i:
+                expected.append(pool_size + 1)  # filter plus the previous f(S)
             expected.extend([2 * ell] * len(snap["estimates"]))
-            if snap["t"] is not None:
-                expected.append(1)  # evaluation of the updated solution
             pool_size = len(snap["a"])
+        expected.append(1)  # f(S) of the last update: no filter follows
         assert rounds == expected
+        assert len(out.snapshots) >= 2  # so a folded f(S) is exercised
         n_estimates = sum(len(s["estimates"]) for s in out.snapshots)
         assert out.ledger.logical_samples == n_estimates * ell
         assert out.ledger.total_queries == sum(expected)
@@ -260,9 +265,18 @@ class TestThresholdSampling:
                             sample_override=30)
         out = threshold_sampling(f, p, make_rng(0))
         values = out.ledger.values
-        assert values[1] == 0.0  # empty-set value
-        assert values[max(values)] == out.f_s
-        assert max(values) == out.ledger.rounds  # the update round ends the run
+        assert values[1] == 2.0  # the best of f(empty) and the singletons
+        # Every f(S) but the last is recorded in the filter round that asked
+        # it, the one opening the next outer round.
+        starts, rnd = [], 1
+        for snap in out.snapshots:
+            starts.append(rnd)
+            rnd += len(snap["estimates"]) + 1
+        folded = {start: 2.0 * len(snap["s"])
+                  for start, snap in zip(starts[1:], out.snapshots)}
+        assert len(folded) >= 1
+        assert values == {1: 2.0, **folded, out.ledger.rounds: out.f_s}
+        assert out.f_s == 2.0 * len(out.s)
 
 
 class TestDrawBlockAndProbe:
