@@ -191,11 +191,12 @@ class RevenueObjective(Objective):
     v's neighbours are ``indices[indptr[v]:indptr[v + 1]]``, in increasing
     order, with edge weights ``data`` at the same positions. A zero-weight
     edge adds exactly 0, so it is left out. A batch of m paired gains over
-    pools of size t-1 costs O(Σ deg(x_j)·t) gathers, plus one zero-filled
-    row of all n nodes per gain when T is non-empty. Each gain is summed in
-    the order the all-nodes formula sums it, so the gains are bit-for-bit
-    those of summing every node's increment. The dense matrix stays for
-    :meth:`_evaluate`, :meth:`_evaluate_batch` and the weights into T.
+    pools of size t-1 costs O(Σ deg(x_j)·t) gathers and memory. Each gain is
+    the sum of every node's increment taken one node at a time, in node
+    order: the neighbours' increments in CSR order, since every other
+    node's increment is +0.0. So a gain does not depend on which rows share
+    its call. The dense matrix stays for :meth:`_evaluate`,
+    :meth:`_evaluate_batch` and the weights into T.
     """
 
     def __init__(self, graph: WeightedGraph):
@@ -250,22 +251,11 @@ class RevenueObjective(Objective):
         w_b = w_b[:row.size]
         inc = np.sqrt(w_b + self.data[pos]) - np.sqrt(w_b)
         inc[members] = 0.0
-        if not t_mat.shape[1] and m > 1:
-            # The all-nodes formula's (n, m) increments are summed
-            # sequentially over n when T is empty. The neighbours, in CSR
-            # order, are its non-zero terms in node order, and adding the
-            # +0.0 terms is exact, so a sequential sum over the slots, padded
-            # with zeros to the batch's largest degree, is bit-identical.
-            slots = np.zeros((int(deg.max()), m))
-            slots[pos - first[row], row] = inc
-            return slots.sum(axis=0) - own
-        # With T non-empty, or for a lone row, numpy sums each gain pairwise
-        # over all n nodes, so it is summed over a zero-filled row of n nodes;
-        # summing only the deg terms would round differently. The O(m·n) row
-        # costs far less than the O(n·m·t) gather an all-nodes kernel needs.
-        dense = np.zeros((m, n))
-        dense[row, nbr] = inc
-        return dense.sum(axis=1) - own
+        # bincount adds each row's entries one after another, in CSR (node)
+        # order; the all-nodes formula's other terms are +0.0, which adds
+        # exactly, so each gain is every node's increment summed one node at
+        # a time, whichever rows share the call.
+        return np.bincount(row, weights=inc, minlength=m) - own
 
     def _evaluate_batch(self, masks):
         # In place after the two (batch, n) allocations: each fresh temporary

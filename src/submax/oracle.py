@@ -174,11 +174,10 @@ class Objective(ABC):
         rows duplicate-free and disjoint from their base, at most
         ``oracle.GAIN_CELL_BUDGET`` // n rows at a time, and sets rows whose
         x_j already lies in B_j to 0.0 itself, so their value here is ignored.
-        A row's gain must not depend on the other rows of the call, with one
-        exception the oracle keeps apart: numpy reduces a lone row in another
-        order than a batch, so a call holds a single row only when that row
-        is a whole group. Return None (the default) to fall back to two
-        evaluations per row.
+        A row's gain must not depend on the other rows of the call: the
+        oracle cuts a round's rows into calls by count alone, so one row may
+        be alone in a call or share it with any others. Return None (the
+        default) to fall back to two evaluations per row.
         """
         return None
 
@@ -366,9 +365,9 @@ def prefix_round(f: Objective, order: np.ndarray,
 
 
 # Float cells (rows x n) per _gain_batch call in a paired-gain round. The
-# revenue and image kernels hold O(n) floats per row, so this bounds a round's
-# working memory however many groups and rows it carries; at n = 400 a call
-# holds 512 rows, at n = 50 4,096.
+# image kernel holds O(n) floats per row (revenue holds O(sum of deg(x_j) * t)
+# per call), so this bounds a round's working memory however many groups and
+# rows it carries; at n = 400 a call holds 512 rows, at n = 50 4,096.
 GAIN_CELL_BUDGET = 512 * 400
 
 
@@ -426,27 +425,6 @@ def _checked_group(f: Objective, group: GainGroup) -> GainGroup:
                      group.base_value)
 
 
-def _kernel_calls(sizes: list[int], budget: int) -> list[tuple[int, int]]:
-    """Row spans [a, b) of the kernel calls for consecutive groups of these
-    sizes: a one-row group alone, the rest cut to at most budget (>= 2) rows
-    without leaving a row of a larger group alone."""
-    spans, start, run = [], 0, 0
-    for size in sizes + [1]:  # the sentinel closes the last run
-        if size > 1:
-            run += size
-            continue
-        end = start + run
-        while end - start > budget:
-            cut = start + budget - (end - start == budget + 1)
-            spans.append((start, cut))
-            start = cut
-        if run:
-            spans.append((start, end))
-        spans.append((end, end + size))
-        start, run = end + size, 0
-    return spans[:-1]
-
-
 def _exact_gains(f: Objective, group: GainGroup, rows: np.ndarray) -> np.ndarray:
     """Gains of the given rows of a group from two evaluations each.
 
@@ -493,8 +471,8 @@ def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndar
     base takes the exact fallback alone, and a kernel that returns None
     sends every group of its T width there; a row whose x_j lies in
     base + T_j is 0.0 exactly, whichever path ran. The other rows go to the
-    objective's ``_gain_batch``, one call per T width and at most
-    ``GAIN_CELL_BUDGET`` // n rows (never fewer than 2) a call, so a row's
+    objective's ``_gain_batch``, one call per T width and each run of
+    ``GAIN_CELL_BUDGET`` // n consecutive rows (at least one), so a row's
     gain is the same in any grouping.
 
     The groups of one T width are laid end to end and checked together, and
@@ -573,7 +551,7 @@ def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndar
         bases = [bases[b] for b in used]
     state = f._round_state(bases) if bases else ()
 
-    budget = max(2, GAIN_CELL_BUDGET // f.n)
+    budget = max(1, GAIN_CELL_BUDGET // f.n)
     out: list[np.ndarray] = [None] * len(groups)
     for members, sizes, row_base, t_mat, xs, member in batches:
         gains = np.empty(xs.size, dtype=np.float64)
@@ -585,12 +563,13 @@ def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndar
         else:
             fast_t, fast_xs, fast_gains = t_mat, xs, gains
             fast_of = row_base if kernel_base is None else kernel_base[row_base]
-        for a, b in _kernel_calls([n for n, s in zip(sizes, slow) if not s], budget):
-            got = f._gain_batch(state, fast_t[a:b], fast_xs[a:b], fast_of[a:b])
+        for a in range(0, fast_xs.size, budget):
+            chunk = slice(a, a + budget)
+            got = f._gain_batch(state, fast_t[chunk], fast_xs[chunk], fast_of[chunk])
             if got is None:  # no kernel: every group of this width is exact
                 slow = [True] * len(members)
                 break
-            fast_gains[a:b] = got
+            fast_gains[chunk] = got
         else:
             if fast_gains is not gains:
                 gains[keep] = fast_gains

@@ -8,7 +8,8 @@ kernel relies on (overlapping pools, exact zeros for members) hold at the
 metered entry point ``batch_pair_gains``, so they are checked there. So is the
 base-state memo: a kernel fed a memoized base aggregate must answer exactly as
 one that built it afresh. A grouped paired-gain round must answer every group
-bit for bit as that group's own one-group call does.
+bit for bit as that group's own one-group call does, and a row's gain must not
+depend on which rows share its kernel call.
 """
 
 import tracemalloc
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from submax import (
+    CutObjective,
     GainGroup,
     ImageSummarizationObjective,
     ModularObjective,
@@ -46,6 +48,8 @@ SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 def dense_revenue_gain_batch(w, base_idx, t_mat, xs):
     """The revenue gain kernel over all n nodes: an (n, m, t-1) gather of w.
 
+    Each gain sums its n increments one node at a time, in node order, as a
+    running sum; its last entry is the gain, whatever layout numpy gave inc.
     T rows must be disjoint from base; a row whose x_j lies in B_j is 0.0.
     """
     n = w.shape[0]
@@ -64,7 +68,7 @@ def dense_revenue_gain_batch(w, base_idx, t_mat, xs):
     members[xs, np.arange(m)] = True
     inc[members] = 0.0
     own = np.sqrt(w_b[xs, np.arange(m)])
-    gains = inc.sum(axis=0) - own
+    gains = np.add.accumulate(inc, axis=0)[-1] - own
     gains[np.isin(xs, base_idx) | (t_mat == xs[:, None]).any(axis=1)] = 0.0
     return gains
 
@@ -203,7 +207,7 @@ def _revenue_query(n, b, t, m, rng):
 @given(case=revenue_cases())
 @example(case=(40, 0.2, 1, 5, 0, 1))     # m = 1, empty T
 @example(case=(40, 0.2, 2, 5, 12, 1))    # m = 1, t-1 >= 8
-@example(case=(50, 0.05, 3, 10, 12, 30))  # t-1 >= 8: pairwise blocks differ
+@example(case=(50, 0.05, 3, 10, 12, 30))  # t-1 >= 8 over 30 rows
 @example(case=(20, 1.0, 4, 3, 9, 7))     # complete graph
 @example(case=(9, 0.0, 5, 2, 4, 7))      # no edges at all
 def test_revenue_kernel_equals_dense_formula(case):
@@ -246,8 +250,8 @@ def _skewed_graph():
 @pytest.mark.parametrize("width", [0, 1, 8, 12])
 def test_revenue_kernel_on_a_skewed_graph(width, m):
     # Rows of the hub (40 neighbours), the isolated node (none) and small-
-    # degree nodes, from two bases, share the kernel's calls (one call when
-    # m > 1); each group must equal the all-nodes formula on its own base.
+    # degree nodes, from two bases, share one kernel call; each group must
+    # equal the all-nodes formula on its own base.
     f = RevenueObjective(_skewed_graph())
     degree = np.diff(f.indptr)
     assert degree[0] == 40 and degree[47] == 0 and degree.mean() < 2
@@ -266,7 +270,7 @@ def test_revenue_kernel_on_a_skewed_graph(width, m):
     kernel = f._gain_batch
     f._gain_batch = lambda st_, t, x, of: rows.append(x.size) or kernel(st_, t, x, of)
     got = paired_gain_round(f, groups)
-    assert sum(rows) == 2 * m  # every row went through the kernel
+    assert rows == [2 * m]  # every row went through one kernel call
     for gains, want in zip(got, wants):
         assert np.array_equal(gains, want)
 
@@ -447,14 +451,16 @@ def test_grouped_round_equals_one_group_calls(kind, case):
                                     for (base, t_mat, xs, value), led in zip(inputs, ledgers)])
     del f._gain_batch
 
-    overlaps = [t_mat is not None and np.isin(t_mat, base).any()
-                for base, t_mat, _, _ in inputs]
-    # Only the overlapping groups skip the kernel; a call holds at most the
-    # budget, and a lone row only when that row is a whole group.
-    assert sum(calls) == sum(xs.size for (_, _, xs, _), o in zip(inputs, overlaps) if not o)
-    assert max(calls, default=0) <= budget
-    assert calls.count(1) == sum(xs.size == 1 for (_, _, xs, _), o in zip(inputs, overlaps)
-                                 if not o)
+    # Only the overlapping groups skip the kernel. Each T width, in the order
+    # of its first group, sends its other groups' rows end to end in
+    # consecutive chunks of the budget, the remainder last.
+    kernel_rows: dict[int, int] = {}
+    for base, t_mat, xs, _ in inputs:
+        width = 0 if t_mat is None else t_mat.shape[1]
+        overlap = t_mat is not None and np.isin(t_mat, base).any()
+        kernel_rows[width] = kernel_rows.get(width, 0) + (0 if overlap else xs.size)
+    assert calls == [min(budget, rows - a) for rows in kernel_rows.values()
+                     for a in range(0, rows, budget)]
     for (base, t_mat, xs, value), gains, led in zip(inputs, got, ledgers):
         alone = QueryLedger()
         if value is None:
@@ -470,9 +476,71 @@ def test_grouped_round_equals_one_group_calls(kind, case):
         assert (gains[members] == 0.0).all()
 
 
+
+def _graph_objective(kind, graph):
+    """kind's objective on "G400" (revenue and cut: G(400, 3/399), graph
+    seed 61) or "hub" (revenue and cut: _skewed_graph(), n = 48); the other
+    kinds take their make_objective instance at that n."""
+    if kind not in ("revenue", "synthetic-cut"):
+        return make_objective(kind, 400 if graph == "G400" else 48, 61)
+    if graph == "hub":
+        return (RevenueObjective if kind == "revenue" else CutObjective)(_skewed_graph())
+    return generate_synthetic(kind, 400, 3.0 / 399, seed=61).objective()
+
+
+@st.composite
+def call_independence_cases(draw):
+    """(graph, base, T width, leading candidates, seed of the other rows)."""
+    graph = draw(st.sampled_from(["G400", "hub"]))
+    n = 400 if graph == "G400" else 48
+    base = sorted(draw(st.sets(st.integers(0, n - 1), max_size=12)))
+    width = draw(st.sampled_from([0, 1, 8, 12]))
+    lead = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    return graph, base, width, lead, draw(st.integers(0, 2**16))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(case=call_independence_cases())
+@example(case=("G400", [2, 3, 48, 102, 153, 207, 244, 256, 264, 304], 0, [275, 281], 0))
+@example(case=("hub", [2, 41], 8, [0, 47, 5], 1))    # the hub, 40 neighbours
+@example(case=("hub", [7, 9, 43], 12, [47, 0, 42], 2))
+@example(case=("hub", [], 1, [0], 3))
+def test_a_rows_gain_does_not_depend_on_its_call(kind, case):
+    # Each of 30 rows, asked as a one-row group, inside the 30-row group, and
+    # with the round cut into calls of 1, 2 and 3 rows, gets the same bytes.
+    graph, base, width, lead, seed = case
+    f = _graph_objective(kind, graph)
+    base = np.asarray(base, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    rest = np.setdiff1d(np.arange(f.n), base)
+    t_mat = np.stack([rng.choice(rest, width, replace=False)
+                      for _ in range(30)]).reshape(30, width)
+    xs = rng.integers(0, f.n, 30)
+    xs[:len(lead)] = lead
+    value = evaluate_offline(f, base)
+
+    def gains(rows, per_call=None):
+        if width:
+            group = GainGroup(base, t_mat[rows], xs[rows], QueryLedger())
+        else:  # a marginals group against the known f(base)
+            group = GainGroup(base, None, xs[rows], QueryLedger(), value)
+        with pytest.MonkeyPatch.context() as patch:
+            if per_call is not None:
+                patch.setattr(oracle, "GAIN_CELL_BUDGET", per_call * f.n)
+            return paired_gain_round(f, [group])[0]
+
+    together = gains(slice(None))
+    alone = np.concatenate([gains(slice(j, j + 1)) for j in range(30)])
+    assert alone.tobytes() == together.tobytes()
+    for per_call in (1, 2, 3):
+        assert gains(slice(None), per_call).tobytes() == together.tobytes(), per_call
+
+
 def test_grouped_round_memory_is_bounded_by_the_row_budget():
     # 40 groups of 512 rows at n = 400: one kernel call over all 20,480 rows
-    # would hold a 20,480 x 400 float matrix (65.5 MB) for the revenue sums.
+    # would hold every row's neighbour and T weights at once (about 22 MB of
+    # traced peak, against about 4.3 MB in 512-row calls).
     f = generate_synthetic("revenue", 400, 3.0 / 399, seed=61).objective()
     rng = np.random.default_rng(0)
     groups = []
