@@ -186,26 +186,60 @@ class CutObjective(Objective):
 class RevenueObjective(Objective):
     """Influence-style revenue: sum over non-members of sqrt(weight into S).
 
-    Adding x to B changes sqrt(W_B(v)) only at x's neighbours v, so
-    :meth:`_gain_batch` reads the graph as CSR arrays built once here: node
-    v's neighbours are ``indices[indptr[v]:indptr[v + 1]]``, in increasing
-    order, with edge weights ``data`` at the same positions. A zero-weight
-    edge adds exactly 0, so it is left out. A batch of m paired gains over
-    pools of size t-1 costs O(Σ deg(x_j)·t) gathers and memory. Each gain is
-    the sum of every node's increment taken one node at a time, in node
-    order: the neighbours' increments in CSR order, since every other
+    Adding x to B changes sqrt(W_B(v)) only at x's neighbours v, and takes
+    away x's own term, so :meth:`_gain_batch` reads each probe's ego network:
+    its neighbours, in increasing order, then itself. The graph is held as
+    CSR arrays built once here, from the edge list: node v's neighbours are
+    ``indices[indptr[v]:indptr[v + 1]]`` with edge weights ``data`` at the
+    same positions (a zero-weight edge adds exactly 0, so it is left out),
+    and the ego networks as the same arrays with each node appended to its
+    own row. A T element can add to W_B(v) at a node of x's ego network only
+    if it lies within two hops of x, so ``reach[x, u]`` marks u a neighbour
+    of x or of one of x's neighbours, and the kernel reads w only for the
+    (row, column) pairs of T that ``reach`` marks. A batch of m paired gains
+    over pools of size t-1 then costs O(m·t) table reads plus O(deg(x_j))
+    work per hit pair and per row. Each gain is the sum of every node's
+    increment taken one node at a time, in node order: the neighbours'
+    increments in CSR order, then minus x's own term, since every other
     node's increment is +0.0. So a gain does not depend on which rows share
     its call. The dense matrix stays for :meth:`_evaluate`,
-    :meth:`_evaluate_batch` and the weights into T.
+    :meth:`_evaluate_batch` and the weights the hit pairs read.
     """
 
     def __init__(self, graph: WeightedGraph):
         super().__init__(graph.n)
         self.w = graph.dense()
-        rows, self.indices = np.nonzero(self.w)
+        # Both directions of every edge of nonzero weight, row-major: the
+        # entries np.nonzero(self.w) gives, without scanning n^2 cells.
+        edges = np.array(graph.edges, dtype=np.float64).reshape(-1, 3)
+        edges = edges[edges[:, 2] != 0.0]
+        ends = edges[:, :2].astype(np.int64)
+        rows = np.concatenate([ends[:, 0], ends[:, 1]])
+        cols = np.concatenate([ends[:, 1], ends[:, 0]])
+        order = np.lexsort((cols, rows))
+        rows, self.indices = rows[order], cols[order]
+        self.data = np.concatenate([edges[:, 2], edges[:, 2]])[order]
+        degree = np.bincount(rows, minlength=self.n)
         self.indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.n), out=self.indptr[1:])
-        self.data = self.w[rows, self.indices]
+        np.cumsum(degree, out=self.indptr[1:])
+        # Ego rows: node v's neighbours, then v itself with weight 0.0; CSR
+        # entry e moves down by its row number, one self entry per row above.
+        self._ego_ptr = self.indptr + np.arange(self.n + 1)
+        self._ego_size = degree + 1
+        slot = np.arange(rows.size) + rows
+        self._ego = np.empty(rows.size + self.n, dtype=np.int64)
+        self._ego[slot] = self.indices
+        self._ego[self._ego_ptr[1:] - 1] = np.arange(self.n)
+        self._ego_w = np.zeros(rows.size + self.n)
+        self._ego_w[slot] = self.data
+        # Edge (x, v), then each neighbour u of v (the CSR positions of v's
+        # row): two hops from x.
+        hops = degree[self.indices]
+        pos = (self.indptr[self.indices] - hops.cumsum() + hops).repeat(hops)
+        pos += np.arange(pos.size)
+        self.reach = np.zeros((self.n, self.n), dtype=bool)
+        self.reach[rows, self.indices] = True
+        self.reach[rows.repeat(hops), self.indices[pos]] = True
 
     def _evaluate(self, idx):
         if idx.size == 0:
@@ -220,42 +254,51 @@ class RevenueObjective(Objective):
 
     def _gain_batch(self, state, t_mat, xs, base_of):
         in_base, w_into_base = state
-        m, n = xs.size, self.n
-        first = self.indptr[xs]
-        deg = self.indptr[xs + 1] - first
-        # Entry e is a neighbour nbr[e] of x_{row[e]}: the rows in order, each
-        # row's neighbours in CSR order, at CSR positions pos.
-        row = np.repeat(np.arange(m), deg)
-        pos = np.arange(row.size) + np.repeat(first - (np.cumsum(deg) - deg), deg)
-        nbr = self.indices[pos]
-        # W_{B_j}(v) at every neighbour, then at each x_j for its own term;
-        # the state and w are C-contiguous, so they are read at flat offsets.
-        at = np.concatenate([nbr, xs])
-        of = np.concatenate([row, np.arange(m)])
-        cell = base_of[of] * n + at
+        n = self.n
+        # Entry e is node at[e] of x_{row[e]}'s ego row, at CSR position
+        # pos[e]: the rows in order, each its neighbours in CSR order, then x
+        # itself, its last entry.
+        size = self._ego_size[xs]
+        ends = size.cumsum()
+        start = ends - size
+        row = np.arange(xs.size).repeat(size)
+        pos = (self._ego_ptr[xs] - start).repeat(size)
+        pos += np.arange(pos.size)
+        at = self._ego[pos]
+        # W_{B_j}(v) at every entry; the state and w are C-contiguous, so they
+        # are read at flat offsets.
+        cell = base_of[row] * n + at
         w_b = w_into_base.ravel()[cell]
-        members = in_base.ravel()[cell[:row.size]]
+        members = in_base.ravel()[cell]
         if t_mat.shape[1]:
-            t_at = t_mat.T[:, of]  # (t-1, entries + m)
-            members |= (t_at[:, :row.size] == nbr).any(axis=0)
-            # Add the T columns one after another in t_mat order, as the
-            # all-nodes (n, m, t-1) reduction does, so W_{B_j}(v) is
-            # bit-identical.
-            t_at += at * n
-            cols = self.w.ravel()[t_at]
-            t_sum = cols[0].copy()
-            for col in cols[1:]:
-                t_sum += col
-            w_b += t_sum
-        own = np.sqrt(w_b[row.size:])
-        w_b = w_b[:row.size]
-        inc = np.sqrt(w_b + self.data[pos]) - np.sqrt(w_b)
+            # The (row, column) pairs of T within two hops of x_j, row-major;
+            # pair p adds w[v, u_p] at every entry v of its row. bincount adds
+            # an entry's terms one after another in t_mat column order, from
+            # 0.0, and every pair left out would add +0.0, so W_{B_j}(v) is
+            # bit-identical to the sum over all of T_j in column order.
+            hit_row, hit_col = self.reach.ravel()[xs[:, None] * n + t_mat].nonzero()
+            if hit_row.size:
+                hit_size = size[hit_row]
+                ent = (start[hit_row] - hit_size.cumsum() + hit_size).repeat(hit_size)
+                ent += np.arange(ent.size)
+                u = t_mat[hit_row, hit_col].repeat(hit_size)
+                v = at[ent]
+                w_b += np.bincount(ent, weights=self.w.ravel()[v * n + u],
+                                   minlength=w_b.size)
+                members[ent[v == u]] = True  # a neighbour in T_j
+        root = np.sqrt(w_b)
+        w_b += self._ego_w[pos]
+        inc = np.sqrt(w_b, out=w_b)
+        inc -= root
         inc[members] = 0.0
-        # bincount adds each row's entries one after another, in CSR (node)
-        # order; the all-nodes formula's other terms are +0.0, which adds
-        # exactly, so each gain is every node's increment summed one node at
-        # a time, whichever rows share the call.
-        return np.bincount(row, weights=inc, minlength=m) - own
+        # x's own term, added last as its negation: s + (-a) is exactly s - a.
+        own = ends - 1
+        inc[own] = -root[own]
+        # bincount adds each row's entries one after another, in node order
+        # with x's own term last; the all-nodes formula's other terms are
+        # +0.0, which adds exactly, so each gain is every node's increment
+        # summed one node at a time, whichever rows share the call.
+        return np.bincount(row, weights=inc, minlength=xs.size)
 
     def _evaluate_batch(self, masks):
         # In place after the two (batch, n) allocations: each fresh temporary

@@ -89,6 +89,26 @@ class Subset:
         raise TypeError("Subset is retired; pass a sorted int64 index array")
 
 
+class _BaseMemo(dict):
+    """{base key: state} of the bases of one stack, in row order.
+
+    ``row`` maps a key to its row and ``stack`` holds the states stacked:
+    array i of ``stack`` holds array i of every state, one leading row per
+    base. Each state's arrays are read-only, and so are the stacked ones.
+    """
+
+    def __init__(self, states: dict[bytes, tuple[np.ndarray, ...]]):
+        super().__init__(states)
+        self.row = {key: i for i, key in enumerate(states)}
+        per_base = list(states.values())
+        if len(per_base) == 1:  # views of the memoized arrays, read-only too
+            self.stack = tuple(arr[None] for arr in per_base[0])
+        else:
+            self.stack = tuple(np.stack(arrays) for arrays in zip(*per_base))
+            for arr in self.stack:
+                arr.flags.writeable = False
+
+
 class Objective(ABC):
     """Evaluation oracle for a nonnegative set function over n elements.
 
@@ -101,17 +121,16 @@ class Objective(ABC):
     A :meth:`_gain_batch` kernel that reads an aggregate of a base (say,
     each element's weight into it) computes it in :meth:`_base_state`; the
     oracle hands the kernel those aggregates for every base of a round,
-    stacked, through :meth:`_round_state`. That memo keeps the states of the
-    latest round's bases, so the many rounds an algorithm issues against
-    unchanged bases build each aggregate once. A hit returns the very arrays
-    a fresh call would compute, so the gains are bit-identical. The memo
-    cannot see changes to an objective's data: objectives must not be
-    mutated after construction.
+    stacked, through :meth:`_round_state`. That memo keeps the stacked
+    states of the latest stack's bases, so the many rounds an algorithm
+    issues against unchanged bases build each aggregate, and stack them,
+    once. A hit returns the very arrays a fresh call would compute, so the
+    gains are bit-identical. The memo cannot see changes to an objective's
+    data: objectives must not be mutated after construction.
     """
 
-    # {base key: state} of the latest round's bases; an instance attribute
-    # once set.
-    _base_memo: dict[bytes, tuple] | None = None
+    # The states of the latest stack's bases; an instance attribute once set.
+    _base_memo: "_BaseMemo | None" = None
 
     def __init__(self, n: int):
         check_params(n=n)
@@ -130,44 +149,47 @@ class Objective(ABC):
         """
         return ()
 
-    def _round_state(self, bases: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
-        """:meth:`_base_state` of each base, stacked: array i of the result
-        holds array i of every base's state, one leading row per base.
+    def _round_state(self, bases: Sequence[np.ndarray]
+                     ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """:meth:`_base_state` of each base, stacked, and each base's row.
 
-        Each base's state is memoized until a round without that base: the
-        memo keeps exactly the states of the latest call's bases. The key is
-        a base's elements as int64 bytes: the same elements in any integer
-        dtype share an entry, and two bases whose raw bytes merely agree
-        (int32 [1, 0], int64 [1]) do not. The memo is one dict, read once and
-        replaced whole, so concurrent callers can at worst recompute a state,
-        never read a mismatched one. Every returned array is read-only.
+        Returns (state, rows): array i of state holds array i of the states
+        of the memo's bases, one leading row per base, and bases[j]'s state
+        is at row rows[j]. The memo keeps the states of the bases of the
+        latest stack, stacked: a round whose bases all lie among them, as in
+        consecutive scan steps of the sampler, gets that stack back with no
+        copy; any other round stacks its own distinct bases, reusing each
+        memoized state it finds. The key is a base's elements as int64
+        bytes: the same elements in any integer dtype share an entry, and
+        two bases whose raw bytes merely agree (int32 [1, 0], int64 [1]) do
+        not. The memo is one object, read once and replaced whole, so
+        concurrent callers can at worst recompute a state, never read a
+        mismatched one. Every returned array is read-only.
         """
-        memo = self._base_memo or {}
-        states, per_base = {}, []
-        for base_idx in bases:
-            key = _as_index_array(base_idx).tobytes()
-            state = states.get(key, memo.get(key))
-            if state is None:
-                state = self._base_state(base_idx)
-                for arr in state:
-                    arr.flags.writeable = False
-            states[key] = state
-            per_base.append(state)
-        self._base_memo = states
-        if len(per_base) == 1:  # views of the memoized arrays, read-only too
-            return tuple(arr[None] for arr in per_base[0])
-        stacked = tuple(np.stack(arrays) for arrays in zip(*per_base))
-        for arr in stacked:
-            arr.flags.writeable = False
-        return stacked
+        keys = [_as_index_array(base_idx).tobytes() for base_idx in bases]
+        memo = self._base_memo
+        if memo is None or not memo.row.keys() >= set(keys):
+            states = {}
+            for key, base_idx in zip(keys, bases):
+                if key in states:
+                    continue
+                state = None if memo is None else memo.get(key)
+                if state is None:
+                    state = self._base_state(base_idx)
+                    for arr in state:
+                        arr.flags.writeable = False
+                states[key] = state
+            memo = self._base_memo = _BaseMemo(states)
+        row = memo.row
+        return memo.stack, np.array([row[key] for key in keys], dtype=np.int64)
 
     def _gain_batch(self, state: tuple[np.ndarray, ...], t_mat: np.ndarray,
                     xs: np.ndarray, base_of: np.ndarray) -> np.ndarray | None:
         """Optional vectorized path for paired gain queries.
 
         Row j asks for f(B_j + x_j) - f(B_j) with B_j = base + t_mat[j], where
-        base is the round's base number base_of[j] and state is the round's
-        :meth:`_round_state`: a kernel reads row j's aggregates at index
+        state is the stack of :meth:`_round_state` and base_of[j] the row of
+        row j's base in it: a kernel reads row j's aggregates at index
         base_of[j] of each state array. The rows of one call may come from
         many bases and many groups, but share one T width (t_mat may have no
         columns, a base may be empty). The oracle calls it only with t_mat
@@ -390,23 +412,9 @@ class GainGroup(NamedTuple):
     base_value: float | None = None
 
 
-def _base_array(f: Objective, base) -> np.ndarray:
-    """The base of a paired-gain group as an int64 array, checked.
-
-    The base must be strictly increasing: its order keys the base-state memo
-    and orders the kernels' sums, and a repeated element would count twice.
-    """
-    base_idx = _as_index_array(base)
-    if base_idx.size > 1 and np.count_nonzero(base_idx[1:] <= base_idx[:-1]):
-        raise InvalidSubsetError("the base must be strictly increasing")
-    # Sorted, so its ends bound it; _check_bounds names the offender.
-    if base_idx.size and (base_idx[0] < 0 or base_idx[-1] >= f.n):
-        _check_bounds(f, base_idx)
-    return base_idx
-
-
-def _checked_group(f: Objective, group: GainGroup) -> GainGroup:
-    """The group with int64 arrays; raises for a malformed group."""
+def _checked_group(group: GainGroup) -> GainGroup:
+    """The group with int64 arrays; raises ValueError for a malformed group.
+    Its base is checked with the round's other bases, by :func:`_base_rows`."""
     if group.t_mat is None:
         xs = _as_index_array(group.xs)
         if xs.size == 0:
@@ -421,8 +429,42 @@ def _checked_group(f: Objective, group: GainGroup) -> GainGroup:
             raise ValueError("t_mat must be (m, t-1) and xs length m")
         if xs.size == 0:
             raise ValueError("batch_pair_gains requires at least one pair")
-    return GainGroup(_base_array(f, group.base), t_mat, xs, group.ledger,
+    return GainGroup(_as_index_array(group.base), t_mat, xs, group.ledger,
                      group.base_value)
+
+
+def _base_rows(f: Objective, bases: list[np.ndarray]) -> np.ndarray:
+    """The membership rows (len(bases), n) of a round's distinct int64 bases.
+
+    Each base must be strictly increasing: its order keys the base-state
+    memo and orders the kernels' sums, and a repeated element would count
+    twice. Raises InvalidSubsetError for a base out of order or repeating,
+    or with an element outside [0, n). Many bases are checked at once, laid
+    end to end.
+    """
+    in_base = np.zeros((len(bases), f.n), dtype=bool)
+    if len(bases) == 1:
+        flat = bases[0]
+        steps = np.count_nonzero(flat[1:] <= flat[:-1])
+        # Sorted, so its ends bound it; _check_bounds names the offender.
+        if not steps and flat.size and (flat[0] < 0 or flat[-1] >= f.n):
+            _check_bounds(f, flat)
+        rows = flat
+    else:
+        sizes = np.array([base.size for base in bases])
+        flat = np.concatenate(bases)
+        # A step that does not rise, except across the seam between two bases.
+        rises = flat[1:] <= flat[:-1]
+        seams = sizes.cumsum()[:-1]
+        rises[seams[(seams > 0) & (seams < flat.size)] - 1] = False
+        steps = np.count_nonzero(rises)
+        if not steps:
+            _check_bounds(f, flat)
+        rows = np.arange(0, in_base.size, f.n).repeat(sizes) + flat
+    if steps:
+        raise InvalidSubsetError("the base must be strictly increasing")
+    in_base.ravel()[rows] = True
+    return in_base
 
 
 def _exact_gains(f: Objective, group: GainGroup, rows: np.ndarray) -> np.ndarray:
@@ -453,10 +495,19 @@ def _exact_gains(f: Objective, group: GainGroup, rows: np.ndarray) -> np.ndarray
 def _in_own_base(in_base: np.ndarray, row_base: np.ndarray,
                  idx: np.ndarray) -> np.ndarray:
     """in_base[row_base[j], idx[j]]: whether each entry of idx (one per row,
-    or one row of entries per row) lies in its row's base."""
+    or one row of entries per row) lies in its row's base, read at flat
+    offsets."""
     if in_base.shape[0] == 1:
         return in_base[0][idx]
-    return in_base[row_base if idx.ndim == 1 else row_base[:, None], idx]
+    rows = row_base if idx.ndim == 1 else row_base[:, None]
+    return in_base.ravel()[rows * in_base.shape[1] + idx]
+
+
+def _repeats_in_a_row(t_mat: np.ndarray) -> bool:
+    """Whether some row of t_mat repeats an element (its sorted copy is
+    freed on return, before the round's other row-sized arrays)."""
+    ordered = np.sort(t_mat, axis=1)
+    return bool(np.count_nonzero(ordered[:, 1:] == ordered[:, :-1]))
 
 
 def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndarray]:
@@ -476,10 +527,11 @@ def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndar
     gain is the same in any grouping.
 
     The groups of one T width are laid end to end and checked together, and
-    membership in a row's base is read from one row of n booleans per
-    distinct base. A round of one group, such as every round of greedy and
-    lazy greedy, concatenates nothing: it costs its checks, that one row,
-    its base's memoized state and one kernel call per row chunk.
+    membership in a row's base is read, at flat offsets, from one row of n
+    booleans per distinct base; the distinct bases are checked together
+    too. A round of one group, such as every round of greedy and lazy
+    greedy, concatenates nothing: it costs its checks, that one row, its
+    base's memoized state and one kernel call per row chunk.
 
     Every group is checked before any is metered: InvalidSubsetError for an
     element outside [0, n), an unsorted or repeating base, or a T row that
@@ -489,7 +541,7 @@ def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndar
     """
     # A marginals group without its base value asks f(base) in the round.
     asks = [g.t_mat is None and g.base_value is None for g in groups]
-    groups = [_checked_group(f, g) for g in groups]
+    groups = [_checked_group(g) for g in groups]
     numbers: dict[bytes, int] = {}
     bases, base_of = [], []
     by_width: dict[int, list[int]] = {}
@@ -499,9 +551,7 @@ def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndar
             bases.append(g.base)
         base_of.append(b)
         by_width.setdefault(g.t_mat.shape[1], []).append(i)
-    in_base = np.zeros((len(bases), f.n), dtype=bool)
-    for b, base in enumerate(bases):
-        in_base[b][base] = True
+    in_base = _base_rows(f, bases)
 
     exact = [False] * len(groups)  # the group's T rows touch its base
     batches = []
@@ -520,20 +570,20 @@ def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndar
         member = _in_own_base(in_base, row_base, xs)
         if width:
             _check_bounds(f, t_mat)
-            if width > 1:
-                rows = np.sort(t_mat, axis=1)
-                if np.count_nonzero(rows[:, 1:] == rows[:, :-1]):
-                    raise InvalidSubsetError("duplicate element in a T row")
-            member |= (t_mat == xs[:, None]).any(axis=1)
-            touch = _in_own_base(in_base, row_base, t_mat).any(axis=1)
-            starts = np.cumsum(sizes) - sizes
-            for i, hit in zip(members, np.logical_or.reduceat(touch, starts).tolist()):
-                exact[i] = hit
+            if width > 1 and _repeats_in_a_row(t_mat):
+                raise InvalidSubsetError("duplicate element in a T row")
+            # Rows of the few True cells: x_j in T_j, and T_j touching B_j.
+            member[np.flatnonzero(t_mat == xs[:, None]) // width] = True
+            touch = np.flatnonzero(_in_own_base(in_base, row_base, t_mat))
+            if touch.size:
+                which = np.searchsorted(np.cumsum(sizes), touch // width, side="right")
+                for k in np.unique(which).tolist():
+                    exact[members[k]] = True
         batches.append((members, sizes, row_base, t_mat, xs, member))
 
     for g, ask in zip(groups, asks):
         if g.base_value is not None or ask:
-            g.ledger.add_round(int(g.xs.size) + ask)
+            g.ledger.add_round(g.xs.size + ask)
         else:
             g.ledger.add_round(2 * g.xs.size, logical_samples=g.xs.size)
     for i in [i for i, ask in enumerate(asks) if ask]:
@@ -542,14 +592,17 @@ def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndar
         groups[i].ledger.record_value(value)
         groups[i] = groups[i]._replace(base_value=value)
 
-    # The kernels read the states of the other groups' bases only.
-    kernel_base = None
+    # The kernels read the states of the other groups' bases only; kernel_row
+    # maps a base number to its row in the state stack.
     if any(exact):
         used = sorted({b for b, slow in zip(base_of, exact) if not slow})
-        kernel_base = np.zeros(len(bases), dtype=np.int64)
-        kernel_base[used] = np.arange(len(used))
-        bases = [bases[b] for b in used]
-    state = f._round_state(bases) if bases else ()
+        kernel_row = np.zeros(len(bases), dtype=np.int64)
+        state = ()
+        if used:
+            state, rows = f._round_state([bases[b] for b in used])
+            kernel_row[used] = rows
+    else:
+        state, kernel_row = f._round_state(bases)
 
     budget = max(1, GAIN_CELL_BUDGET // f.n)
     out: list[np.ndarray] = [None] * len(groups)
@@ -558,11 +611,11 @@ def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndar
         slow = [exact[i] for i in members]
         if any(slow):
             keep = np.repeat(np.logical_not(slow), sizes)
-            fast_t, fast_xs, fast_of = t_mat[keep], xs[keep], kernel_base[row_base[keep]]
+            fast_t, fast_xs, fast_of = t_mat[keep], xs[keep], kernel_row[row_base[keep]]
             fast_gains = np.empty(fast_xs.size, dtype=np.float64)
         else:
             fast_t, fast_xs, fast_gains = t_mat, xs, gains
-            fast_of = row_base if kernel_base is None else kernel_base[row_base]
+            fast_of = kernel_row[row_base]
         for a in range(0, fast_xs.size, budget):
             chunk = slice(a, a + budget)
             got = f._gain_batch(state, fast_t[chunk], fast_xs[chunk], fast_of[chunk])
@@ -639,6 +692,33 @@ def spawn_seeds(seed: int | np.random.SeedSequence,
     """Independent child seed sequences derived by mixing the child index."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return ss.spawn(count)
+
+
+def draws_below(rng: np.random.Generator, bounds: np.ndarray,
+                words: np.ndarray) -> np.ndarray:
+    """The integers ``rng.integers`` draws below ``bounds`` (uint64, each in
+    [2, 2**32)), one per bound in order, when ``words`` holds the next
+    bounds.size 32-bit words of its stream; any further word is drawn here.
+
+    numpy maps a word w to (w * b) >> 32 (Lemire, "Fast random integer
+    generation in an interval", ACM TOMACS 2019) and rejects w when the low
+    32 bits of w * b fall below (2**32 - b) % b, taking the next word for
+    the same bound. A rejection shifts every later draw by one word, so the
+    draws are redone from that element on, with one more word.
+    """
+    out = np.empty(bounds.size, dtype=np.int64)
+    done = 0
+    while True:
+        b = bounds[done:]
+        prod = words.astype(np.uint64) * b
+        bad = np.flatnonzero((prod & np.uint64(0xFFFFFFFF)) < (np.uint64(1 << 32) - b) % b)
+        stop = int(bad[0]) if bad.size else b.size
+        out[done:done + stop] = prod[:stop] >> np.uint64(32)
+        if not bad.size:
+            return out
+        done += stop
+        words = np.concatenate([words[stop + 1:],
+                                rng.integers(0, 1 << 32, 1, dtype=np.uint32)])
 
 
 def sample_without_replacement(rng: np.random.Generator, pool,

@@ -40,6 +40,7 @@ from .oracle import (
     batch_marginals,
     batch_pair_gains,
     check_params,
+    draws_below,
     evaluate_batch,
     paired_gain_round,
     sample_without_replacement,
@@ -136,34 +137,90 @@ def draw_blocks(rngs: Sequence[np.random.Generator], pools: Sequence[np.ndarray]
     earlier columns. One more integer per row picks which of the t elements
     is x, so a uniform t-set with a uniform x gives exactly the pair law
     above. That is t+1 random integers per row and O(count*t) memory,
-    whatever the pool size. Each trial makes its two draws from its own
-    generator, so its stream does not depend on the other trials; the
-    column resolution then runs once for all of them. Returns one
-    (t_mat of shape (count, t-1), xs) pair per trial.
+    whatever the pool size.
+
+    The integers are exactly those of ``rng.integers(np.arange(P-t+1, P+1),
+    size=(count, t))`` then ``rng.integers(t, size=count)``, and the
+    generator ends where those two calls leave it, but each trial makes one
+    raw word draw (``oracle.draws_below`` has numpy's method): its position
+    words row by row, then its pick words, a bound of 1 taking none. The
+    multiply-shift then runs once for the whole group, column by column,
+    and a trial with a rejected word is redone exactly from its own words.
+    Each trial draws from its own generator only, so its stream does not
+    depend on the other trials. Returns one (t_mat of shape (count, t-1),
+    xs) pair per trial.
     """
     sizes = np.array([pool.size for pool in pools], dtype=np.int64)
     for size in sizes.tolist():
         if not 1 <= t <= size:
             raise ValueError(f"t must lie in [1, {size}], got {t}")
-    idx, pick = [], []
-    for rng, size, count in zip(rngs, sizes.tolist(), counts):
-        idx.append(rng.integers(np.arange(size - t + 1, size + 1), size=(count, t)))
-        pick.append(rng.integers(t, size=count))
-    idx, pick = np.concatenate(idx), np.concatenate(pick)
-    last = np.repeat(sizes - t, counts)  # P - t, per row
+    counts = np.asarray(counts, dtype=np.int64)
+    rows = int(counts.sum())
+    skip = sizes == t  # column 0 has bound 1: no word
+    width = t - skip  # position words per row
+    per_trial = counts * (width + (t > 1))
+    # The words laid end to end, and one stand-in word after them.
+    flat_words = np.concatenate([rng.integers(0, 1 << 32, size, dtype=np.uint32)
+                                 for rng, size in zip(rngs, per_trial.tolist())]
+                                + [np.zeros(1, dtype=np.uint32)])
+    # Row r's position words start at at[r], and its pick word follows all
+    # its trial's position words.
+    every = np.arange(rows)
+    first = per_trial.cumsum() - per_trial
+    row_start = counts.cumsum() - counts
+    at = np.repeat(first - row_start * width, counts) + every * np.repeat(width, counts)
+    skip_rows = np.repeat(skip, counts)
+    size_row = np.repeat(sizes, counts)  # P, per row
+    # Column-major from here: column i of every row is one contiguous run.
+    # Word times bound, (t, rows).
+    prod = np.multiply(flat_words[at - skip_rows + np.arange(t)[:, None]],
+                       (size_row - t + 1).astype(np.uint64)
+                       + np.arange(t, dtype=np.uint64)[:, None], dtype=np.uint64)
+    # A bound-1 column takes no word: it read the word before its row's
+    # (the stand-in, for the first row), and takes this one instead, which
+    # gives 0 and is never suspect.
+    prod[0, skip_rows] = 0xFFFFFFFF
+    idx = np.right_shift(prod, np.uint64(32)).view(np.int64)
+    # A rejected word's product has its low 32 bits below the bound, and so
+    # below P; the trials of such rows are redone.
+    suspect = np.flatnonzero(prod.astype(np.uint32) < size_row) % rows
+    if t > 1:
+        picks = np.repeat(first + counts * width - row_start, counts) + every
+        pick_prod = np.multiply(flat_words[picks], np.uint64(t))
+        pick = np.right_shift(pick_prod, np.uint64(32)).view(np.int64)
+        suspect = np.concatenate([suspect, np.flatnonzero(pick_prod.astype(np.uint32) < t)])
+    else:
+        pick = np.zeros(rows, dtype=np.int64)
+    ends = counts.cumsum()
+    for i in np.unique(np.searchsorted(ends, suspect, side="right")).tolist():
+        # Redo trial i's integers from its own words, in their order; only a
+        # true rejection changes them.
+        size, count, w = int(sizes[i]), int(counts[i]), int(width[i])
+        lo = int(ends[i]) - count
+        seq = [np.tile(np.arange(size - w + 1, size + 1, dtype=np.uint64), count)]
+        if t > 1:
+            seq.append(np.full(count, t, dtype=np.uint64))
+        got = draws_below(rngs[i], np.concatenate(seq),
+                          flat_words[first[i]:first[i] + per_trial[i]])
+        idx[t - w:, lo:lo + count] = got[:count * w].reshape(count, w).T
+        if t > 1:
+            pick[lo:lo + count] = got[count * w:]
+    last = size_row - t
     for i in range(1, t):
-        seen = (idx[:, :i] == idx[:, i:i + 1]).any(axis=1)
-        idx[seen, i] = last[seen] + i
-    rows = np.arange(idx.shape[0])
-    x_idx = idx[rows, pick]
-    idx[rows, pick] = idx[:, t - 1]
+        seen = (idx[:i] == idx[i]).any(axis=0)
+        idx[i, seen] = last[seen] + i
     # Positions index each row's own pool within the pools laid end to end.
-    start = np.repeat(np.cumsum(sizes) - sizes, counts)
+    idx += np.repeat(np.cumsum(sizes) - sizes, counts)
+    x_idx = idx[pick, every]
+    idx[pick, every] = idx[t - 1]
     flat = np.concatenate(pools)
-    t_all = flat[idx[:, :t - 1] + start[:, None]]
-    x_all = flat[x_idx + start]
-    ends = np.cumsum(counts).tolist()
-    return [(t_all[e - c:e], x_all[e - c:e]) for c, e in zip(counts, ends)]
+    # Gathered row-major straight into the result; every position is in
+    # range, and mode="clip" lets take skip its buffered copy.
+    t_all = np.take(flat, idx[:t - 1].T, mode="clip",
+                    out=np.empty((rows, t - 1), dtype=flat.dtype))
+    x_all = flat[x_idx]
+    return [(t_all[e - c:e], x_all[e - c:e])
+            for c, e in zip(counts.tolist(), ends.tolist())]
 
 
 def draw_block_and_probe(rng: np.random.Generator, pool: np.ndarray, t: int,
@@ -249,10 +306,9 @@ def lockstep_threshold_sampling(
                                              for tr in live])
             for tr, gains in zip(live, filtered):
                 tr.f_s = tr.ledger.values[tr.ledger.rounds]
-                # Members of s gain exactly 0.0, so at tau = 0 they pass the
-                # filter.
-                tr.pool = np.setdiff1d(tr.pool[gains >= tr.params.tau], tr.s,
-                                       assume_unique=True)
+                tr.pool = tr.pool[gains >= tr.params.tau]
+                if tr.params.tau == 0:  # members of s gain exactly 0.0
+                    tr.pool = np.setdiff1d(tr.pool, tr.s, assume_unique=True)
         scanning = []
         for tr in live:
             tr.snapshots.append({"round": outer, "a": tr.pool, "s": tr.s,

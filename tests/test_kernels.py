@@ -122,8 +122,8 @@ def reference_gain(f, base, t_row, x):
 def test_gain_batch_matches_evaluate(kind, q, seed):
     n, base, t_mat, xs = q
     f = make_objective(kind, n, seed)
-    got = f._gain_batch(f._round_state([base]), t_mat, xs,
-                        np.zeros(xs.size, dtype=np.int64))
+    state, rows = f._round_state([base])
+    got = f._gain_batch(state, t_mat, xs, np.repeat(rows, xs.size))
     assert got is not None and got.shape == xs.shape
     metered = metered_gains(f, base, t_mat, xs)
     for j, x in enumerate(xs):
@@ -192,7 +192,8 @@ def revenue_cases(draw):
     b = draw(st.integers(0, n - 1))
     t = draw(st.integers(0, min(12, n - b)))
     m = draw(st.sampled_from([1, 2, 7, 30]))
-    return n, p, seed, b, t, m
+    bases = draw(st.sampled_from([1, 2, 3]))
+    return n, p, seed, b, t, m, bases
 
 
 def _revenue_query(n, b, t, m, rng):
@@ -203,19 +204,74 @@ def _revenue_query(n, b, t, m, rng):
     return base, t_mat.reshape(m, t), rng.integers(0, n, m)
 
 
+def _revenue_round(case):
+    """The objective and one query per base of a revenue case."""
+    n, p, seed, b, t, m, bases = case
+    f = generate_synthetic("revenue", n, p, seed=seed).objective()
+    rng = np.random.default_rng(seed)
+    return f, [_revenue_query(n, b, t, m, rng) for _ in range(bases)]
+
+
+# The kernel sums each W_B(v) over the T elements it reads; the sum order
+# shows only where a neighbour v of x_j has 3 or more neighbours in T_j.
+# NEIGHBOUR_WITH_3_IN_T has such a row, NEIGHBOUR_IN_T a neighbour of x_j in
+# T_j (a member row of the sum), and MULTI_BASE both, over three bases in one
+# round; test_revenue_examples_cover_their_cases checks that they do.
+NEIGHBOUR_WITH_3_IN_T = (40, 0.2, 0, 5, 10, 1, 1)
+NEIGHBOUR_IN_T = (30, 0.05, 1, 3, 8, 2, 1)
+MULTI_BASE = (24, 0.2, 0, 4, 6, 7, 3)
+
+
 @SETTINGS
 @given(case=revenue_cases())
-@example(case=(40, 0.2, 1, 5, 0, 1))     # m = 1, empty T
-@example(case=(40, 0.2, 2, 5, 12, 1))    # m = 1, t-1 >= 8
-@example(case=(50, 0.05, 3, 10, 12, 30))  # t-1 >= 8 over 30 rows
-@example(case=(20, 1.0, 4, 3, 9, 7))     # complete graph
-@example(case=(9, 0.0, 5, 2, 4, 7))      # no edges at all
+@example(case=(40, 0.2, 1, 5, 0, 1, 1))     # m = 1, empty T
+@example(case=(40, 0.2, 2, 5, 12, 1, 1))    # m = 1, t-1 >= 8
+@example(case=(50, 0.05, 3, 10, 12, 30, 1))  # t-1 >= 8 over 30 rows
+@example(case=(20, 1.0, 4, 3, 9, 7, 1))     # complete graph
+@example(case=(9, 0.0, 5, 2, 4, 7, 1))      # no edges at all
+@example(case=NEIGHBOUR_WITH_3_IN_T)
+@example(case=NEIGHBOUR_IN_T)
+@example(case=MULTI_BASE)
 def test_revenue_kernel_equals_dense_formula(case):
-    n, p, seed, b, t, m = case
+    # Every group of one round, each on its own base, equals the all-nodes
+    # formula on that base.
+    f, queries = _revenue_round(case)
+    got = paired_gain_round(f, [GainGroup(base, t_mat, xs, QueryLedger())
+                                for base, t_mat, xs in queries])
+    for (base, t_mat, xs), gains in zip(queries, got):
+        assert np.array_equal(gains, dense_revenue_gain_batch(f.w, base, t_mat, xs))
+
+
+def _sum_order_cases(f, queries):
+    """(a neighbour of some x_j has 3+ neighbours in T_j, some T_j holds a
+    neighbour of x_j), over the rows the kernel answers."""
+    adjacent = f.w > 0
+    three = in_t = False
+    for base, t_mat, xs in queries:
+        for row, x in zip(t_mat.tolist(), xs.tolist()):
+            if x in base or x in row:
+                continue
+            for v in np.flatnonzero(adjacent[x]).tolist():
+                in_t |= v in row
+                three |= v not in base and np.count_nonzero(adjacent[v, row]) >= 3
+    return three, in_t
+
+
+def test_revenue_examples_cover_their_cases():
+    assert _sum_order_cases(*_revenue_round(NEIGHBOUR_WITH_3_IN_T))[0]
+    assert _sum_order_cases(*_revenue_round(NEIGHBOUR_IN_T))[1]
+    f, queries = _revenue_round(MULTI_BASE)
+    assert len({base.tobytes() for base, _, _ in queries}) == 3
+    assert _sum_order_cases(f, queries) == (True, True)
+
+
+@pytest.mark.parametrize("n,p,seed", [(2, 1.0, 0), (12, 0.2, 1), (30, 0.1, 2),
+                                      (40, 0.05, 3), (9, 0.0, 4), (25, 0.6, 5)])
+def test_revenue_reach_is_the_two_hop_table(n, p, seed):
     f = generate_synthetic("revenue", n, p, seed=seed).objective()
-    base, t_mat, xs = _revenue_query(n, b, t, m, np.random.default_rng(seed))
-    want = dense_revenue_gain_batch(f.w, base, t_mat, xs)
-    assert np.array_equal(metered_gains(f, base, t_mat, xs), want)
+    adjacent = (f.w > 0).astype(np.int64)
+    assert f.reach.dtype == bool
+    assert np.array_equal(f.reach, (adjacent + adjacent @ adjacent) > 0)
 
 
 def test_revenue_kernel_isolated_node_and_zero_weight_edge(tmp_path):
@@ -359,13 +415,13 @@ def test_base_state_memo_keys_on_int64_elements():
     narrow, wide = np.array([1, 0], dtype=np.int32), np.array([1], dtype=np.int64)
     assert narrow.tobytes() == wide.tobytes()
     f = make_objective("image", 5, seed=0)
-    first = f._round_state([narrow])
-    second = f._round_state([wide])
+    first, _ = f._round_state([narrow])
+    second, _ = f._round_state([wide])
     for got, want, other in zip(second, f._base_state(wide), first):
         assert np.array_equal(got[0], want)
         assert not np.array_equal(got, other)
     memo = f._base_memo
-    assert f._round_state([wide, narrow])[0].shape[0] == 2
+    assert f._round_state([wide, narrow])[0][0].shape[0] == 2
     assert f._base_memo[wide.tobytes()] is memo[wide.tobytes()]  # a hit
     assert len(f._base_memo) == 2
 
@@ -378,15 +434,16 @@ def test_base_state_memo_holds_the_latest_rounds_bases():
     f._round_state([c, a])  # b leaves the memo; a's state is reused
     assert set(f._base_memo) == {c.tobytes(), a.tobytes()}
     assert f._base_memo[a.tobytes()] is kept
-    stacked, = f._round_state([a, c, a])
-    for row, base in zip(stacked, (a, c, a)):
+    (stacked,), rows = f._round_state([a, c, a])  # a subset: the same stack
+    assert stacked is f._base_memo.stack[0] and rows.tolist() == [1, 0, 1]
+    for row, base in zip(stacked[rows], (a, c, a)):
         assert np.array_equal(row, f._base_state(base)[0])
 
 
 def test_memoized_base_state_is_read_only():
     f = make_objective("revenue", 8, seed=0)
     bases = [np.array([2, 5], dtype=np.int64), np.array([1], dtype=np.int64)]
-    stacked = f._round_state(bases)
+    stacked, _ = f._round_state(bases)
     memoized = [arr for state in f._base_memo.values() for arr in state]
     for arr in list(stacked) + memoized:
         with pytest.raises(ValueError):

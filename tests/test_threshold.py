@@ -20,7 +20,8 @@ from submax import (
     verify_termination_marginals,
 )
 from submax.objectives import make_random_coverage
-from submax.threshold import _probes
+from submax.oracle import draws_below
+from submax.threshold import _probes, draw_blocks
 
 
 def path_cut():
@@ -329,6 +330,114 @@ class TestDrawBlockAndProbe:
         assert xs.shape == (400,)
         rows = np.hstack([t_mat, xs[:, None]])
         assert all(len(set(r.tolist())) == 5 for r in rows)
+
+
+def reference_blocks(rngs, pools, t, counts):
+    """draw_blocks from numpy's own bounded draws: per trial
+    ``rng.integers(np.arange(P-t+1, P+1), size=(count, t))`` then
+    ``rng.integers(t, size=count)``, then Floyd's column pass row-major."""
+    sizes = np.array([pool.size for pool in pools])
+    idx, pick = [], []
+    for rng, size, count in zip(rngs, sizes.tolist(), counts):
+        idx.append(rng.integers(np.arange(size - t + 1, size + 1), size=(count, t)))
+        pick.append(rng.integers(t, size=count))
+    idx, pick = np.concatenate(idx), np.concatenate(pick)
+    last = np.repeat(sizes - t, counts)
+    for i in range(1, t):
+        seen = (idx[:, :i] == idx[:, i:i + 1]).any(axis=1)
+        idx[seen, i] = last[seen] + i
+    rows = np.arange(idx.shape[0])
+    x_idx = idx[rows, pick]
+    idx[rows, pick] = idx[:, t - 1]
+    start = np.repeat(np.cumsum(sizes) - sizes, counts)
+    flat = np.concatenate(pools)
+    t_all, x_all = flat[idx[:, :t - 1] + start[:, None]], flat[x_idx + start]
+    ends = np.cumsum(counts).tolist()
+    return [(t_all[e - c:e], x_all[e - c:e]) for c, e in zip(counts, ends)]
+
+
+# PCG64(0) advanced this many steps next yields a 64-bit output whose low 32
+# bits w have (w * 641) mod 2**32 < (2**32 - 641) mod 641 = 640: numpy
+# rejects w for the bound 641 and takes the next word instead.
+REJECTED_AT = 4_809_817
+
+
+def _generator(seed, advance=0, cached=False):
+    """A generator that is advance steps in, with a cached 32-bit half when
+    cached: one word drawn from the step before."""
+    bits = np.random.PCG64(seed)
+    bits.advance(advance - cached)
+    rng = np.random.Generator(bits)
+    if cached:
+        rng.integers(0, 2**32, 1, dtype=np.uint32)
+    return rng
+
+
+def _assert_same_draws(got, want, rngs, twins):
+    for (t_mat, xs), (t_want, x_want) in zip(got, want):
+        assert t_mat.tobytes() == t_want.tobytes()
+        assert xs.tobytes() == x_want.tobytes()
+    for rng, twin in zip(rngs, twins):
+        assert rng.bit_generator.state == twin.bit_generator.state
+        # The next draws agree too, the cached half first.
+        assert (rng.integers(0, 2**32, 3, dtype=np.uint32).tolist()
+                == twin.integers(0, 2**32, 3, dtype=np.uint32).tolist())
+        assert rng.random() == twin.random()
+
+
+class TestRawWordDraws:
+    """draw_blocks reads numpy's 32-bit words and applies numpy's bounded
+    method itself; every draw and the generator's end state must equal
+    numpy's own array-bound draws, so a numpy release that changes its
+    method fails here rather than moving streams silently."""
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("t,sizes,counts", [
+        (1, [1, 6, 9], [3, 4, 2]),          # t = 1: no pick word
+        (4, [4, 9, 4], [5, 3, 6]),          # t = |pool| for two trials
+        (2, [2, 3, 50], [7, 1, 40]),
+        (5, [20, 7, 33, 5], [50, 1, 17, 9]),
+        (12, [12, 13, 400], [30, 30, 100]),
+    ])
+    def test_equals_numpy_array_bound_draws(self, t, sizes, counts, cached):
+        pools = [np.arange(size) * 7 + i for i, size in enumerate(sizes)]
+        seeds = [11 * len(sizes) + i for i in range(len(sizes))]
+        rngs = [_generator(s, 5, cached) for s in seeds]
+        twins = [_generator(s, 5, cached) for s in seeds]
+        got = draw_blocks(rngs, pools, t, counts)
+        _assert_same_draws(got, reference_blocks(twins, pools, t, counts), rngs, twins)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_a_rejected_word_is_redrawn_as_numpy_does(self, cached):
+        bits = np.random.PCG64(0)
+        bits.advance(REJECTED_AT)
+        word = int(bits.random_raw()) & 0xFFFFFFFF
+        assert (word * 641) % 2**32 < (2**32 - 641) % 641
+        # The rejected word meets the bound 641: as the first word (bounds
+        # 641, 642, 643), or after the cached half (bounds 640, 641, 642).
+        size = 642 if cached else 643
+        pools = [np.arange(size), np.arange(30)]
+        rngs = [_generator(0, REJECTED_AT, cached), _generator(1)]
+        twins = [_generator(0, REJECTED_AT, cached), _generator(1)]
+        got = draw_blocks(rngs, pools, 3, [100, 20])
+        # The rejection took one word more than 100 rows of 4 words.
+        plain = _generator(0, REJECTED_AT, cached)
+        plain.integers(0, 2**32, 401, dtype=np.uint32)
+        assert rngs[0].bit_generator.state == plain.bit_generator.state
+        _assert_same_draws(got, reference_blocks(twins, pools, 3, [100, 20]),
+                           rngs, twins)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_draws_below_redraws_rejections_near_2_to_32(self, cached):
+        # Bounds just above 2**31 reject about half of all words.
+        bounds = np.array([2**32 - 1, 2**31 + 1, 3 * 2**30, 2, 2**32 - 5, 7] * 30,
+                          dtype=np.uint64)
+        for seed in range(8):
+            rng, twin = _generator(seed, 3, cached), _generator(seed, 3, cached)
+            words = rng.integers(0, 2**32, bounds.size, dtype=np.uint32)
+            got = draws_below(rng, bounds, words)
+            assert got.tolist() == twin.integers(bounds.astype(np.int64)).tolist()
+            assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestTauZeroDegenerateMode:
