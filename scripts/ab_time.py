@@ -2,17 +2,25 @@
 
 Usage (from the repository root):
 
-    python scripts/ab_time.py OLD_CHECKOUT NEW_CHECKOUT [--seeds 24] [--first-seed 1000]
+    python scripts/ab_time.py OLD_CHECKOUT NEW_CHECKOUT [--shape sampler|fallback]
+        [--seeds 24] [--first-seed 1000]
 
 Imports ``OLD_CHECKOUT/src/submax`` as ``submax_a`` and
-``NEW_CHECKOUT/src/submax`` as ``submax_b``, builds the ``anm_sampler``
-benchmark instance (revenue G(400, 3/399), graph seed 61) in each, and runs
-``adaptive_nonmonotone_max`` (k=30, eps=0.25, delta=0.1, 100 samples per
-estimate) once per checkout per run seed. The order alternates seed by seed
-(a then b, then b then a), so drift on a shared host falls on both sides
-alike. Every pair must return the same set, value and ``per_round``; a
-difference stops the script. It prints, for new/old time per seed, the
-median ratio, its interquartile range and the pairs the new checkout won.
+``NEW_CHECKOUT/src/submax`` as ``submax_b``, builds one benchmark instance in
+each, and runs ``adaptive_nonmonotone_max`` with eps=0.25, delta=0.1 and 100
+samples per estimate once per checkout per run seed. ``--shape`` picks the
+instance and k:
+
+- ``sampler`` (the default): the ``anm_sampler`` instance, revenue
+  G(400, 3/399) with graph seed 61, at k=30;
+- ``fallback``: the ``anm_fallback`` instance, revenue G(300, 0.01) with
+  graph seed 1, at k=100, where every trial falls back.
+
+The order alternates seed by seed (a then b, then b then a), so drift on a
+shared host falls on both sides alike. Every pair must return the same set,
+value and ``per_round``; a difference stops the script. It prints, for
+new/old time per seed, the median ratio, its interquartile range and the
+pairs the new checkout won.
 
 Timing both in one process removes the spread between processes, which can
 exceed the effect being measured. BLAS is pinned to one thread, as in the
@@ -45,6 +53,12 @@ def load(name: str, checkout: str):
     return module
 
 
+SHAPES = {  # name: (n, p, graph seed, k)
+    "sampler": (400, 3.0 / 399, 61, 30),
+    "fallback": (300, 0.01, 1, 100),
+}
+
+
 def timed_run(sm, f, params, seed: int):
     gc.collect()
     started = time.perf_counter()
@@ -58,6 +72,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old")
     parser.add_argument("new")
+    parser.add_argument("--shape", choices=SHAPES, default="sampler")
     parser.add_argument("--seeds", type=int, default=24)
     parser.add_argument("--first-seed", type=int, default=1000)
     args = parser.parse_args(argv)
@@ -65,10 +80,11 @@ def main(argv=None) -> int:
         parser.error("--seeds must be >= 1")
 
     sides = [load("submax_a", args.old), load("submax_b", args.new)]
+    n, p, graph_seed, k = SHAPES[args.shape]
     setups = []
     for sm in sides:
-        f = sm.generate_synthetic("revenue", 400, 3.0 / 399, seed=61).objective()
-        params = sm.NonmonotoneParams(k=30, eps=0.25, delta=0.1, sample_override=100)
+        f = sm.generate_synthetic("revenue", n, p, seed=graph_seed).objective()
+        params = sm.NonmonotoneParams(k=k, eps=0.25, delta=0.1, sample_override=100)
         timed_run(sm, f, params, args.first_seed - 1)  # warm-up
         setups.append((sm, f, params))
 

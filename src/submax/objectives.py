@@ -138,6 +138,21 @@ class Instance:
 # objectives
 
 
+def _mask_product(masks, matrix):
+    """``masks @ matrix`` in float64 for a (batch, n) whole-set mask batch.
+
+    The batch's members are the columns that at least one row holds. When
+    they number at most half of n, only those columns of the masks meet only
+    those rows of the matrix; every term left out is a zero mask entry times
+    a matrix entry. Otherwise the full product is taken, since gathering
+    more than half the rows costs more than it saves.
+    """
+    members = masks.any(axis=0).nonzero()[0]
+    if 2 * members.size <= masks.shape[1]:
+        masks, matrix = masks.take(members, axis=1), matrix.take(members, axis=0)
+    return masks.astype(np.float64, copy=False) @ matrix
+
+
 class ModularObjective(Objective):
     """f(S) = sum of fixed nonnegative element weights; the trivial oracle."""
 
@@ -180,7 +195,7 @@ class CutObjective(Objective):
 
     def _evaluate_batch(self, masks):
         m = masks.astype(np.float64)
-        return m @ self.degree - ((m @ self.w) * m).sum(axis=1)
+        return m @ self.degree - (_mask_product(m, self.w) * m).sum(axis=1)
 
 
 class RevenueObjective(Objective):
@@ -202,8 +217,10 @@ class RevenueObjective(Objective):
     increment taken one node at a time, in node order: the neighbours'
     increments in CSR order, then minus x's own term, since every other
     node's increment is +0.0. So a gain does not depend on which rows share
-    its call. The dense matrix stays for :meth:`_evaluate`,
-    :meth:`_evaluate_batch` and the weights the hit pairs read.
+    its call. The dense matrix stays for :meth:`_evaluate`, the weights the
+    hit pairs read, and :meth:`_evaluate_batch`, which multiplies only the
+    rows of a batch's members when they are at most half of n (see
+    ``_mask_product``).
     """
 
     def __init__(self, graph: WeightedGraph):
@@ -301,13 +318,14 @@ class RevenueObjective(Objective):
         return np.bincount(row, weights=inc, minlength=xs.size)
 
     def _evaluate_batch(self, masks):
-        # In place after the two (batch, n) allocations: each fresh temporary
-        # of this size can cost page faults once the allocator returns the
-        # last one to the system, and the sums read the same arrays either way.
-        m = masks.astype(np.float64)
-        into = m @ self.w  # (batch, n): weight into S from each node
+        # In place after the (batch, n) product: each fresh temporary of this
+        # size can cost page faults once the allocator returns the last one
+        # to the system. A member's root times True is itself, a non-member's
+        # times False is +0.0, as with a float mask.
+        into = _mask_product(masks, self.w)  # weight into S from each node
         np.sqrt(into, out=into)
-        return into.sum(axis=1) - np.multiply(into, m, out=m).sum(axis=1)
+        total = into.sum(axis=1)
+        return total - np.multiply(into, masks, out=into).sum(axis=1)
 
 
 class ImageSummarizationObjective(Objective):
@@ -415,7 +433,7 @@ class MovieRecommendationObjective(Objective):
 
     def _evaluate_batch(self, masks):
         m = masks.astype(np.float64)
-        return m @ self._colsum - self.lam * ((m @ self.s) * m).sum(axis=1)
+        return m @ self._colsum - self.lam * (_mask_product(m, self.s) * m).sum(axis=1)
 
 
 class SaturatedCoverageObjective(Objective):
@@ -450,7 +468,7 @@ class SaturatedCoverageObjective(Objective):
                 - np.minimum(self.caps, mass)).sum(axis=1)
 
     def _evaluate_batch(self, masks):
-        return np.minimum(self.caps, masks.astype(np.float64) @ self.a).sum(axis=1)
+        return np.minimum(self.caps, _mask_product(masks, self.a)).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -151,15 +151,40 @@ def test_evaluate_batch_mask_form_equals_list_form(kind):
     assert by_mask.per_round == by_list.per_round == [(1, 12)]
 
 
+@st.composite
+def member_batches(draw):
+    """A (rows, n) mask batch whose rows hold only a drawn member set.
+
+    The member set has 0 to n elements, so batches land on both sides of the
+    whole-set product's rule: at most half of n members multiply only their
+    rows of the objective's matrix, more take the full product.
+    """
+    n = draw(st.integers(2, 14))
+    members = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    rows = draw(st.integers(1, 5))
+    masks = np.zeros((rows, n), dtype=bool)
+    masks[:, members] = np.asarray(draw(st.lists(
+        st.lists(st.booleans(), min_size=len(members), max_size=len(members)),
+        min_size=rows, max_size=rows)), dtype=bool).reshape(rows, len(members))
+    return masks
+
+
+def _batch(n, *rows):
+    masks = np.zeros((len(rows), n), dtype=bool)
+    for i, row in enumerate(rows):
+        masks[i, list(row)] = True
+    return masks
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @SETTINGS
-@given(n=st.integers(2, 14), seed=st.integers(0, 2**16), data=st.data())
-def test_evaluate_batch_matches_evaluate(kind, n, seed, data):
-    f = make_objective(kind, n, seed)
-    rows = data.draw(st.integers(1, 5))
-    masks = np.asarray(data.draw(st.lists(
-        st.lists(st.booleans(), min_size=f.n, max_size=f.n),
-        min_size=rows, max_size=rows)), dtype=bool)
+@given(masks=member_batches(), seed=st.integers(0, 2**16))
+@example(masks=_batch(8, (), ()), seed=0)  # no members
+@example(masks=_batch(8, (1, 6), (2, 6), (5,)), seed=1)  # n/2 members
+@example(masks=_batch(8, (0, 3), (3, 4, 7), (6,)), seed=2)  # n/2 + 1
+@example(masks=_batch(9, (0, 2, 3, 8)), seed=3)  # one row
+def test_evaluate_batch_matches_evaluate(kind, masks, seed):
+    f = make_objective(kind, masks.shape[1], seed)
     got = f._evaluate_batch(masks)
     for mask, value in zip(masks, got):
         want = f._evaluate(np.flatnonzero(mask).astype(np.int64))
