@@ -2,23 +2,27 @@
 
 Usage (from the repository root):
 
-    python scripts/ab_time.py OLD_CHECKOUT NEW_CHECKOUT [--shape sampler|fallback]
-        [--seeds 24] [--first-seed 1000]
+    python scripts/ab_time.py OLD_CHECKOUT NEW_CHECKOUT
+        [--shape sampler|fallback|image] [--seeds 24] [--first-seed 1000]
 
 Imports ``OLD_CHECKOUT/src/submax`` as ``submax_a`` and
 ``NEW_CHECKOUT/src/submax`` as ``submax_b``, builds one benchmark instance in
-each, and runs ``adaptive_nonmonotone_max`` with eps=0.25, delta=0.1 and 100
-samples per estimate once per checkout per run seed. ``--shape`` picks the
-instance and k:
+each, and times one run per checkout per run seed. ``--shape`` picks the
+instance and the run:
 
-- ``sampler`` (the default): the ``anm_sampler`` instance, revenue
-  G(400, 3/399) with graph seed 61, at k=30;
-- ``fallback``: the ``anm_fallback`` instance, revenue G(300, 0.01) with
-  graph seed 1, at k=100, where every trial falls back.
+- ``sampler`` (the default): ``adaptive_nonmonotone_max`` with eps=0.25,
+  delta=0.1 and 100 samples per estimate on the ``anm_sampler`` instance,
+  revenue G(400, 3/399) with graph seed 61, at k=30;
+- ``fallback``: the same on the ``anm_fallback`` instance, revenue
+  G(300, 0.01) with graph seed 1, at k=100, where every trial falls back;
+- ``image``: ``greedy``, then ``random_lazy_greedy`` drawing from the run
+  seed, on the ``baselines_image`` instance, image summarization with
+  n=1000 and instance seed 1, at k=50. Both call ``batch_marginals`` every
+  round.
 
 The order alternates seed by seed (a then b, then b then a), so drift on a
-shared host falls on both sides alike. Every pair must return the same set,
-value and ``per_round``; a difference stops the script. It prints, for
+shared host falls on both sides alike. Every pair must return the same sets,
+values and ``per_round``; a difference stops the script. It prints, for
 new/old time per seed, the median ratio, its interquartile range and the
 pairs the new checkout won.
 
@@ -53,19 +57,43 @@ def load(name: str, checkout: str):
     return module
 
 
-SHAPES = {  # name: (n, p, graph seed, k)
+SHAPES = {  # name: (n, p, graph seed, k); image: (n, instance seed, k)
     "sampler": (400, 3.0 / 399, 61, 30),
     "fallback": (300, 0.01, 1, 100),
+    "image": (1000, 1, 50),
 }
 
 
-def timed_run(sm, f, params, seed: int):
+def anm_setup(sm, shape: str):
+    n, p, graph_seed, k = SHAPES[shape]
+    f = sm.generate_synthetic("revenue", n, p, seed=graph_seed).objective()
+    params = sm.NonmonotoneParams(k=k, eps=0.25, delta=0.1, sample_override=100)
+
+    def run(seed: int):
+        best, ledger, _ = sm.adaptive_nonmonotone_max(f, params, seed)
+        return sorted(best.tolist()), sm.evaluate_offline(f, best), list(ledger.per_round)
+
+    return run
+
+
+def image_setup(sm, shape: str):
+    n, instance_seed, k = SHAPES[shape]
+    f = sm.generate_synthetic("image", n, seed=instance_seed).objective()
+
+    def run(seed: int):
+        ledgers = sm.QueryLedger(), sm.QueryLedger()
+        sets = (sm.greedy(f, k, ledgers[0]),
+                sm.random_lazy_greedy(f, k, None, sm.make_rng(seed), ledgers[1]))
+        return [(s.tolist(), led.per_round, led.values) for s, led in zip(sets, ledgers)]
+
+    return run
+
+
+def timed_run(run, seed: int):
     gc.collect()
     started = time.perf_counter()
-    best, ledger, _ = sm.adaptive_nonmonotone_max(f, params, seed)
-    seconds = time.perf_counter() - started
-    return seconds, (sorted(best.tolist()), sm.evaluate_offline(f, best),
-                     list(ledger.per_round))
+    output = run(seed)
+    return time.perf_counter() - started, output
 
 
 def main(argv=None) -> int:
@@ -79,14 +107,11 @@ def main(argv=None) -> int:
     if args.seeds < 1:
         parser.error("--seeds must be >= 1")
 
-    sides = [load("submax_a", args.old), load("submax_b", args.new)]
-    n, p, graph_seed, k = SHAPES[args.shape]
-    setups = []
-    for sm in sides:
-        f = sm.generate_synthetic("revenue", n, p, seed=graph_seed).objective()
-        params = sm.NonmonotoneParams(k=k, eps=0.25, delta=0.1, sample_override=100)
-        timed_run(sm, f, params, args.first_seed - 1)  # warm-up
-        setups.append((sm, f, params))
+    setup = image_setup if args.shape == "image" else anm_setup
+    runs = [setup(load(name, checkout), args.shape)
+            for name, checkout in (("submax_a", args.old), ("submax_b", args.new))]
+    for run in runs:
+        timed_run(run, args.first_seed - 1)  # warm-up
 
     ratios = []
     for i in range(args.seeds):
@@ -94,7 +119,7 @@ def main(argv=None) -> int:
         order = (0, 1) if i % 2 == 0 else (1, 0)
         got = {}
         for side in order:
-            got[side] = timed_run(*setups[side], seed)
+            got[side] = timed_run(runs[side], seed)
         (old_s, old_out), (new_s, new_out) = got[0], got[1]
         if old_out != new_out:
             print(f"seed {seed}: outputs differ", file=sys.stderr)

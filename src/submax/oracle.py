@@ -117,6 +117,10 @@ class Objective(ABC):
     calls; nonnegativity is validated by the submodularity checker rather than
     assumed. The underscore methods are the raw oracle: algorithm code goes
     through the module-level batch functions so every query is metered.
+    The batch kernels (:meth:`_evaluate_batch`, :meth:`_gain_batch` with its
+    :meth:`_base_state`) have working defaults built on :meth:`_evaluate`;
+    subclasses override them with vectorized formulas, and the oracle always
+    calls them, so there is one answer path.
 
     A :meth:`_gain_batch` kernel that reads an aggregate of a base (say,
     each element's weight into it) computes it in :meth:`_base_state`; the
@@ -143,11 +147,15 @@ class Objective(ABC):
     def _base_state(self, base_idx: np.ndarray) -> tuple[np.ndarray, ...]:
         """The aggregates of one base that :meth:`_gain_batch` reads.
 
-        A tuple of arrays computed from base_idx alone; the default has none.
-        Kernels must not write to them: the memo hands the same arrays to
-        every later round on the same base.
+        A tuple of arrays computed from base_idx alone; the default is the
+        base's membership row, which the default :meth:`_gain_batch` reads,
+        so a subclass that overrides this overrides that too. Kernels must
+        not write to them: the memo hands the same arrays to every later
+        round on the same base.
         """
-        return ()
+        in_base = np.zeros(self.n, dtype=bool)
+        in_base[base_idx] = True
+        return (in_base,)
 
     def _round_state(self, bases: Sequence[np.ndarray]
                      ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -184,32 +192,52 @@ class Objective(ABC):
         return memo.stack, np.array([row[key] for key in keys], dtype=np.int64)
 
     def _gain_batch(self, state: tuple[np.ndarray, ...], t_mat: np.ndarray,
-                    xs: np.ndarray, base_of: np.ndarray) -> np.ndarray | None:
-        """Optional vectorized path for paired gain queries.
+                    xs: np.ndarray, base_of: np.ndarray) -> np.ndarray:
+        """Gains of paired queries: f(B_j + x_j) - f(B_j) for each row j.
 
-        Row j asks for f(B_j + x_j) - f(B_j) with B_j = base + t_mat[j], where
-        state is the stack of :meth:`_round_state` and base_of[j] the row of
-        row j's base in it: a kernel reads row j's aggregates at index
-        base_of[j] of each state array. The rows of one call may come from
-        many bases and many groups, but share one T width (t_mat may have no
-        columns, a base may be empty). The oracle calls it only with t_mat
-        rows duplicate-free and disjoint from their base, at most
-        ``oracle.GAIN_CELL_BUDGET`` // n rows at a time, and sets rows whose
-        x_j already lies in B_j to 0.0 itself, so their value here is ignored.
-        A row's gain must not depend on the other rows of the call: the
-        oracle cuts a round's rows into calls by count alone, so one row may
-        be alone in a call or share it with any others. Return None (the
-        default) to fall back to two evaluations per row.
+        B_j = base + t_mat[j], where state is the stack of
+        :meth:`_round_state` and base_of[j] the row of row j's base in it: a
+        kernel reads row j's aggregates at index base_of[j] of each state
+        array. The rows of one call may come from many bases and many
+        groups, but share one T width (t_mat may have no columns, a base may
+        be empty). The oracle calls it only with t_mat rows duplicate-free
+        and disjoint from their base, at most ``oracle.GAIN_CELL_BUDGET`` // n
+        rows at a time, and sets rows whose x_j already lies in B_j to 0.0
+        itself, so their value here is ignored. A row's gain must not depend
+        on the other rows of the call: the oracle cuts a round's rows into
+        calls by count alone, so one row may be alone in a call or share it
+        with any others.
+
+        The default reads B_j off the base's membership row (the default
+        :meth:`_base_state`) and evaluates B_j and B_j + x_j with
+        :meth:`_evaluate`, once per distinct set in the call. It also
+        answers T rows that overlap their base, which the oracle sends it
+        directly.
         """
-        return None
+        in_base, = state
+        values: dict[bytes, float] = {}
 
-    def _evaluate_batch(self, masks: np.ndarray) -> np.ndarray | None:
-        """Optional vectorized path for whole-subset batches.
+        def value(mask: np.ndarray) -> float:
+            key = mask.tobytes()
+            got = values.get(key)
+            if got is None:
+                got = values[key] = self._evaluate(np.flatnonzero(mask))
+            return got
 
-        masks is a (batch, n) boolean membership matrix. Return None (the
-        default) to fall back to one :meth:`_evaluate` call per row.
-        """
-        return None
+        gains = np.empty(xs.size, dtype=np.float64)
+        for j, (b, x) in enumerate(zip(base_of.tolist(), xs.tolist())):
+            mask = in_base[b].copy()
+            mask[t_mat[j]] = True
+            before = value(mask)
+            mask[x] = True
+            gains[j] = value(mask) - before
+        return gains
+
+    def _evaluate_batch(self, masks: np.ndarray) -> np.ndarray:
+        """Values of a whole-set batch, given as a (batch, n) boolean
+        membership matrix. The default takes one :meth:`_evaluate` per row."""
+        return np.array([self._evaluate(np.flatnonzero(row)) for row in masks],
+                        dtype=np.float64)
 
 
 @dataclass
@@ -277,10 +305,19 @@ class QueryLedger:
 
 
 def _as_index_array(candidates) -> np.ndarray:
+    """candidates as an int64 array. Raises InvalidSubsetError for a nonempty
+    collection of anything but integers: a cast would truncate 1.7 to 1 and
+    read True as 1."""
     if isinstance(candidates, np.ndarray):
         # A dtype test first: astype costs a call even when it copies nothing.
-        return candidates if candidates.dtype == np.int64 else candidates.astype(np.int64)
-    return np.asarray(list(candidates), dtype=np.int64)
+        if candidates.dtype == np.int64:
+            return candidates
+        arr = candidates
+    else:
+        arr = np.asarray(list(candidates))
+    if arr.dtype.kind not in "iu" and arr.size:
+        raise InvalidSubsetError(f"element indices must be integers, got {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
 
 
 def _finite(values, entry_point: str) -> np.ndarray:
@@ -325,10 +362,14 @@ def pool_masks(f: Objective, pool: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Mask batch for ``evaluate_batch`` of sets drawn from a pool.
 
     Column j of ``rows`` (batch, |pool|) says which rows hold pool[j]; every
-    other element is absent. pool must be duplicate-free. Raises
-    InvalidSubsetError for a pool element outside [0, n).
+    other element is absent. Raises InvalidSubsetError for a pool element
+    outside [0, n) or repeated: its column would overwrite the other's.
     """
     _check_bounds(f, pool)
+    in_pool = np.zeros(f.n, dtype=bool)
+    in_pool[pool] = True
+    if np.count_nonzero(in_pool) != pool.size:
+        raise InvalidSubsetError("duplicate element in pool")
     masks = np.zeros((rows.shape[0], f.n), dtype=bool)
     masks[:, pool] = rows
     return masks
@@ -342,9 +383,9 @@ def evaluate_batch(f: Objective, queries, ledger: QueryLedger) -> np.ndarray:
     matrix. Returns values in row order; the ledger gains exactly one
     round and batch queries. Queries within the batch are mutually
     independent, so implementations may evaluate them concurrently (here: the
-    objective's vectorized mask path when it has one, else one evaluation per
-    row). Raises ValueError for an empty batch, a mask of the wrong shape or
-    dtype, or a NaN or infinite value.
+    objective's ``_evaluate_batch``). Raises ValueError for an empty batch, a
+    mask of the wrong shape or dtype, or a NaN or infinite value, and
+    InvalidSubsetError for an index that is not an integer.
     """
     masks = _membership(f, queries)
     if masks.shape[0] == 0:
@@ -354,12 +395,8 @@ def evaluate_batch(f: Objective, queries, ledger: QueryLedger) -> np.ndarray:
 
 
 def _mask_values(f: Objective, masks: np.ndarray, entry_point: str) -> np.ndarray:
-    """Values of the rows of a mask batch: the objective's vectorized mask
-    path when it has one, else one evaluation per row."""
-    values = f._evaluate_batch(masks)
-    if values is None:
-        values = [f._evaluate(np.flatnonzero(row)) for row in masks]
-    return _finite(values, entry_point)
+    """Values of the rows of a mask batch, each checked finite."""
+    return _finite(f._evaluate_batch(masks), entry_point)
 
 
 def singleton_round(f: Objective, ledger: QueryLedger) -> np.ndarray:
@@ -413,24 +450,28 @@ class GainGroup(NamedTuple):
 
 
 def _checked_group(group: GainGroup) -> GainGroup:
-    """The group with int64 arrays; raises ValueError for a malformed group.
-    Its base is checked with the round's other bases, by :func:`_base_rows`."""
+    """The group with int64 arrays; raises ValueError for a malformed group
+    and InvalidSubsetError for an index that is not an integer. Its base's
+    elements are checked with the round's other bases, by :func:`_base_rows`."""
+    base = _as_index_array(group.base)
+    if base.ndim != 1:
+        raise ValueError(f"the base must be one-dimensional, got shape {base.shape}")
+    xs = _as_index_array(group.xs)
     if group.t_mat is None:
-        xs = _as_index_array(group.xs)
+        if xs.ndim != 1:
+            raise ValueError(f"the candidates must be one-dimensional, got shape {xs.shape}")
         if xs.size == 0:
             raise ValueError("batch_marginals requires at least one candidate")
         t_mat = np.empty((xs.size, 0), dtype=np.int64)
     elif group.base_value is not None:
         raise ValueError("a marginals group takes no T columns")
     else:
-        t_mat = np.asarray(group.t_mat, dtype=np.int64)
-        xs = np.asarray(group.xs, dtype=np.int64)
+        t_mat = _as_index_array(group.t_mat)
         if xs.ndim != 1 or t_mat.ndim != 2 or t_mat.shape[0] != xs.size:
             raise ValueError("t_mat must be (m, t-1) and xs length m")
         if xs.size == 0:
             raise ValueError("batch_pair_gains requires at least one pair")
-    return GainGroup(_as_index_array(group.base), t_mat, xs, group.ledger,
-                     group.base_value)
+    return GainGroup(base, t_mat, xs, group.ledger, group.base_value)
 
 
 def _base_rows(f: Objective, bases: list[np.ndarray]) -> np.ndarray:
@@ -467,31 +508,6 @@ def _base_rows(f: Objective, bases: list[np.ndarray]) -> np.ndarray:
     return in_base
 
 
-def _exact_gains(f: Objective, group: GainGroup, rows: np.ndarray) -> np.ndarray:
-    """Gains of the given rows of a group from two evaluations each.
-
-    The values are memoized within the group; a known base_value seeds the
-    memo, so then each row costs one evaluation.
-    """
-    base_members = frozenset(group.base.tolist())
-    memo: dict[frozenset, float] = {}
-    if group.base_value is not None:
-        memo[base_members] = group.base_value
-
-    def value(members: frozenset) -> float:
-        got = memo.get(members)
-        if got is None:
-            got = f._evaluate(np.asarray(sorted(members), dtype=np.int64))
-            memo[members] = got
-        return got
-
-    gains = np.empty(rows.size, dtype=np.float64)
-    for out, j in enumerate(rows.tolist()):
-        b = base_members.union(group.t_mat[j].tolist())
-        gains[out] = value(b | {int(group.xs[j])}) - value(b)
-    return gains
-
-
 def _in_own_base(in_base: np.ndarray, row_base: np.ndarray,
                  idx: np.ndarray) -> np.ndarray:
     """in_base[row_base[j], idx[j]]: whether each entry of idx (one per row,
@@ -516,15 +532,15 @@ def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndar
     All groups go in before any answer comes back, so each is one round on
     its own ledger: a marginals group adds len(xs) queries, plus one when
     it also asks f(base), and any other group 2 * len(xs) queries and
-    len(xs) logical samples. Groups may have
-    different bases and T widths. The round is also the one home of the
-    paired-gain rules the kernels rely on: a group whose T rows overlap its
-    base takes the exact fallback alone, and a kernel that returns None
-    sends every group of its T width there; a row whose x_j lies in
-    base + T_j is 0.0 exactly, whichever path ran. The other rows go to the
-    objective's ``_gain_batch``, one call per T width and each run of
-    ``GAIN_CELL_BUDGET`` // n consecutive rows (at least one), so a row's
-    gain is the same in any grouping.
+    len(xs) logical samples. Groups may have different bases and T widths.
+    The round is also the one home of the paired-gain rules the kernels
+    rely on. The rows of a group whose T rows overlap its base go to the
+    default ``Objective._gain_batch``, which reads membership rows, never to
+    the objective's own kernel; a row whose x_j lies in base + T_j is 0.0
+    exactly. All other rows go to the objective's ``_gain_batch``, over one
+    ``_round_state`` of the round's bases, one call per T width and each
+    run of ``GAIN_CELL_BUDGET`` // n consecutive rows (at least one), so a
+    row's gain is the same in any grouping.
 
     The groups of one T width are laid end to end and checked together, and
     membership in a row's base is read, at flat offsets, from one row of n
@@ -534,10 +550,10 @@ def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndar
     base's memoized state and one kernel call per row chunk.
 
     Every group is checked before any is metered: InvalidSubsetError for an
-    element outside [0, n), an unsorted or repeating base, or a T row that
-    repeats an element; ValueError for a malformed or empty group, and if
-    any gain or asked f(base) is NaN or infinite. Returns one gains array
-    per group.
+    element outside [0, n), an index that is not an integer, an unsorted or
+    repeating base, or a T row that repeats an element; ValueError for a
+    malformed or empty group, and if any gain or asked f(base) is NaN or
+    infinite. Returns one gains array per group.
     """
     # A marginals group without its base value asks f(base) in the round.
     asks = [g.t_mat is None and g.base_value is None for g in groups]
@@ -553,7 +569,6 @@ def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndar
         by_width.setdefault(g.t_mat.shape[1], []).append(i)
     in_base = _base_rows(f, bases)
 
-    exact = [False] * len(groups)  # the group's T rows touch its base
     batches = []
     for width, members in by_width.items():
         if len(members) == 1:  # nothing to lay end to end
@@ -568,6 +583,7 @@ def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndar
             row_base = np.repeat([base_of[i] for i in members], sizes)
         _check_bounds(f, xs)
         member = _in_own_base(in_base, row_base, xs)
+        slow = None  # the rows of the groups whose T rows touch their base
         if width:
             _check_bounds(f, t_mat)
             if width > 1 and _repeats_in_a_row(t_mat):
@@ -576,10 +592,10 @@ def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndar
             member[np.flatnonzero(t_mat == xs[:, None]) // width] = True
             touch = np.flatnonzero(_in_own_base(in_base, row_base, t_mat))
             if touch.size:
-                which = np.searchsorted(np.cumsum(sizes), touch // width, side="right")
-                for k in np.unique(which).tolist():
-                    exact[members[k]] = True
-        batches.append((members, sizes, row_base, t_mat, xs, member))
+                touched = np.zeros(len(members), dtype=bool)
+                touched[np.searchsorted(np.cumsum(sizes), touch // width, side="right")] = True
+                slow = np.repeat(touched, sizes)
+        batches.append((members, sizes, row_base, t_mat, xs, member, slow))
 
     for g, ask in zip(groups, asks):
         if g.base_value is not None or ask:
@@ -592,53 +608,33 @@ def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndar
         groups[i].ledger.record_value(value)
         groups[i] = groups[i]._replace(base_value=value)
 
-    # The kernels read the states of the other groups' bases only; kernel_row
-    # maps a base number to its row in the state stack.
-    if any(exact):
-        used = sorted({b for b, slow in zip(base_of, exact) if not slow})
-        kernel_row = np.zeros(len(bases), dtype=np.int64)
-        state = ()
-        if used:
-            state, rows = f._round_state([bases[b] for b in used])
-            kernel_row[used] = rows
-    else:
-        state, kernel_row = f._round_state(bases)
-
+    state, kernel_row = f._round_state(bases)
     budget = max(1, GAIN_CELL_BUDGET // f.n)
     out: list[np.ndarray] = [None] * len(groups)
-    for members, sizes, row_base, t_mat, xs, member in batches:
-        gains = np.empty(xs.size, dtype=np.float64)
-        slow = [exact[i] for i in members]
-        if any(slow):
-            keep = np.repeat(np.logical_not(slow), sizes)
-            fast_t, fast_xs, fast_of = t_mat[keep], xs[keep], kernel_row[row_base[keep]]
-            fast_gains = np.empty(fast_xs.size, dtype=np.float64)
-        else:
-            fast_t, fast_xs, fast_gains = t_mat, xs, gains
-            fast_of = kernel_row[row_base]
-        for a in range(0, fast_xs.size, budget):
+    for members, sizes, row_base, t_mat, xs, member, slow in batches:
+        gains = fast = np.empty(xs.size, dtype=np.float64)
+        if slow is not None:
+            gains[slow] = Objective._gain_batch(f, (in_base,), t_mat[slow], xs[slow],
+                                                row_base[slow])
+            keep = ~slow
+            t_mat, xs, row_base = t_mat[keep], xs[keep], row_base[keep]
+            fast = np.empty(xs.size, dtype=np.float64)
+        fast_of = kernel_row[row_base]
+        for a in range(0, xs.size, budget):
             chunk = slice(a, a + budget)
-            got = f._gain_batch(state, fast_t[chunk], fast_xs[chunk], fast_of[chunk])
-            if got is None:  # no kernel: every group of this width is exact
-                slow = [True] * len(members)
-                break
-            fast_gains[chunk] = got
-        else:
-            if fast_gains is not gains:
-                gains[keep] = fast_gains
-        end = 0
-        for i, size, exact_rows in zip(members, sizes, slow):
-            start, end = end, end + size
-            if exact_rows:
-                todo = np.flatnonzero(~member[start:end])
-                gains[start + todo] = _exact_gains(f, groups[i], todo)
-            out[i] = gains[start:end]
+            fast[chunk] = f._gain_batch(state, t_mat[chunk], xs[chunk], fast_of[chunk])
+        if slow is not None:
+            gains[keep] = fast
         gains[member] = 0.0
         if np.count_nonzero(np.isfinite(gains)) != gains.size:
             first = int(np.flatnonzero(~np.isfinite(gains))[0])
             bad = groups[members[np.searchsorted(np.cumsum(sizes), first, side="right")]]
             kind = "batch_marginals" if bad.base_value is not None else "batch_pair_gains"
             raise ValueError(f"{kind}: the oracle returned a non-finite value")
+        end = 0
+        for i, size in zip(members, sizes):
+            start, end = end, end + size
+            out[i] = gains[start:end]
     return out
 
 
@@ -649,8 +645,10 @@ def batch_marginals(f: Objective, base, candidates,
     The one-group case of :func:`paired_gain_round`. base is a strictly
     increasing index collection. base_value must already be known, so the
     round costs exactly len(candidates) queries. A candidate already in base
-    has gain 0. Raises InvalidSubsetError for an unsorted or repeating base
-    and ValueError if any gain is NaN or infinite.
+    has gain 0. Raises InvalidSubsetError for an index that is not an
+    integer or an unsorted or repeating base, and ValueError for a base or
+    candidates that are not one-dimensional, or if any gain is NaN or
+    infinite.
     """
     return paired_gain_round(f, [GainGroup(base, None, candidates, ledger,
                                            float(base_value))])[0]
@@ -663,11 +661,13 @@ def batch_pair_gains(f: Objective, base, t_mat: np.ndarray,
     The one-group case of :func:`paired_gain_round`. Each row simulates one
     indicator sample and is metered as two raw evaluations (2 * len(xs)
     queries) plus one logical sample per row. base is a strictly increasing
-    index collection and rows of t_mat must be duplicate-free. A row that
-    overlaps base is answered exactly, and a row whose x_j lies in
-    base + T_j has gain 0. Raises InvalidSubsetError for an unsorted or
-    repeating base or a T row that repeats an element, and ValueError if any
-    gain is NaN or infinite.
+    index collection and rows of t_mat must be duplicate-free. When some T
+    row overlaps base, every row is answered by the default
+    ``Objective._gain_batch``, from two ``_evaluate`` calls per row; a row
+    whose x_j lies in base + T_j has gain 0. Raises InvalidSubsetError for
+    an index that is not an integer, an unsorted or repeating base or a T
+    row that repeats an element, and ValueError if any gain is NaN or
+    infinite.
     """
     return paired_gain_round(f, [GainGroup(base, t_mat, xs, ledger)])[0]
 

@@ -7,6 +7,7 @@ import pytest
 
 from submax import (
     BreakReason,
+    InvalidSubsetError,
     ModularObjective,
     NonmonotoneParams,
     QueryLedger,
@@ -136,6 +137,14 @@ class TestBestPrefix:
         out, _ = best_prefix(f, np.array([0, 1]), make_rng(0), QueryLedger())
         assert len(out) == 1
         assert evaluate_offline(f, out) == pytest.approx(1.0)
+
+    def test_repeated_element_rejected(self):
+        # Unchecked, the prefix [3, 3] came back with value 3.0.
+        f = ModularObjective(np.arange(8.0))
+        led = QueryLedger()
+        with pytest.raises(InvalidSubsetError, match="duplicate"):
+            best_prefix(f, np.array([3, 3]), make_rng(0), led)
+        assert led.rounds == 0
 
 
 class TestGridCoverage:

@@ -148,8 +148,8 @@ class TestBatchPairGains:
         fast = RevenueObjective(g)
 
         class SlowRevenue(RevenueObjective):
-            def _gain_batch(self, state, t_mat, xs, base_of):
-                return None
+            _gain_batch = Objective._gain_batch
+            _base_state = Objective._base_state
 
         slow = SlowRevenue(g)
         base = np.array([3])
@@ -230,9 +230,44 @@ class TestPairedGainBase:
         assert led.rounds == 0
 
 
+class TestIndexTypes:
+    """Indices reach the metered boundary as integers, in the shapes named."""
+
+    def test_non_integer_indices_rejected(self):
+        # A cast used to truncate them: x = 1.7 and 2.2 were answered for 1
+        # and 2, and the T rows [[1.5], [2.5]] for T = {1} and {2}.
+        f = ModularObjective(np.arange(8.0))
+        led = QueryLedger()
+        calls = [lambda: batch_marginals(f, [0], [1.7, 2.2], 1.0, led),
+                 lambda: batch_marginals(f, [0], np.array([True, False]), 1.0, led),
+                 lambda: batch_marginals(f, [0.0], [1], 1.0, led),
+                 lambda: batch_pair_gains(f, [0], np.array([[1.5], [2.5]]),
+                                          np.array([3, 4]), led),
+                 lambda: batch_pair_gains(f, [0], np.array([[1], [2]]),
+                                          np.array([3.0, 4.0]), led)]
+        for call in calls:
+            with pytest.raises(InvalidSubsetError, match="integers"):
+                call()
+        assert led.rounds == 0
+        # An empty collection carries no index, whatever its dtype.
+        assert batch_pair_gains(f, np.empty(0), np.empty((2, 0)), [1, 2],
+                                led).tolist() == [1.0, 2.0]
+
+    def test_two_dimensional_candidates_or_base_rejected_by_name(self):
+        f = ModularObjective(np.arange(8.0))
+        led = QueryLedger()
+        with pytest.raises(ValueError, match="candidates must be one-dimensional"):
+            batch_marginals(f, [0], np.array([[1], [2]]), 0.0, led)
+        with pytest.raises(ValueError, match="base must be one-dimensional"):
+            batch_marginals(f, np.array([[0]]), [1], 0.0, led)
+        with pytest.raises(ValueError, match="base must be one-dimensional"):
+            batch_pair_gains(f, np.array([[0]]), np.array([[1]]), np.array([2]), led)
+        assert led.rounds == 0
+
+
 class _NoKernelRevenue(RevenueObjective):
-    def _gain_batch(self, state, t_mat, xs, base_of):
-        return None
+    _gain_batch = Objective._gain_batch
+    _base_state = Objective._base_state
 
 
 def _revenue(cls=RevenueObjective):
@@ -329,7 +364,7 @@ def test_lone_group_is_checked_as_in_a_grouped_round(case, kind):
             continue
         want = evaluate_offline(f, b + [x]) - (f_base if b == sorted(base)
                                                else evaluate_offline(f, b))
-        if case == "no-kernel":  # the exact fallback: two evaluations per row
+        if case == "no-kernel":  # the default kernel: two evaluations per row
             assert gains[j] == want
         else:
             assert gains[j] == pytest.approx(want, abs=1e-12)
@@ -405,7 +440,8 @@ class TestQueryLedger:
 
 
 class _FallbackModular(Objective):
-    """Modular weights with no batched kernel, so every call takes the fallback."""
+    """Modular weights through ``_evaluate`` alone, so every call takes
+    ``Objective``'s default kernels."""
 
     def __init__(self, weights):
         super().__init__(len(weights))
@@ -413,6 +449,24 @@ class _FallbackModular(Objective):
 
     def _evaluate(self, idx):
         return float(self.weights[idx].sum())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_default_kernels_run_the_algorithms_as_a_kernel_does(seed):
+    # Integer weights sum exactly in any order, so the default kernels and
+    # ModularObjective's vectorized ones must agree bit for bit.
+    weights = np.random.default_rng(5 + seed).integers(0, 20, 40).astype(np.float64)
+    runs = []
+    for f in (_FallbackModular(weights), ModularObjective(weights)):
+        params = NonmonotoneParams(k=5, eps=0.3, delta=0.1, sample_override=30)
+        out, ledger, _ = adaptive_nonmonotone_max(f, params, seed)
+        greedy_ledger, lazy_ledger = QueryLedger(), QueryLedger()
+        runs.append((out.tolist(), ledger.per_round, ledger.values, ledger.logical_samples,
+                     greedy(f, 5, greedy_ledger).tolist(), greedy_ledger.per_round,
+                     random_lazy_greedy(f, 5, None, make_rng(seed), lazy_ledger).tolist(),
+                     lazy_ledger.per_round, lazy_ledger.values))
+    assert runs[0] == runs[1]
+    assert runs[0][3] > 0  # the sampler drew indicator samples
 
 
 NON_FINITE = [(make, bad) for make in (ModularObjective, _FallbackModular)

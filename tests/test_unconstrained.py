@@ -75,6 +75,16 @@ class TestUnconstrainedMax:
         with pytest.raises(InvalidSubsetError):
             unconstrained_max(f, [0, 2], p, make_rng(0), QueryLedger())
 
+    def test_repeated_pool_element_rejected(self):
+        # Unchecked, the last column for 2 won, and some draws returned
+        # [2, 2, 5]: a set holding 2 twice.
+        f = ModularObjective(np.arange(8.0))
+        p = UnconstrainedParams(eps=0.2, delta=0.1)
+        led = QueryLedger()
+        with pytest.raises(InvalidSubsetError, match="duplicate"):
+            unconstrained_max(f, [2, 2, 5], p, make_rng(0), led)
+        assert led.rounds == 0
+
     def test_empty_pool_rejected(self):
         f = ModularObjective([1.0])
         p = UnconstrainedParams(eps=0.2, delta=0.1)
