@@ -189,7 +189,7 @@ class CutObjective(Objective):
         return (self.w[:, base_idx].sum(axis=1),)  # weight into the base
 
     def _gain_batch(self, state, t_mat, xs, base_of):
-        w_into_base, = state
+        _, w_into_base = state
         cross = self.w[xs[:, None], t_mat].sum(axis=1)
         return self.degree[xs] - 2.0 * (w_into_base[base_of, xs] + cross)
 
@@ -265,9 +265,7 @@ class RevenueObjective(Objective):
         return float(into.sum() - into[idx].sum())
 
     def _base_state(self, base_idx):
-        in_base = np.zeros(self.n, dtype=bool)
-        in_base[base_idx] = True
-        return in_base, self.w[:, base_idx].sum(axis=1)
+        return (self.w[:, base_idx].sum(axis=1),)  # weight into the base
 
     def _gain_batch(self, state, t_mat, xs, base_of):
         in_base, w_into_base = state
@@ -360,7 +358,7 @@ class ImageSummarizationObjective(Objective):
         return best_base, cols.sum(axis=1)
 
     def _gain_batch(self, state, t_mat, xs, base_of):
-        best_base, s_into_base = state
+        _, best_base, s_into_base = state
         # (m, n): row j holds each item's best cover in B_j, and each gain is
         # summed pairwise over the n items of its row.
         best = best_base if best_base.shape[0] == 1 else best_base[base_of]
@@ -425,7 +423,7 @@ class MovieRecommendationObjective(Objective):
         return (self.s[:, base_idx].sum(axis=1),)  # similarity into the base
 
     def _gain_batch(self, state, t_mat, xs, base_of):
-        s_into_base, = state
+        _, s_into_base = state
         cross = self.s[xs[:, None], t_mat].sum(axis=1)
         return (self._colsum[xs]
                 - self.lam * (2.0 * (s_into_base[base_of, xs] + cross)
@@ -462,7 +460,7 @@ class SaturatedCoverageObjective(Objective):
         return (self.a[base_idx].sum(axis=0),)  # the base's mass per group
 
     def _gain_batch(self, state, t_mat, xs, base_of):
-        base_mass, = state
+        _, base_mass = state
         mass = base_mass[base_of] + self.a[t_mat].sum(axis=1)  # (m, groups)
         return (np.minimum(self.caps, mass + self.a[xs])
                 - np.minimum(self.caps, mass)).sum(axis=1)

@@ -122,15 +122,16 @@ class Objective(ABC):
     subclasses override them with vectorized formulas, and the oracle always
     calls them, so there is one answer path.
 
-    A :meth:`_gain_batch` kernel that reads an aggregate of a base (say,
-    each element's weight into it) computes it in :meth:`_base_state`; the
-    oracle hands the kernel those aggregates for every base of a round,
-    stacked, through :meth:`_round_state`. That memo keeps the stacked
-    states of the latest stack's bases, so the many rounds an algorithm
-    issues against unchanged bases build each aggregate, and stack them,
-    once. A hit returns the very arrays a fresh call would compute, so the
-    gains are bit-identical. The memo cannot see changes to an objective's
-    data: objectives must not be mutated after construction.
+    A base's state is its membership row, which the oracle checks the base
+    for and builds, followed by the aggregates :meth:`_base_state` returns
+    (say, each element's weight into the base). The oracle hands
+    :meth:`_gain_batch` the states of every base of a round, stacked,
+    through :meth:`_round_state`. That memo keeps the stacked states of the
+    latest stack's bases, so the many rounds an algorithm issues against
+    unchanged bases check each base, build its state, and stack them, once.
+    A hit returns the very arrays a fresh call would compute, so the gains
+    are bit-identical. The memo cannot see changes to an objective's data:
+    objectives must not be mutated after construction.
     """
 
     # The states of the latest stack's bases; an instance attribute once set.
@@ -145,34 +146,37 @@ class Objective(ABC):
         """Value of the subset given as a sorted index array."""
 
     def _base_state(self, base_idx: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The aggregates of one base that :meth:`_gain_batch` reads.
+        """The aggregates of one base that :meth:`_gain_batch` reads beyond
+        its membership, which the oracle builds.
 
-        A tuple of arrays computed from base_idx alone; the default is the
-        base's membership row, which the default :meth:`_gain_batch` reads,
-        so a subclass that overrides this overrides that too. Kernels must
-        not write to them: the memo hands the same arrays to every later
-        round on the same base.
+        A tuple of arrays computed from base_idx, a strictly increasing int64
+        array in [0, n), alone; the default is empty. Kernels must not write
+        to them: the memo hands the same arrays to every later round on the
+        same base.
         """
-        in_base = np.zeros(self.n, dtype=bool)
-        in_base[base_idx] = True
-        return (in_base,)
+        return ()
 
     def _round_state(self, bases: Sequence[np.ndarray]
                      ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """:meth:`_base_state` of each base, stacked, and each base's row.
+        """The state of each base, stacked, and each base's row.
 
-        Returns (state, rows): array i of state holds array i of the states
-        of the memo's bases, one leading row per base, and bases[j]'s state
-        is at row rows[j]. The memo keeps the states of the bases of the
-        latest stack, stacked: a round whose bases all lie among them, as in
-        consecutive scan steps of the sampler, gets that stack back with no
-        copy; any other round stacks its own distinct bases, reusing each
-        memoized state it finds. The key is a base's elements as int64
-        bytes: the same elements in any integer dtype share an entry, and
-        two bases whose raw bytes merely agree (int32 [1, 0], int64 [1]) do
-        not. The memo is one object, read once and replaced whole, so
-        concurrent callers can at worst recompute a state, never read a
-        mismatched one. Every returned array is read-only.
+        A base's state is its membership row (n booleans) followed by its
+        :meth:`_base_state`. Returns (state, rows): array i of state holds
+        array i of the states of the memo's bases, one leading row per base,
+        and bases[j]'s state is at row rows[j]. The memo keeps the states of
+        the bases of the latest stack, stacked: a round whose bases all lie
+        among them, as in consecutive scan steps of the sampler, gets that
+        stack back with no copy; any other round stacks its own distinct
+        bases, reusing each memoized state it finds. A base the memo does
+        not hold is checked before its state is built: InvalidSubsetError
+        for one out of order or repeating, or with an element outside
+        [0, n). The key is a base's elements as int64 bytes, so a hit is a
+        base that passed those checks: the same elements in any integer
+        dtype share an entry, and two bases whose raw bytes merely agree
+        (int32 [1, 0], int64 [1]) do not. The memo is one object, read once
+        and replaced whole, so concurrent callers can at worst recompute a
+        state, never read a mismatched one. Every returned array is
+        read-only.
         """
         keys = [_as_index_array(base_idx).tobytes() for base_idx in bases]
         memo = self._base_memo
@@ -183,7 +187,17 @@ class Objective(ABC):
                     continue
                 state = None if memo is None else memo.get(key)
                 if state is None:
-                    state = self._base_state(base_idx)
+                    base_idx = _as_index_array(base_idx)
+                    # Each base keys the memo and orders the kernels' sums,
+                    # and a repeated element would count twice.
+                    if np.count_nonzero(base_idx[1:] <= base_idx[:-1]):
+                        raise InvalidSubsetError("the base must be strictly increasing")
+                    # Sorted, so its ends bound it; _check_bounds names the offender.
+                    if base_idx.size and (base_idx[0] < 0 or base_idx[-1] >= self.n):
+                        _check_bounds(self, base_idx)
+                    in_base = np.zeros(self.n, dtype=bool)
+                    in_base[base_idx] = True
+                    state = (in_base, *self._base_state(base_idx))
                     for arr in state:
                         arr.flags.writeable = False
                 states[key] = state
@@ -208,13 +222,12 @@ class Objective(ABC):
         calls by count alone, so one row may be alone in a call or share it
         with any others.
 
-        The default reads B_j off the base's membership row (the default
-        :meth:`_base_state`) and evaluates B_j and B_j + x_j with
-        :meth:`_evaluate`, once per distinct set in the call. It also
-        answers T rows that overlap their base, which the oracle sends it
-        directly.
+        The default reads B_j off the base's membership row (array 0 of every
+        state) and evaluates B_j and B_j + x_j with :meth:`_evaluate`, once
+        per distinct set in the call. It also answers T rows that overlap
+        their base, which the oracle sends it directly.
         """
-        in_base, = state
+        in_base = state[0]
         values: dict[bytes, float] = {}
 
         def value(mask: np.ndarray) -> float:
@@ -340,14 +353,19 @@ def _membership(f: Objective, queries) -> np.ndarray:
     """The (batch, n) boolean membership matrix of a batch of queries.
 
     A bool ndarray is taken as that matrix and must have n columns; any other
-    query batch is a sequence of duplicate-free index collections.
+    query batch is a sequence of duplicate-free, one-dimensional index
+    collections (ValueError for one that is not).
     """
     if isinstance(queries, np.ndarray):
         if queries.dtype != np.bool_ or queries.ndim != 2 or queries.shape[1] != f.n:
             raise ValueError(f"a mask batch must be a (batch, {f.n}) bool array, "
                              f"got {queries.dtype} {queries.shape}")
         return queries
-    arrays = [_as_index_array(q) for q in queries]
+    arrays = [_as_index_array(q) if np.iterable(q) else np.asarray(q) for q in queries]
+    for i, arr in enumerate(arrays):
+        if arr.ndim != 1:
+            raise ValueError(f"query {i} must be a one-dimensional index collection, "
+                             f"got shape {arr.shape}: {arr!r}")
     sizes = [a.size for a in arrays]
     flat = np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
     _check_bounds(f, flat)
@@ -359,12 +377,17 @@ def _membership(f: Objective, queries) -> np.ndarray:
 
 
 def pool_masks(f: Objective, pool: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Mask batch for ``evaluate_batch`` of sets drawn from a pool.
+    """Mask batch for ``evaluate_batch`` of sets drawn from a pool (or the
+    prefixes of an order).
 
     Column j of ``rows`` (batch, |pool|) says which rows hold pool[j]; every
-    other element is absent. Raises InvalidSubsetError for a pool element
-    outside [0, n) or repeated: its column would overwrite the other's.
+    other element is absent. Raises ValueError for a pool that is not
+    one-dimensional, and InvalidSubsetError for a pool element outside
+    [0, n) or repeated: its column would overwrite the other's.
     """
+    if pool.ndim != 1:
+        raise ValueError(f"the pool or order must be one-dimensional, "
+                         f"got shape {pool.shape}")
     _check_bounds(f, pool)
     in_pool = np.zeros(f.n, dtype=bool)
     in_pool[pool] = True
@@ -452,7 +475,8 @@ class GainGroup(NamedTuple):
 def _checked_group(group: GainGroup) -> GainGroup:
     """The group with int64 arrays; raises ValueError for a malformed group
     and InvalidSubsetError for an index that is not an integer. Its base's
-    elements are checked with the round's other bases, by :func:`_base_rows`."""
+    elements are checked by ``Objective._round_state``, which builds its
+    membership row."""
     base = _as_index_array(group.base)
     if base.ndim != 1:
         raise ValueError(f"the base must be one-dimensional, got shape {base.shape}")
@@ -472,40 +496,6 @@ def _checked_group(group: GainGroup) -> GainGroup:
         if xs.size == 0:
             raise ValueError("batch_pair_gains requires at least one pair")
     return GainGroup(base, t_mat, xs, group.ledger, group.base_value)
-
-
-def _base_rows(f: Objective, bases: list[np.ndarray]) -> np.ndarray:
-    """The membership rows (len(bases), n) of a round's distinct int64 bases.
-
-    Each base must be strictly increasing: its order keys the base-state
-    memo and orders the kernels' sums, and a repeated element would count
-    twice. Raises InvalidSubsetError for a base out of order or repeating,
-    or with an element outside [0, n). Many bases are checked at once, laid
-    end to end.
-    """
-    in_base = np.zeros((len(bases), f.n), dtype=bool)
-    if len(bases) == 1:
-        flat = bases[0]
-        steps = np.count_nonzero(flat[1:] <= flat[:-1])
-        # Sorted, so its ends bound it; _check_bounds names the offender.
-        if not steps and flat.size and (flat[0] < 0 or flat[-1] >= f.n):
-            _check_bounds(f, flat)
-        rows = flat
-    else:
-        sizes = np.array([base.size for base in bases])
-        flat = np.concatenate(bases)
-        # A step that does not rise, except across the seam between two bases.
-        rises = flat[1:] <= flat[:-1]
-        seams = sizes.cumsum()[:-1]
-        rises[seams[(seams > 0) & (seams < flat.size)] - 1] = False
-        steps = np.count_nonzero(rises)
-        if not steps:
-            _check_bounds(f, flat)
-        rows = np.arange(0, in_base.size, f.n).repeat(sizes) + flat
-    if steps:
-        raise InvalidSubsetError("the base must be strictly increasing")
-    in_base.ravel()[rows] = True
-    return in_base
 
 
 def _in_own_base(in_base: np.ndarray, row_base: np.ndarray,
@@ -534,20 +524,22 @@ def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndar
     it also asks f(base), and any other group 2 * len(xs) queries and
     len(xs) logical samples. Groups may have different bases and T widths.
     The round is also the one home of the paired-gain rules the kernels
-    rely on. The rows of a group whose T rows overlap its base go to the
-    default ``Objective._gain_batch``, which reads membership rows, never to
-    the objective's own kernel; a row whose x_j lies in base + T_j is 0.0
-    exactly. All other rows go to the objective's ``_gain_batch``, over one
-    ``_round_state`` of the round's bases, one call per T width and each
-    run of ``GAIN_CELL_BUDGET`` // n consecutive rows (at least one), so a
-    row's gain is the same in any grouping.
+    rely on. Its bases are numbered, checked and given their states by one
+    ``f._round_state`` call, before anything is metered. The rows of a
+    group whose T rows overlap its base go to the default
+    ``Objective._gain_batch``, which reads membership rows, never to the
+    objective's own kernel; a row whose x_j lies in base + T_j is 0.0
+    exactly. All other rows go to the objective's ``_gain_batch``, over
+    the same stacked states, one call per T width and each run of
+    ``GAIN_CELL_BUDGET`` // n consecutive rows (at least one), so a row's
+    gain is the same in any grouping.
 
     The groups of one T width are laid end to end and checked together, and
-    membership in a row's base is read, at flat offsets, from one row of n
-    booleans per distinct base; the distinct bases are checked together
-    too. A round of one group, such as every round of greedy and lazy
-    greedy, concatenates nothing: it costs its checks, that one row, its
-    base's memoized state and one kernel call per row chunk.
+    membership in a row's base is read, at flat offsets, from the base's
+    membership row (array 0 of its state). A round of one group, such as
+    every round of greedy and lazy greedy, concatenates nothing: it costs
+    its checks, its base's memoized state and one kernel call per row
+    chunk.
 
     Every group is checked before any is metered: InvalidSubsetError for an
     element outside [0, n), an index that is not an integer, an unsorted or
@@ -558,16 +550,11 @@ def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndar
     # A marginals group without its base value asks f(base) in the round.
     asks = [g.t_mat is None and g.base_value is None for g in groups]
     groups = [_checked_group(g) for g in groups]
-    numbers: dict[bytes, int] = {}
-    bases, base_of = [], []
     by_width: dict[int, list[int]] = {}
     for i, g in enumerate(groups):
-        b = numbers.setdefault(g.base.tobytes(), len(bases))
-        if b == len(bases):
-            bases.append(g.base)
-        base_of.append(b)
         by_width.setdefault(g.t_mat.shape[1], []).append(i)
-    in_base = _base_rows(f, bases)
+    state, base_of = f._round_state([g.base for g in groups])
+    in_base = state[0]
 
     batches = []
     for width, members in by_width.items():
@@ -580,7 +567,7 @@ def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndar
             sizes = [groups[i].xs.size for i in members]
             xs = np.concatenate([groups[i].xs for i in members])
             t_mat = np.concatenate([groups[i].t_mat for i in members])
-            row_base = np.repeat([base_of[i] for i in members], sizes)
+            row_base = base_of[members].repeat(sizes)
         _check_bounds(f, xs)
         member = _in_own_base(in_base, row_base, xs)
         slow = None  # the rows of the groups whose T rows touch their base
@@ -608,21 +595,19 @@ def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndar
         groups[i].ledger.record_value(value)
         groups[i] = groups[i]._replace(base_value=value)
 
-    state, kernel_row = f._round_state(bases)
     budget = max(1, GAIN_CELL_BUDGET // f.n)
     out: list[np.ndarray] = [None] * len(groups)
     for members, sizes, row_base, t_mat, xs, member, slow in batches:
         gains = fast = np.empty(xs.size, dtype=np.float64)
         if slow is not None:
-            gains[slow] = Objective._gain_batch(f, (in_base,), t_mat[slow], xs[slow],
+            gains[slow] = Objective._gain_batch(f, state, t_mat[slow], xs[slow],
                                                 row_base[slow])
             keep = ~slow
             t_mat, xs, row_base = t_mat[keep], xs[keep], row_base[keep]
             fast = np.empty(xs.size, dtype=np.float64)
-        fast_of = kernel_row[row_base]
         for a in range(0, xs.size, budget):
             chunk = slice(a, a + budget)
-            fast[chunk] = f._gain_batch(state, t_mat[chunk], xs[chunk], fast_of[chunk])
+            fast[chunk] = f._gain_batch(state, t_mat[chunk], xs[chunk], row_base[chunk])
         if slow is not None:
             gains[keep] = fast
         gains[member] = 0.0

@@ -24,9 +24,11 @@ from submax import (
     GainGroup,
     ImageSummarizationObjective,
     ModularObjective,
+    NonmonotoneParams,
     QueryLedger,
     RevenueObjective,
     WeightedGraph,
+    adaptive_nonmonotone_max,
     batch_marginals,
     batch_pair_gains,
     evaluate_batch,
@@ -410,16 +412,34 @@ def _state_key(state):
     return b"".join(arr.tobytes() for arr in state)
 
 
+def _membership_row(n, base):
+    row = np.zeros(n, dtype=bool)
+    row[base] = True
+    return row
+
+
+def _assert_base_states(f, stacked, rows, bases):
+    """Row rows[j] of the stack is bases[j]'s state: its membership row, then
+    its _base_state."""
+    for row, base in zip(rows.tolist(), bases):
+        assert np.array_equal(stacked[0][row], _membership_row(f.n, base))
+        want = f._base_state(np.asarray(base, dtype=np.int64))
+        assert len(stacked) == 1 + len(want)
+        for got, arr in zip(stacked[1:], want):
+            assert np.array_equal(got[row], arr)
+
+
 def test_lazy_greedy_builds_each_base_state_once():
     # Lazy greedy's rounds have one base each, so a round's stacked state has
-    # the bytes of that base's own state.
+    # the bytes of that base's own state: its membership row, then the
+    # aggregates _base_state builds.
     f = generate_synthetic("image", 60, seed=2).objective()
     built, asked = [], []
     state, kernel = f._base_state, f._gain_batch
 
     def build(b):
         got = state(b)
-        built.append(_state_key(got))
+        built.append(_state_key((_membership_row(f.n, b), *got)))
         return got
 
     f._base_state = build
@@ -436,19 +456,25 @@ def test_lazy_greedy_builds_each_base_state_once():
 
 
 def test_base_state_memo_keys_on_int64_elements():
-    # Little-endian int32 [1, 0] has the bytes of int64 [1].
+    # Little-endian int32 [1, 0] has the bytes of int64 [1], but its elements
+    # are 1, 0: a base out of order, not a hit on [1].
     narrow, wide = np.array([1, 0], dtype=np.int32), np.array([1], dtype=np.int64)
     assert narrow.tobytes() == wide.tobytes()
     f = make_objective("image", 5, seed=0)
-    first, _ = f._round_state([narrow])
-    second, _ = f._round_state([wide])
-    for got, want, other in zip(second, f._base_state(wide), first):
-        assert np.array_equal(got[0], want)
-        assert not np.array_equal(got, other)
+    first, rows = f._round_state([wide])
+    _assert_base_states(f, first, rows, [wide])
     memo = f._base_memo
-    assert f._round_state([wide, narrow])[0][0].shape[0] == 2
+    with pytest.raises(oracle.InvalidSubsetError, match="strictly increasing"):
+        f._round_state([narrow])
+    assert f._base_memo is memo
+    # The same elements in another dtype share the int64 entry.
+    pair = np.array([0, 1], dtype=np.int32)
+    stacked, rows = f._round_state([wide.astype(np.int32), pair])
+    assert stacked[0].shape[0] == 2
     assert f._base_memo[wide.tobytes()] is memo[wide.tobytes()]  # a hit
-    assert len(f._base_memo) == 2
+    assert set(f._base_memo) == {wide.tobytes(), pair.astype(np.int64).tobytes()}
+    _assert_base_states(f, stacked, rows, [wide, pair])
+    assert not np.array_equal(stacked[0][rows[0]], stacked[0][rows[1]])
 
 
 def test_base_state_memo_holds_the_latest_rounds_bases():
@@ -459,10 +485,42 @@ def test_base_state_memo_holds_the_latest_rounds_bases():
     f._round_state([c, a])  # b leaves the memo; a's state is reused
     assert set(f._base_memo) == {c.tobytes(), a.tobytes()}
     assert f._base_memo[a.tobytes()] is kept
-    (stacked,), rows = f._round_state([a, c, a])  # a subset: the same stack
-    assert stacked is f._base_memo.stack[0] and rows.tolist() == [1, 0, 1]
-    for row, base in zip(stacked[rows], (a, c, a)):
-        assert np.array_equal(row, f._base_state(base)[0])
+    stacked, rows = f._round_state([a, c, a])  # a subset: the same stack
+    assert all(got is arr for got, arr in zip(stacked, f._base_memo.stack))
+    assert rows.tolist() == [1, 0, 1]
+    _assert_base_states(f, stacked, rows, (a, c, a))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_round_state_leads_with_each_bases_membership_row(kind):
+    f = make_objective(kind, 9, seed=3)
+    bases = [np.array(x, dtype=np.int64) for x in ([2, 5, 8], [], [0], [2, 5, 8])]
+    stacked, rows = f._round_state(bases)
+    assert stacked[0].dtype == np.bool_
+    for row, base in zip(rows.tolist(), bases):
+        assert np.array_equal(stacked[0][row], _membership_row(f.n, base))
+
+
+class _StateOnlyCut(CutObjective):
+    """Cut's base aggregates with the default gain kernel."""
+
+    _gain_batch = oracle.Objective._gain_batch
+
+
+def test_base_state_without_its_kernel_answers_as_the_full_kernel():
+    graph = generate_synthetic("synthetic-cut", 16, 0.4, seed=5).data
+    full, state_only = CutObjective(graph), _StateOnlyCut(graph)
+    base = np.array([1, 6, 9], dtype=np.int64)
+    t_mat = np.array([[0, 4], [2, 3], [5, 7], [4, 6]])
+    xs = np.array([3, 11, 9, 15])
+    want = metered_gains(full, base, t_mat, xs)
+    got = metered_gains(state_only, base, t_mat, xs)
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    params = NonmonotoneParams(k=4, eps=0.3, delta=0.2, sample_override=8)
+    out, ledger, _ = adaptive_nonmonotone_max(full, params, 3)
+    got_out, got_ledger, _ = adaptive_nonmonotone_max(state_only, params, 3)
+    assert got_out.tolist() == out.tolist()
+    assert got_ledger.per_round == ledger.per_round
 
 
 def test_memoized_base_state_is_read_only():

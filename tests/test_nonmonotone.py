@@ -22,6 +22,7 @@ from submax import (
     generate_synthetic,
     make_rng,
     max_singleton,
+    oracle,
     spawn_seeds,
     threshold_grid,
     threshold_sampling,
@@ -144,6 +145,15 @@ class TestBestPrefix:
         led = QueryLedger()
         with pytest.raises(InvalidSubsetError, match="duplicate"):
             best_prefix(f, np.array([3, 3]), make_rng(0), led)
+        assert led.rounds == 0
+
+    def test_two_dimensional_order_rejected_by_name(self):
+        # Unchecked, numpy's "shape mismatch ... could not be broadcast"
+        # named neither the order nor the entry point.
+        f = ModularObjective(np.arange(8.0))
+        led = QueryLedger()
+        with pytest.raises(ValueError, match="pool or order must be one-dimensional"):
+            oracle.prefix_round(f, np.array([[0, 1]]), led)
         assert led.rounds == 0
 
 

@@ -575,6 +575,22 @@ def test_evaluate_offline_leaves_no_trace():
     assert evaluate_offline(f, [1, 0]) == 3.0
 
 
+@pytest.mark.parametrize("query", [[[0, 1]], np.array([[0, 1]]), 3, np.int64(3)],
+                         ids=["nested-list", "2d-array", "int", "numpy-int"])
+def test_query_that_is_not_one_dimensional_rejected(query):
+    # Unchecked, a 2-D query was flattened into one set: [[0, 1]] was
+    # answered as f({0, 1}). A 0-d query failed with "'int' object is not
+    # iterable".
+    f = ModularObjective([1.0, 2.0, 4.0])
+    led = QueryLedger()
+    with pytest.raises(ValueError, match="query 0 must be a one-dimensional"):
+        evaluate_batch(f, [query], led)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        evaluate_offline(f, query)
+    assert led.rounds == 0
+    assert evaluate_batch(f, [[2], [0, 1]], led).tolist() == [4.0, 3.0]
+
+
 def test_evaluate_offline_rejects_duplicates_like_evaluate_batch():
     f = ModularObjective([1.0, 2.0])
     with pytest.raises(InvalidSubsetError, match="duplicate"):

@@ -85,6 +85,16 @@ class TestUnconstrainedMax:
             unconstrained_max(f, [2, 2, 5], p, make_rng(0), led)
         assert led.rounds == 0
 
+    def test_two_dimensional_pool_rejected_by_name(self):
+        # Unchecked, numpy's "shape mismatch ... could not be broadcast"
+        # named neither the pool nor the entry point.
+        f = ModularObjective(np.arange(8.0))
+        p = UnconstrainedParams(eps=0.2, delta=0.1)
+        led = QueryLedger()
+        with pytest.raises(ValueError, match="pool or order must be one-dimensional"):
+            unconstrained_max(f, [[0, 1], [2, 3]], p, make_rng(0), led)
+        assert led.rounds == 0
+
     def test_empty_pool_rejected(self):
         f = ModularObjective([1.0])
         p = UnconstrainedParams(eps=0.2, delta=0.1)
