@@ -3,7 +3,8 @@
 Usage (from the repository root):
 
     python scripts/ab_time.py OLD_CHECKOUT NEW_CHECKOUT
-        [--shape sampler|fallback|image] [--seeds 24] [--first-seed 1000]
+        [--shape sampler|fallback|image|theorem5] [--seeds 24]
+        [--first-seed 1000]
 
 Imports ``OLD_CHECKOUT/src/submax`` as ``submax_a`` and
 ``NEW_CHECKOUT/src/submax`` as ``submax_b``, builds one benchmark instance in
@@ -18,13 +19,18 @@ instance and the run:
 - ``image``: ``greedy``, then ``random_lazy_greedy`` drawing from the run
   seed, on the ``baselines_image`` instance, image summarization with
   n=1000 and instance seed 1, at k=50. Both call ``batch_marginals`` every
-  round.
+  round;
+- ``theorem5``: ``adaptive_nonmonotone_max`` with eps=0.3, delta=0.1 and
+  100 samples per estimate on the first ``theorem5`` acceptance instance,
+  revenue G(12, 0.3) with instance seed 1000, at k=4. One run takes tens of
+  milliseconds, so each seed times a block of 20 runs, on run seeds
+  20 * seed to 20 * seed + 19.
 
 The order alternates seed by seed (a then b, then b then a), so drift on a
 shared host falls on both sides alike. Every pair must return the same sets,
 values and ``per_round``; a difference stops the script. It prints, for
-new/old time per seed, the median ratio, its interquartile range and the
-pairs the new checkout won.
+new/old time per seed (per run, for a block), the median ratio, its
+interquartile range and the pairs the new checkout won.
 
 Timing both in one process removes the spread between processes, which can
 exceed the effect being measured. BLAS is pinned to one thread, as in the
@@ -57,23 +63,31 @@ def load(name: str, checkout: str):
     return module
 
 
-SHAPES = {  # name: (n, p, graph seed, k); image: (n, instance seed, k)
-    "sampler": (400, 3.0 / 399, 61, 30),
-    "fallback": (300, 0.01, 1, 100),
+SHAPES = {  # name: (n, p, graph seed, k, eps, runs per seed); image: (n, instance seed, k)
+    "sampler": (400, 3.0 / 399, 61, 30, 0.25, 1),
+    "fallback": (300, 0.01, 1, 100, 0.25, 1),
     "image": (1000, 1, 50),
+    "theorem5": (12, 0.3, 1000, 4, 0.3, 20),
 }
 
 
 def anm_setup(sm, shape: str):
-    n, p, graph_seed, k = SHAPES[shape]
+    n, p, graph_seed, k, eps, block = SHAPES[shape]
     f = sm.generate_synthetic("revenue", n, p, seed=graph_seed).objective()
-    params = sm.NonmonotoneParams(k=k, eps=0.25, delta=0.1, sample_override=100)
+    params = sm.NonmonotoneParams(k=k, eps=eps, delta=0.1, sample_override=100)
 
     def run(seed: int):
-        best, ledger, _ = sm.adaptive_nonmonotone_max(f, params, seed)
-        return sorted(best.tolist()), sm.evaluate_offline(f, best), list(ledger.per_round)
+        out = []
+        for run_seed in range(block * seed, block * (seed + 1)):
+            best, ledger, _ = sm.adaptive_nonmonotone_max(f, params, run_seed)
+            out.append((sorted(best.tolist()), sm.evaluate_offline(f, best),
+                        list(ledger.per_round)))
+        return out
 
     return run
+
+
+ANM_SHAPES = ("sampler", "fallback", "theorem5")
 
 
 def image_setup(sm, shape: str):
@@ -107,7 +121,7 @@ def main(argv=None) -> int:
     if args.seeds < 1:
         parser.error("--seeds must be >= 1")
 
-    setup = image_setup if args.shape == "image" else anm_setup
+    setup = anm_setup if args.shape in ANM_SHAPES else image_setup
     runs = [setup(load(name, checkout), args.shape)
             for name, checkout in (("submax_a", args.old), ("submax_b", args.new))]
     for run in runs:
@@ -125,7 +139,9 @@ def main(argv=None) -> int:
             print(f"seed {seed}: outputs differ", file=sys.stderr)
             return 1
         ratios.append(new_s / old_s)
-        print(f"seed {seed}: old {old_s:.4f} s, new {new_s:.4f} s, ratio {ratios[-1]:.3f}")
+        block = len(old_out) if args.shape in ANM_SHAPES else 1
+        print(f"seed {seed}: old {old_s / block:.4f} s, new {new_s / block:.4f} s per run, "
+              f"ratio {ratios[-1]:.3f}")
 
     q1, median, q3 = (statistics.quantiles(ratios, n=4) if len(ratios) > 1
                       else (ratios[0],) * 3)

@@ -10,6 +10,7 @@ submodularity/nonnegativity checker.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -257,6 +258,9 @@ class RevenueObjective(Objective):
         self.reach = np.zeros((self.n, self.n), dtype=bool)
         self.reach[rows, self.indices] = True
         self.reach[rows.repeat(hops), self.indices[pos]] = True
+        # Mean entries of an ego row, and of a row of reach.
+        self._ego_mean = float(self._ego_size.mean())
+        self._reach_mean = np.count_nonzero(self.reach) / self.n
 
     def _evaluate(self, idx):
         if idx.size == 0:
@@ -266,6 +270,12 @@ class RevenueObjective(Objective):
 
     def _base_state(self, base_idx):
         return (self.w[:, base_idx].sum(axis=1),)  # weight into the base
+
+    def _gain_row_cells(self, width):
+        # About eight arrays over x_j's ego row, five more per two-hop hit of
+        # its T row (width * mean reach / n hits on average), and T's lookups.
+        hits = width * self._reach_mean / self.n
+        return min(self.n, math.ceil(self._ego_mean * (8 + 5 * hits)) + width)
 
     def _gain_batch(self, state, t_mat, xs, base_of):
         in_base, w_into_base = state

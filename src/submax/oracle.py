@@ -30,9 +30,10 @@ and the value, for a setting outside its range.
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -178,7 +179,10 @@ class Objective(ABC):
         state, never read a mismatched one. Every returned array is
         read-only.
         """
-        keys = [_as_index_array(base_idx).tobytes() for base_idx in bases]
+        bases = [_as_index_array(base_idx) for base_idx in bases]
+        if any(base_idx.ndim != 1 for base_idx in bases):
+            raise ValueError("the base must be one-dimensional")
+        keys = [base_idx.tobytes() for base_idx in bases]
         memo = self._base_memo
         if memo is None or not memo.row.keys() >= set(keys):
             states = {}
@@ -187,7 +191,6 @@ class Objective(ABC):
                     continue
                 state = None if memo is None else memo.get(key)
                 if state is None:
-                    base_idx = _as_index_array(base_idx)
                     # Each base keys the memo and orders the kernels' sums,
                     # and a repeated element would count twice.
                     if np.count_nonzero(base_idx[1:] <= base_idx[:-1]):
@@ -205,6 +208,12 @@ class Objective(ABC):
         row = memo.row
         return memo.stack, np.array([row[key] for key in keys], dtype=np.int64)
 
+    def _gain_row_cells(self, width: int) -> int:
+        """The float cells, at most n, that a :meth:`_gain_batch` row holds at
+        T width ``width``: a call gets ``oracle.GAIN_CELL_BUDGET`` // cells
+        rows. The default, n, fits rows as long as the ground set."""
+        return self.n
+
     def _gain_batch(self, state: tuple[np.ndarray, ...], t_mat: np.ndarray,
                     xs: np.ndarray, base_of: np.ndarray) -> np.ndarray:
         """Gains of paired queries: f(B_j + x_j) - f(B_j) for each row j.
@@ -215,8 +224,8 @@ class Objective(ABC):
         array. The rows of one call may come from many bases and many
         groups, but share one T width (t_mat may have no columns, a base may
         be empty). The oracle calls it only with t_mat rows duplicate-free
-        and disjoint from their base, at most ``oracle.GAIN_CELL_BUDGET`` // n
-        rows at a time, and sets rows whose x_j already lies in B_j to 0.0
+        and disjoint from their base, at most ``oracle.GAIN_CELL_BUDGET`` //
+        :meth:`_gain_row_cells` rows at a time, and sets rows whose x_j already lies in B_j to 0.0
         itself, so their value here is ignored. A row's gain must not depend
         on the other rows of the call: the oracle cuts a round's rows into
         calls by count alone, so one row may be alone in a call or share it
@@ -446,56 +455,11 @@ def prefix_round(f: Objective, order: np.ndarray,
     return np.sort(order[:best]), float(values[best])
 
 
-# Float cells (rows x n) per _gain_batch call in a paired-gain round. The
-# image kernel holds O(n) floats per row (revenue holds O(sum of deg(x_j) * t)
-# per call), so this bounds a round's working memory however many groups and
-# rows it carries; at n = 400 a call holds 512 rows, at n = 50 4,096.
+# Float cells per _gain_batch call: a T array's rows go to the kernel in calls
+# of GAIN_CELL_BUDGET // f._gain_row_cells(width) rows, which bounds a round's
+# working memory and keeps a call's arrays near the cache (image: n cells a
+# row, 512 rows at n = 400; revenue: a few per neighbour of x_j).
 GAIN_CELL_BUDGET = 512 * 400
-
-
-class GainGroup(NamedTuple):
-    """One group of a paired-gain round, metered on its own ledger.
-
-    Row j asks f(B_j + x_j) - f(B_j) with B_j = base + t_mat[j]. With
-    t_mat None (no T columns) the group is a marginals batch of one query
-    per row, against ``base_value`` = f(base) when it is known. A marginals
-    group without base_value also asks f(base) in its round: one more
-    query, answered by one whole-set evaluation, whose value the round
-    records on the group's ledger (``ledger.values[ledger.rounds]``). With
-    t_mat given, each row is one indicator sample metered as two queries.
-    """
-
-    base: object
-    t_mat: np.ndarray | None
-    xs: object
-    ledger: QueryLedger
-    base_value: float | None = None
-
-
-def _checked_group(group: GainGroup) -> GainGroup:
-    """The group with int64 arrays; raises ValueError for a malformed group
-    and InvalidSubsetError for an index that is not an integer. Its base's
-    elements are checked by ``Objective._round_state``, which builds its
-    membership row."""
-    base = _as_index_array(group.base)
-    if base.ndim != 1:
-        raise ValueError(f"the base must be one-dimensional, got shape {base.shape}")
-    xs = _as_index_array(group.xs)
-    if group.t_mat is None:
-        if xs.ndim != 1:
-            raise ValueError(f"the candidates must be one-dimensional, got shape {xs.shape}")
-        if xs.size == 0:
-            raise ValueError("batch_marginals requires at least one candidate")
-        t_mat = np.empty((xs.size, 0), dtype=np.int64)
-    elif group.base_value is not None:
-        raise ValueError("a marginals group takes no T columns")
-    else:
-        t_mat = _as_index_array(group.t_mat)
-        if xs.ndim != 1 or t_mat.ndim != 2 or t_mat.shape[0] != xs.size:
-            raise ValueError("t_mat must be (m, t-1) and xs length m")
-        if xs.size == 0:
-            raise ValueError("batch_pair_gains requires at least one pair")
-    return GainGroup(base, t_mat, xs, group.ledger, group.base_value)
 
 
 def _in_own_base(in_base: np.ndarray, row_base: np.ndarray,
@@ -510,151 +474,174 @@ def _in_own_base(in_base: np.ndarray, row_base: np.ndarray,
 
 
 def _repeats_in_a_row(t_mat: np.ndarray) -> bool:
-    """Whether some row of t_mat repeats an element (its sorted copy is
-    freed on return, before the round's other row-sized arrays)."""
-    ordered = np.sort(t_mat, axis=1)
-    return bool(np.count_nonzero(ordered[:, 1:] == ordered[:, :-1]))
+    """Whether some row of t_mat repeats an element. Up to 16 columns, each
+    pair of columns is compared, which costs a third of numpy's per-row sort
+    over an anm_sampler run; wider rows are sorted (pairs grow as width²)."""
+    width = t_mat.shape[1]
+    if width > 16:
+        ordered = np.sort(t_mat, axis=1)
+        return bool(np.count_nonzero(ordered[:, 1:] == ordered[:, :-1]))
+    cols = np.ascontiguousarray(t_mat.T)
+    return any(np.count_nonzero(cols[d:] == cols[:-d]) for d in range(1, width))
 
 
-def paired_gain_round(f: Objective, groups: Sequence[GainGroup]) -> list[np.ndarray]:
-    """Gains of every row of every group, as one adaptive round per group.
+def paired_gain_round(f: Objective, xs, t_mats, offsets, bases: Sequence,
+                      ledgers: Sequence[QueryLedger], asks=False,
+                      samples=True) -> np.ndarray:
+    """Gains of every row of one round, given flat: one adaptive round per
+    group.
 
-    All groups go in before any answer comes back, so each is one round on
-    its own ledger: a marginals group adds len(xs) queries, plus one when
-    it also asks f(base), and any other group 2 * len(xs) queries and
-    len(xs) logical samples. Groups may have different bases and T widths.
-    The round is also the one home of the paired-gain rules the kernels
-    rely on. Its bases are numbered, checked and given their states by one
-    ``f._round_state`` call, before anything is metered. The rows of a
-    group whose T rows overlap its base go to the default
-    ``Objective._gain_batch``, which reads membership rows, never to the
-    objective's own kernel; a row whose x_j lies in base + T_j is 0.0
-    exactly. All other rows go to the objective's ``_gain_batch``, over
-    the same stacked states, one call per T width and each run of
-    ``GAIN_CELL_BUDGET`` // n consecutive rows (at least one), so a row's
-    gain is the same in any grouping.
+    Row j asks f(B_j + x_j) - f(B_j), B_j = base + T_j. xs holds every row's
+    x_j, the groups' rows end to end: group i owns rows
+    offsets[i]:offsets[i + 1] (at least one), has base bases[i], a strictly
+    increasing index collection, and ledger ledgers[i]. t_mats holds the
+    T_j in the same order, as (rows, width) arrays end to end, one per T
+    width; None is one array with no columns. samples and asks are one bool
+    for every group or one per group. A sample group's rows are indicator
+    samples, metered as 2 * rows queries and rows logical samples; a
+    marginals group has no T columns and is metered as rows queries, plus
+    one when it asks f(base), answered by one whole-set evaluation and
+    recorded on its ledger (``ledger.values[ledger.rounds]``).
 
-    The groups of one T width are laid end to end and checked together, and
-    membership in a row's base is read, at flat offsets, from the base's
-    membership row (array 0 of its state). A round of one group, such as
-    every round of greedy and lazy greedy, concatenates nothing: it costs
-    its checks, its base's memoized state and one kernel call per row
-    chunk.
+    The round is the one home of the paired-gain rules the kernels rely on,
+    and checks the whole round at once. One ``f._round_state`` call numbers,
+    checks and builds its bases' states before anything is metered; a row's
+    membership in its base is read off the base's membership row (array 0 of
+    its state). The rows of a group whose T rows overlap its base go to the
+    default ``Objective._gain_batch``; a row whose x_j lies in B_j is 0.0
+    exactly. All other rows go to the objective's ``_gain_batch``, one call
+    per GAIN_CELL_BUDGET // ``f._gain_row_cells(width)`` consecutive rows of
+    a T array, so a row's gain is the same in any grouping. A round of no
+    groups returns no gains and touches nothing.
 
-    Every group is checked before any is metered: InvalidSubsetError for an
-    element outside [0, n), an index that is not an integer, an unsorted or
-    repeating base, or a T row that repeats an element; ValueError for a
-    malformed or empty group, and if any gain or asked f(base) is NaN or
-    infinite. Returns one gains array per group.
+    InvalidSubsetError, before anything is metered, for an element outside
+    [0, n), an index that is not an integer, an unsorted or repeating base,
+    or a T row that repeats an element; ValueError for a malformed round or
+    an empty group, and if any gain or asked f(base) is NaN or infinite.
     """
-    # A marginals group without its base value asks f(base) in the round.
-    asks = [g.t_mat is None and g.base_value is None for g in groups]
-    groups = [_checked_group(g) for g in groups]
-    by_width: dict[int, list[int]] = {}
-    for i, g in enumerate(groups):
-        by_width.setdefault(g.t_mat.shape[1], []).append(i)
-    state, base_of = f._round_state([g.base for g in groups])
+    groups = len(ledgers)
+    if not groups:
+        return np.empty(0, dtype=np.float64)
+    xs = _as_index_array(xs)
+    if xs.ndim != 1:
+        raise ValueError(f"the candidates must be one-dimensional, got shape {xs.shape}")
+    offsets = np.asarray(offsets, dtype=np.int64)
+    samples = [samples] * groups if isinstance(samples, bool) else list(samples)
+    asks = [asks] * groups if isinstance(asks, bool) else list(asks)
+    if (not len(bases) == len(samples) == len(asks) == groups
+            or offsets.shape != (groups + 1,) or offsets[0] != 0 or offsets[-1] != xs.size):
+        raise ValueError("offsets must cover xs, with one base, ledger and flag per group")
+    sizes = offsets[1:] - offsets[:-1]
+    size_list = sizes.tolist()
+    if min(size_list) <= 0:
+        raise ValueError("batch_pair_gains requires at least one pair"
+                         if samples[size_list.index(min(size_list))]
+                         else "batch_marginals requires at least one candidate")
+    if True in map(operator.and_, asks, samples):
+        raise ValueError("a sample group cannot ask f(base)")
+    spans = []  # (first row, T array) per T array
+    end = 0
+    for t_mat in [np.empty((xs.size, 0), dtype=np.int64)] if t_mats is None else t_mats:
+        t_mat = _as_index_array(t_mat)
+        if t_mat.ndim != 2:
+            raise ValueError("t_mat must be (m, t-1) and xs length m")
+        start, end = end, end + t_mat.shape[0]
+        # The groups that own rows start..end-1.
+        if t_mat.size and not all(samples[offsets.searchsorted(start, side="right") - 1:
+                                          offsets.searchsorted(end - 1, side="right")]):
+            raise ValueError("a marginals group takes no T columns")
+        spans.append((start, t_mat))
+    if end != xs.size:
+        raise ValueError("t_mat must be (m, t-1) and xs length m")
+    state, base_of = f._round_state(bases)
     in_base = state[0]
+    row_base = base_of.repeat(sizes)
 
-    batches = []
-    for width, members in by_width.items():
-        if len(members) == 1:  # nothing to lay end to end
-            g = groups[members[0]]
-            sizes, xs, t_mat = [g.xs.size], g.xs, g.t_mat
-            row_base = np.empty(xs.size, dtype=np.int64)
-            row_base.fill(base_of[members[0]])
-        else:
-            sizes = [groups[i].xs.size for i in members]
-            xs = np.concatenate([groups[i].xs for i in members])
-            t_mat = np.concatenate([groups[i].t_mat for i in members])
-            row_base = base_of[members].repeat(sizes)
-        _check_bounds(f, xs)
-        member = _in_own_base(in_base, row_base, xs)
-        slow = None  # the rows of the groups whose T rows touch their base
-        if width:
-            _check_bounds(f, t_mat)
-            if width > 1 and _repeats_in_a_row(t_mat):
-                raise InvalidSubsetError("duplicate element in a T row")
-            # Rows of the few True cells: x_j in T_j, and T_j touching B_j.
-            member[np.flatnonzero(t_mat == xs[:, None]) // width] = True
-            touch = np.flatnonzero(_in_own_base(in_base, row_base, t_mat))
-            if touch.size:
-                touched = np.zeros(len(members), dtype=bool)
-                touched[np.searchsorted(np.cumsum(sizes), touch // width, side="right")] = True
-                slow = np.repeat(touched, sizes)
-        batches.append((members, sizes, row_base, t_mat, xs, member, slow))
+    _check_bounds(f, xs)
+    member = _in_own_base(in_base, row_base, xs)
+    slow = None  # the groups whose T rows touch their base
+    for start, t_mat in spans:
+        width = t_mat.shape[1]
+        if not width:
+            continue
+        rows = slice(start, start + t_mat.shape[0])
+        _check_bounds(f, t_mat)
+        if width > 1 and _repeats_in_a_row(t_mat):
+            raise InvalidSubsetError("duplicate element in a T row")
+        # Rows of the few True cells: x_j in T_j, and T_j touching B_j.
+        member[start + np.flatnonzero(t_mat == xs[rows, None]) // width] = True
+        touch = np.flatnonzero(_in_own_base(in_base, row_base[rows], t_mat))
+        if touch.size:
+            if slow is None:
+                slow = np.zeros(sizes.size, dtype=bool)
+            slow[offsets.searchsorted(start + touch // width, side="right") - 1] = True
 
-    for g, ask in zip(groups, asks):
-        if g.base_value is not None or ask:
-            g.ledger.add_round(g.xs.size + ask)
-        else:
-            g.ledger.add_round(2 * g.xs.size, logical_samples=g.xs.size)
+    for ledger, size, sample, ask in zip(ledgers, size_list, samples, asks):
+        ledger.add_round(size * (1 + sample) + ask, size * sample)
     for i in [i for i, ask in enumerate(asks) if ask]:
         # One whole-set evaluation per base; its membership row is its mask.
         value = float(_mask_values(f, in_base[base_of[i]][None], "batch_marginals")[0])
-        groups[i].ledger.record_value(value)
-        groups[i] = groups[i]._replace(base_value=value)
+        ledgers[i].record_value(value)
 
-    budget = max(1, GAIN_CELL_BUDGET // f.n)
-    out: list[np.ndarray] = [None] * len(groups)
-    for members, sizes, row_base, t_mat, xs, member, slow in batches:
-        gains = fast = np.empty(xs.size, dtype=np.float64)
-        if slow is not None:
-            gains[slow] = Objective._gain_batch(f, state, t_mat[slow], xs[slow],
-                                                row_base[slow])
-            keep = ~slow
-            t_mat, xs, row_base = t_mat[keep], xs[keep], row_base[keep]
-            fast = np.empty(xs.size, dtype=np.float64)
-        for a in range(0, xs.size, budget):
-            chunk = slice(a, a + budget)
-            fast[chunk] = f._gain_batch(state, t_mat[chunk], xs[chunk], row_base[chunk])
-        if slow is not None:
-            gains[keep] = fast
-        gains[member] = 0.0
-        if np.count_nonzero(np.isfinite(gains)) != gains.size:
-            first = int(np.flatnonzero(~np.isfinite(gains))[0])
-            bad = groups[members[np.searchsorted(np.cumsum(sizes), first, side="right")]]
-            kind = "batch_marginals" if bad.base_value is not None else "batch_pair_gains"
-            raise ValueError(f"{kind}: the oracle returned a non-finite value")
-        end = 0
-        for i, size in zip(members, sizes):
-            start, end = end, end + size
-            out[i] = gains[start:end]
-    return out
+    gains = np.empty(xs.size, dtype=np.float64)
+    slow_rows = None if slow is None else slow.repeat(sizes)
+    for start, t_mat in spans:
+        rows = slice(start, start + t_mat.shape[0])
+        out, x, row_of = gains[rows], xs[rows], row_base[rows]
+        fast = out
+        if slow is not None and slow_rows[rows].any():
+            own = slow_rows[rows]
+            out[own] = Objective._gain_batch(f, state, t_mat[own], x[own], row_of[own])
+            t_mat, x, row_of = t_mat[~own], x[~own], row_of[~own]
+            fast = np.empty(x.size, dtype=np.float64)
+        per_call = max(1, GAIN_CELL_BUDGET // f._gain_row_cells(t_mat.shape[1]))
+        for a in range(0, x.size, per_call):
+            chunk = slice(a, a + per_call)
+            fast[chunk] = f._gain_batch(state, t_mat[chunk], x[chunk], row_of[chunk])
+        if fast is not out:
+            out[~own] = fast
+    gains[member] = 0.0
+    if np.count_nonzero(np.isfinite(gains)) != gains.size:
+        first = int(np.flatnonzero(~np.isfinite(gains))[0])
+        group = int(offsets.searchsorted(first, side="right")) - 1
+        kind = "batch_pair_gains" if samples[group] else "batch_marginals"
+        raise ValueError(f"{kind}: the oracle returned a non-finite value")
+    return gains
 
 
 def batch_marginals(f: Objective, base, candidates,
                     base_value: float, ledger: QueryLedger) -> np.ndarray:
     """Gains f(base + x) - base_value for each candidate x, one adaptive round.
 
-    The one-group case of :func:`paired_gain_round`. base is a strictly
-    increasing index collection. base_value must already be known, so the
-    round costs exactly len(candidates) queries. A candidate already in base
-    has gain 0. Raises InvalidSubsetError for an index that is not an
-    integer or an unsorted or repeating base, and ValueError for a base or
-    candidates that are not one-dimensional, or if any gain is NaN or
+    The one-group marginals round of :func:`paired_gain_round`. base is a
+    strictly increasing index collection. base_value must already be known,
+    so the round costs exactly len(candidates) queries. A candidate already
+    in base has gain 0. Raises InvalidSubsetError for an index that is not
+    an integer or an unsorted or repeating base, and ValueError for a base
+    or candidates that are not one-dimensional, or if any gain is NaN or
     infinite.
     """
-    return paired_gain_round(f, [GainGroup(base, None, candidates, ledger,
-                                           float(base_value))])[0]
+    xs = _as_index_array(candidates)
+    return paired_gain_round(f, xs, None, (0, xs.size), [base], [ledger], samples=False)
 
 
 def batch_pair_gains(f: Objective, base, t_mat: np.ndarray,
                      xs: np.ndarray, ledger: QueryLedger) -> np.ndarray:
     """Gains f(base + T_j + x_j) - f(base + T_j) for each row j, one round.
 
-    The one-group case of :func:`paired_gain_round`. Each row simulates one
-    indicator sample and is metered as two raw evaluations (2 * len(xs)
-    queries) plus one logical sample per row. base is a strictly increasing
-    index collection and rows of t_mat must be duplicate-free. When some T
-    row overlaps base, every row is answered by the default
+    The one-group sample round of :func:`paired_gain_round`. Each row
+    simulates one indicator sample and is metered as two raw evaluations
+    (2 * len(xs) queries) plus one logical sample per row. base is a strictly
+    increasing index collection and rows of t_mat must be duplicate-free.
+    When some T row overlaps base, every row is answered by the default
     ``Objective._gain_batch``, from two ``_evaluate`` calls per row; a row
     whose x_j lies in base + T_j has gain 0. Raises InvalidSubsetError for
     an index that is not an integer, an unsorted or repeating base or a T
     row that repeats an element, and ValueError if any gain is NaN or
     infinite.
     """
-    return paired_gain_round(f, [GainGroup(base, t_mat, xs, ledger)])[0]
+    xs = _as_index_array(xs)
+    return paired_gain_round(f, xs, [t_mat], (0, xs.size), [base], [ledger])
 
 
 def evaluate_offline(f: Objective, subset) -> float:

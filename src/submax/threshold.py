@@ -34,7 +34,6 @@ from typing import Sequence
 import numpy as np
 
 from .oracle import (
-    GainGroup,
     Objective,
     QueryLedger,
     batch_marginals,
@@ -126,7 +125,7 @@ class SamplingOutcome:
 
 
 def draw_blocks(rngs: Sequence[np.random.Generator], pools: Sequence[np.ndarray],
-                t: int, counts: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+                t: int, counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """For each trial, draw counts[i] independent (T, x) pairs from pools[i]
     with its own generator rngs[i]: T uniform over (t-1)-subsets of the pool,
     then x uniform over the rest.
@@ -147,8 +146,8 @@ def draw_blocks(rngs: Sequence[np.random.Generator], pools: Sequence[np.ndarray]
     multiply-shift then runs once for the whole group, column by column,
     and a trial with a rejected word is redone exactly from its own words.
     Each trial draws from its own generator only, so its stream does not
-    depend on the other trials. Returns one (t_mat of shape (count, t-1),
-    xs) pair per trial.
+    depend on the other trials. Returns (t_mat of shape (rows, t-1), xs) of
+    every row, the trials' rows end to end in trial order.
     """
     sizes = np.array([pool.size for pool in pools], dtype=np.int64)
     for size in sizes.tolist():
@@ -218,16 +217,14 @@ def draw_blocks(rngs: Sequence[np.random.Generator], pools: Sequence[np.ndarray]
     # range, and mode="clip" lets take skip its buffered copy.
     t_all = np.take(flat, idx[:t - 1].T, mode="clip",
                     out=np.empty((rows, t - 1), dtype=flat.dtype))
-    x_all = flat[x_idx]
-    return [(t_all[e - c:e], x_all[e - c:e])
-            for c, e in zip(counts.tolist(), ends.tolist())]
+    return t_all, flat[x_idx]
 
 
 def draw_block_and_probe(rng: np.random.Generator, pool: np.ndarray, t: int,
                          count: int) -> tuple[np.ndarray, np.ndarray]:
     """``count`` (T, x) pairs from one pool: the one-trial case of
     :func:`draw_blocks`."""
-    return draw_blocks([rng], [pool], t, [count])[0]
+    return draw_blocks([rng], [pool], t, [count])
 
 
 def estimate_mean(f: Objective, s: np.ndarray, pool: np.ndarray, t: int,
@@ -260,10 +257,6 @@ class _Trial:
     pool: np.ndarray
     snapshots: list[dict]
     reason: BreakReason | None = None  # set when the trial stops
-    # The block-size scan of the current outer round: the latest probe.
-    t: int = 1
-    mu: float | None = None
-    estimates: list[tuple[int, float]] = field(default_factory=list)
 
 
 def lockstep_threshold_sampling(
@@ -283,7 +276,7 @@ def lockstep_threshold_sampling(
     all live trials, in which each trial also asks f(S) of its last update;
     then comes the block-size scan, step by step: at each step every trial
     still scanning draws its samples from its own generator, and all those
-    estimates go out as one grouped paired-gain round (one round on each
+    estimates go out as one flat paired-gain round (one round on each
     trial's ledger). A trial whose update is its last (full S, or its r-th
     outer round) asks that f(S) in a one-query round of its own.
     """
@@ -302,11 +295,13 @@ def lockstep_threshold_sampling(
         outer += 1
         if outer > 1:
             # f(S) of each trial's latest update is asked beside its filter.
-            filtered = paired_gain_round(f, [GainGroup(tr.s, None, tr.pool, tr.ledger)
-                                             for tr in live])
-            for tr, gains in zip(live, filtered):
+            offsets = np.cumsum([0] + [tr.pool.size for tr in live])
+            gains = paired_gain_round(f, np.concatenate([tr.pool for tr in live]), None,
+                                      offsets, [tr.s for tr in live],
+                                      [tr.ledger for tr in live], asks=True, samples=False)
+            for tr, a, b in zip(live, offsets[:-1].tolist(), offsets[1:].tolist()):
                 tr.f_s = tr.ledger.values[tr.ledger.rounds]
-                tr.pool = tr.pool[gains >= tr.params.tau]
+                tr.pool = tr.pool[gains[a:b] >= tr.params.tau]
                 if tr.params.tau == 0:  # members of s gain exactly 0.0
                     tr.pool = np.setdiff1d(tr.pool, tr.s, assume_unique=True)
         scanning = []
@@ -318,16 +313,13 @@ def lockstep_threshold_sampling(
             elif tr.params.break_size is not None and tr.pool.size < tr.params.break_size:
                 tr.reason = BreakReason.SMALL_A
             else:
-                tr.estimates = []
                 scanning.append(tr)
 
-        _scan(f, scanning)
-
-        for tr in scanning:
+        for tr, t, mu, estimates in zip(scanning, *_scan(f, scanning)):
             block = sample_without_replacement(tr.rng, tr.pool,
-                                               min(tr.t, tr.params.k - tr.s.size))
+                                               min(t, tr.params.k - tr.s.size))
             tr.s = np.union1d(tr.s, block)
-            tr.snapshots[-1].update(s=tr.s, t=tr.t, mu=tr.mu, estimates=tr.estimates)
+            tr.snapshots[-1].update(s=tr.s, t=t, mu=mu, estimates=estimates)
             if tr.s.size == tr.params.k:
                 tr.reason = BreakReason.FULL_S
             elif outer == tr.d.r:
@@ -358,7 +350,8 @@ def _probes(d: DerivedThresholdValues, pool_size: int) -> list[int]:
     return np.minimum(powers[:powers.searchsorted(pool_size) + 1], pool_size).tolist()
 
 
-def _scan(f: Objective, trials: list[_Trial]) -> None:
+def _scan(f: Objective, trials: list[_Trial]
+          ) -> tuple[list[int], list[float], list[list[tuple[int, float]]]]:
     """The block-size scan of one outer round, for every trial at once.
 
     A trial probes t_i = min(floor((1 + eps_hat)^i), |pool|) for i = 0..m
@@ -366,31 +359,41 @@ def _scan(f: Objective, trials: list[_Trial]) -> None:
     block size repeats the previous one would probe the identical
     distribution, so it reuses that estimate and costs no round: a trial's
     probes are the distinct t_i, and step j of the lockstep issues the j-th
-    probe of every trial still scanning, as one grouped round.
+    probe of every trial still scanning, as one paired-gain round, with one
+    draw per block size. Returns each trial's chosen t, its mu, and its
+    (t, mu) estimates in probe order.
     """
-    probes = {tr: _probes(tr.d, tr.pool.size) for tr in trials}
+    probes = [_probes(tr.d, tr.pool.size) for tr in trials]
+    last = np.array([len(p) for p in probes], dtype=np.int64) - 1
+    steps = max(map(len, probes), default=0)
+    table = np.array([p + p[-1:] * (steps - len(p)) for p in probes])  # padded
+    ell = np.array([tr.d.ell for tr in trials], dtype=np.int64)
+    tau = np.array([tr.params.tau for tr in trials], dtype=np.float64)
+    floor = np.array([1.0 - 1.5 * tr.d.eps_hat for tr in trials], dtype=np.float64)
+    t, mu = np.zeros(len(trials), dtype=np.int64), np.zeros(len(trials))
+    live = np.ones(len(trials), dtype=bool)
+    estimates: list[list[tuple[int, float]]] = [[] for _ in trials]
     step = 0
-    while trials:
-        by_t: dict[int, list[_Trial]] = {}
-        for tr in trials:
-            tr.t = probes[tr][step]
-            by_t.setdefault(tr.t, []).append(tr)
-        draws = {}
-        for t, group in by_t.items():
-            draws.update(zip(group, draw_blocks([tr.rng for tr in group],
-                                                [tr.pool for tr in group], t,
-                                                [tr.d.ell for tr in group])))
-        gains = paired_gain_round(f, [GainGroup(tr.s, *draw, tr.ledger)
-                                      for tr, draw in draws.items()])
+    while live.any():
+        t[live] = table[live, step]
+        # The live trials, by block size: each size's rows are one T array.
+        order = np.flatnonzero(live)
+        order = order[np.argsort(t[order], kind="stable")]
+        sizes, starts = np.unique(t[order], return_index=True)
+        t_mats, xs = zip(*[draw_blocks([trials[i].rng for i in members],
+                                       [trials[i].pool for i in members], size, ell[members])
+                           for size, members in zip(sizes.tolist(), np.split(order, starts[1:]))])
+        offsets = np.concatenate([[0], ell[order].cumsum()])
+        gains = paired_gain_round(f, np.concatenate(xs), t_mats, offsets,
+                                  [trials[i].s for i in order], [trials[i].ledger for i in order])
+        # Each count is exact, so each mu is the correctly rounded fraction.
+        mu[order] = np.add.reduceat(gains >= tau[order].repeat(ell[order]), offsets[:-1],
+                                    dtype=np.int64) / ell[order]
+        for i, estimate in zip(order.tolist(), zip(t[order].tolist(), mu[order].tolist())):
+            estimates[i].append(estimate)
+        live[order] = (mu[order] > floor[order]) & (step < last[order])
         step += 1
-        scanning = []
-        for tr, g in zip(draws, gains):
-            # The count is exact, so mu is the correctly rounded fraction.
-            tr.mu = np.count_nonzero(g >= tr.params.tau) / g.size
-            tr.estimates.append((tr.t, tr.mu))
-            if tr.mu > 1.0 - 1.5 * tr.d.eps_hat and step < len(probes[tr]):
-                scanning.append(tr)
-        trials = scanning
+    return t.tolist(), mu.tolist(), estimates
 
 
 def threshold_sampling(f: Objective, params: ThresholdParams,

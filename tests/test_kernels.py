@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from submax import (
     CutObjective,
-    GainGroup,
     ImageSummarizationObjective,
     ModularObjective,
     NonmonotoneParams,
@@ -91,6 +90,33 @@ KINDS = ["modular", "coverage", "revenue", "synthetic-cut", "image", "movie"]
 def metered_gains(f, base, t_mat, xs):
     """Paired gains through the metered entry point, on a throwaway ledger."""
     return batch_pair_gains(f, base, t_mat, xs, QueryLedger())
+
+
+def grouped_round(f, groups):
+    """Each group's gains from one flat ``paired_gain_round``.
+
+    A group is (base, t_mat, xs, ledger, asks), with t_mat None for a
+    marginals group, which asks f(base) when asks is True. The groups are
+    laid out by T width, in the order of each width's first group, with one
+    T array per width; the gains come back in the order of ``groups``.
+    """
+    widths = [0 if t_mat is None else np.shape(t_mat)[1] for _, t_mat, _, _, _ in groups]
+    order = sorted(range(len(groups)), key=lambda i: widths.index(widths[i]))
+    xs = [np.asarray(groups[i][2], dtype=np.int64) for i in order]
+    offsets = np.concatenate([[0], np.cumsum([x.size for x in xs])])
+    t_mats = {}
+    for i, x in zip(order, xs):
+        t_mat = groups[i][1]
+        t_mats.setdefault(widths[i], []).append(
+            np.empty((x.size, 0), dtype=np.int64) if t_mat is None else t_mat)
+    gains = paired_gain_round(
+        f, np.concatenate(xs), [np.concatenate(t) for t in t_mats.values()], offsets,
+        [groups[i][0] for i in order], [groups[i][3] for i in order],
+        asks=[groups[i][4] for i in order], samples=[groups[i][1] is not None for i in order])
+    out = [None] * len(groups)
+    for i, a, b in zip(order, offsets[:-1], offsets[1:]):
+        out[i] = gains[a:b]
+    return out
 
 
 @st.composite
@@ -263,8 +289,8 @@ def test_revenue_kernel_equals_dense_formula(case):
     # Every group of one round, each on its own base, equals the all-nodes
     # formula on that base.
     f, queries = _revenue_round(case)
-    got = paired_gain_round(f, [GainGroup(base, t_mat, xs, QueryLedger())
-                                for base, t_mat, xs in queries])
+    got = grouped_round(f, [(base, t_mat, xs, QueryLedger(), False)
+                            for base, t_mat, xs in queries])
     for (base, t_mat, xs), gains in zip(queries, got):
         assert np.array_equal(gains, dense_revenue_gain_batch(f.w, base, t_mat, xs))
 
@@ -347,12 +373,12 @@ def test_revenue_kernel_on_a_skewed_graph(width, m):
                           for _ in range(m)]).reshape(m, width)
         xs = rng.integers(0, f.n, m)
         xs[:3] = lead[:m]  # hub, isolated node and a leaf or tail node
-        groups.append(GainGroup(base, t_mat, xs, QueryLedger()))
+        groups.append((base, t_mat, xs, QueryLedger(), False))
         wants.append(dense_revenue_gain_batch(f.w, base, t_mat, xs))
     rows = []
     kernel = f._gain_batch
     f._gain_batch = lambda st_, t, x, of: rows.append(x.size) or kernel(st_, t, x, of)
-    got = paired_gain_round(f, groups)
+    got = grouped_round(f, groups)
     assert rows == [2 * m]  # every row went through one kernel call
     for gains, want in zip(got, wants):
         assert np.array_equal(gains, want)
@@ -586,9 +612,11 @@ def test_grouped_round_equals_one_group_calls(kind, case):
     f._gain_batch = lambda st_, t, x, rows: calls.append(x.size) or kernel(st_, t, x, rows)
     budget = 4  # rows per call: the 7-row groups span chunks
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "GAIN_CELL_BUDGET", budget * n)
-        got = paired_gain_round(f, [GainGroup(base, t_mat, xs, led, value)
-                                    for (base, t_mat, xs, value), led in zip(inputs, ledgers)])
+        # One cell per row at every T width, so the budget counts rows.
+        patch.setattr(oracle, "GAIN_CELL_BUDGET", budget)
+        patch.setattr(f, "_gain_row_cells", lambda width: 1)
+        got = grouped_round(f, [(base, t_mat, xs, led, False)
+                                for (base, t_mat, xs, _), led in zip(inputs, ledgers)])
     del f._gain_batch
 
     # Only the overlapping groups skip the kernel. Each T width, in the order
@@ -630,73 +658,88 @@ def _graph_objective(kind, graph):
 
 @st.composite
 def call_independence_cases(draw):
-    """(graph, base, T width, leading candidates, seed of the other rows)."""
+    """(graph, base, T width, leading candidates, seed of the other rows,
+    rows)."""
     graph = draw(st.sampled_from(["G400", "hub"]))
     n = 400 if graph == "G400" else 48
     base = sorted(draw(st.sets(st.integers(0, n - 1), max_size=12)))
     width = draw(st.sampled_from([0, 1, 8, 12]))
     lead = draw(st.lists(st.integers(0, n - 1), max_size=3))
-    return graph, base, width, lead, draw(st.integers(0, 2**16))
+    return graph, base, width, lead, draw(st.integers(0, 2**16)), 30
+
+
+# 4,000 rows at T width 12 on G400 straddle each kernel's own cut: 3,938
+# rows a call for revenue, whose rows hold a few cells per neighbour of x_j,
+# and 512 for the kernels whose rows hold n cells.
+STRADDLES_THE_CUT = ("G400", [5, 17, 96, 230], 12, [275, 281], 4, 4000)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(case=call_independence_cases())
-@example(case=("G400", [2, 3, 48, 102, 153, 207, 244, 256, 264, 304], 0, [275, 281], 0))
-@example(case=("hub", [2, 41], 8, [0, 47, 5], 1))    # the hub, 40 neighbours
-@example(case=("hub", [7, 9, 43], 12, [47, 0, 42], 2))
-@example(case=("hub", [], 1, [0], 3))
+@example(case=("G400", [2, 3, 48, 102, 153, 207, 244, 256, 264, 304], 0, [275, 281], 0, 30))
+@example(case=("hub", [2, 41], 8, [0, 47, 5], 1, 30))    # the hub, 40 neighbours
+@example(case=("hub", [7, 9, 43], 12, [47, 0, 42], 2, 30))
+@example(case=("hub", [], 1, [0], 3, 30))
+@example(case=STRADDLES_THE_CUT)
 def test_a_rows_gain_does_not_depend_on_its_call(kind, case):
-    # Each of 30 rows, asked as a one-row group, inside the 30-row group, and
-    # with the round cut into calls of 1, 2 and 3 rows, gets the same bytes.
-    graph, base, width, lead, seed = case
+    # Each of the first 30 rows, and each row around the kernel's own cut,
+    # asked as a one-row group, inside the whole group, and with the round
+    # cut into calls of 1, 2 and 3 rows, gets the same bytes.
+    graph, base, width, lead, seed, count = case
     f = _graph_objective(kind, graph)
     base = np.asarray(base, dtype=np.int64)
     rng = np.random.default_rng(seed)
     rest = np.setdiff1d(np.arange(f.n), base)
     t_mat = np.stack([rng.choice(rest, width, replace=False)
-                      for _ in range(30)]).reshape(30, width)
-    xs = rng.integers(0, f.n, 30)
+                      for _ in range(count)]).reshape(count, width)
+    xs = rng.integers(0, f.n, count)
     xs[:len(lead)] = lead
+    cut = max(1, oracle.GAIN_CELL_BUDGET // f._gain_row_cells(width))
+    assert count == 30 or 30 < cut < count - 3  # the example straddles the cut
     value = evaluate_offline(f, base)
 
     def gains(rows, per_call=None):
-        if width:
-            group = GainGroup(base, t_mat[rows], xs[rows], QueryLedger())
-        else:  # a marginals group against the known f(base)
-            group = GainGroup(base, None, xs[rows], QueryLedger(), value)
         with pytest.MonkeyPatch.context() as patch:
             if per_call is not None:
-                patch.setattr(oracle, "GAIN_CELL_BUDGET", per_call * f.n)
-            return paired_gain_round(f, [group])[0]
+                patch.setattr(oracle, "GAIN_CELL_BUDGET",
+                              per_call * f._gain_row_cells(width))
+            if width:
+                return batch_pair_gains(f, base, t_mat[rows], xs[rows], QueryLedger())
+            # A marginals group against the known f(base).
+            return batch_marginals(f, base, xs[rows], value, QueryLedger())
 
     together = gains(slice(None))
-    alone = np.concatenate([gains(slice(j, j + 1)) for j in range(30)])
-    assert alone.tobytes() == together.tobytes()
+    near = [j for j in range(count) if j < 30 or abs(j - cut) <= 3]
+    alone = np.concatenate([gains(slice(j, j + 1)) for j in near])
+    assert alone.tobytes() == together[near].tobytes()
     for per_call in (1, 2, 3):
-        assert gains(slice(None), per_call).tobytes() == together.tobytes(), per_call
+        assert gains(slice(0, 30), per_call).tobytes() == together[:30].tobytes(), per_call
 
 
-def test_grouped_round_memory_is_bounded_by_the_row_budget():
-    # 40 groups of 512 rows at n = 400: one kernel call over all 20,480 rows
-    # would hold every row's neighbour and T weights at once (about 22 MB of
-    # traced peak, against about 4.3 MB in 512-row calls).
+@pytest.mark.parametrize("width", [0, 9, 17])
+def test_grouped_round_memory_is_bounded_by_the_row_budget(width):
+    # 40 groups of 512 rows at n = 400. Cut at the kernel's own row cells,
+    # the round's traced peak was 2.2, 2.3 and 3.7 MB at widths 0, 9 and 17;
+    # one kernel call over all 20,480 rows gave 5.8, 6.7 and 7.6 MB.
     f = generate_synthetic("revenue", 400, 3.0 / 399, seed=61).objective()
     rng = np.random.default_rng(0)
-    groups = []
+    bases, t_mats = [], []
     for _ in range(40):
         perm = rng.permutation(f.n)
         rest = perm[20:]
-        t_mat = rest[np.argsort(rng.random((512, rest.size)), axis=1)[:, :9]]
-        groups.append(GainGroup(np.sort(perm[:20]), t_mat, rng.integers(0, f.n, 512),
-                                QueryLedger()))
+        t_mats.append(rest[np.argsort(rng.random((512, rest.size)), axis=1)[:, :width]])
+        bases.append(np.sort(perm[:20]))
+    t_mat, xs = np.concatenate(t_mats), rng.integers(0, f.n, 20_480)
+    offsets = np.arange(41) * 512
+    ledgers = [QueryLedger() for _ in bases]
     tracemalloc.start()
     try:
-        gains = paired_gain_round(f, groups)
+        gains = paired_gain_round(f, xs, [t_mat], offsets, bases, ledgers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(g.size for g in gains) == 20_480
+    assert gains.size == 20_480
     assert peak < 16e6, peak
 
 

@@ -1,9 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from submax import (
     CutObjective,
-    GainGroup,
     InvalidSubsetError,
     ModularObjective,
     MovieRecommendationObjective,
@@ -35,6 +36,7 @@ from submax import (
 )
 from submax.threshold import ThresholdParams
 from submax.unconstrained import UnconstrainedParams
+from test_kernels import grouped_round
 
 
 def path_graph():
@@ -181,6 +183,23 @@ class TestBatchPairGains:
         assert got[0] == pytest.approx(evaluate_offline(f, [1, 3])
                                        - evaluate_offline(f, [1]))
 
+    @pytest.mark.parametrize("width", [2, 3, 16, 17, 29])
+    def test_a_repeat_in_any_two_columns_is_rejected(self, width):
+        # Narrow rows are checked by column compares, wide ones by sorting;
+        # a repeat in any pair of columns of any row must fail either way.
+        f = generate_synthetic("revenue", 40, 0.2, seed=2).objective()
+        rng = np.random.default_rng(width)
+        t_mat = np.argsort(rng.random((7, 39)), axis=1)[:, :width] + 1
+        xs = np.zeros(7, dtype=np.int64)
+        led = QueryLedger()
+        assert batch_pair_gains(f, [], t_mat, xs, led).size == 7
+        for i, j in itertools.combinations(range(width), 2):
+            bad = t_mat.copy()
+            bad[(i + j) % 7, j] = bad[(i + j) % 7, i]
+            with pytest.raises(InvalidSubsetError, match="T row"):
+                batch_pair_gains(f, [], bad, xs, led)
+        assert led.rounds == 1
+
 
 def _paired_gains_on(f, make_base, led):
     """Both paired-gain entry points against the base make_base() builds."""
@@ -301,27 +320,18 @@ def _lone_group_outcome(case, kind, alone):
     make, base, t_rows, xs = LONE_GROUP_CASES[case]
     f = make()
     led = QueryLedger()
-    if kind == "marginals":
-        group = GainGroup(base, None, xs, led, _value_or_zero(f, base))
-    elif kind == "asks":
-        group = GainGroup(base, None, xs, led)
-    else:
-        group = GainGroup(base, np.array(t_rows), np.array(xs), led)
-    others = [GainGroup([0], np.array([[6], [7]]), np.array([7, 8]), QueryLedger()),
-              GainGroup([6, 8], None, [0, 7], QueryLedger(), evaluate_offline(f, [6, 8]))]
+    if kind == "pairs":
+        group = (base, np.array(t_rows), np.array(xs), led, False)
+    else:  # "asks" asks f(base) in the round; "marginals" knows it
+        group = (base, None, xs, led, kind == "asks")
+    others = [([0], np.array([[6], [7]]), np.array([7, 8]), QueryLedger(), False),
+              ([6, 8], None, [0, 7], QueryLedger(), False)]
     groups = [group] if alone else [others[0], group, others[1]]
     try:
-        gains = paired_gain_round(f, groups)[groups.index(group)]
+        gains = grouped_round(f, groups)[groups.index(group)]
     except ValueError as err:  # InvalidSubsetError included
-        return type(err), str(err), [g.ledger.rounds for g in groups]
+        return type(err), str(err), [g[3].rounds for g in groups]
     return gains.tobytes(), led.per_round, led.logical_samples, f, gains, led.values
-
-
-def _value_or_zero(f, base):
-    try:
-        return evaluate_offline(f, base)
-    except InvalidSubsetError:
-        return 0.0
 
 
 @pytest.mark.parametrize("case,kind", LONE_GROUPS, ids=[f"{c}-{k}" for c, k in LONE_GROUPS])
@@ -370,11 +380,24 @@ def test_lone_group_is_checked_as_in_a_grouped_round(case, kind):
             assert gains[j] == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warmed"])
+def test_a_round_of_no_groups_returns_no_gains_and_keeps_the_memo(warm):
+    f = _revenue()
+    if warm:
+        batch_marginals(f, [1, 4], [0, 2], 0.0, QueryLedger())
+    memo = f._base_memo
+    assert (memo is None) is not warm
+    for t_mats in (None, []):
+        gains = paired_gain_round(f, np.empty(0, dtype=np.int64), t_mats, [0], [], [])
+        assert gains.dtype == np.float64 and gains.size == 0
+        assert f._base_memo is memo
+
+
 def test_asked_base_value_must_be_finite():
     f = ModularObjective([1.0, np.nan, 2.0, 3.0])
     led = QueryLedger()
     with pytest.raises(ValueError, match="batch_marginals: the oracle returned a non-finite"):
-        paired_gain_round(f, [GainGroup([1], None, [0, 2], led)])
+        paired_gain_round(f, [0, 2], None, [0, 2], [[1]], [led], asks=True, samples=False)
     assert led.per_round == [(1, 3)]  # metered before it was answered
 
 
@@ -386,8 +409,9 @@ def test_asking_the_base_value_changes_no_gain():
     xs = np.arange(30)
     told = evaluate_batch(f, [base], QueryLedger())[0]
     asked_led, told_led = QueryLedger(), QueryLedger()
-    asked, told_gains = paired_gain_round(f, [GainGroup(base, None, xs, asked_led),
-                                              GainGroup(base, None, xs, told_led, told)])
+    gains = paired_gain_round(f, np.concatenate([xs, xs]), None, [0, 30, 60], [base, base],
+                              [asked_led, told_led], asks=[True, False], samples=False)
+    asked, told_gains = gains[:30], gains[30:]
     assert asked.tobytes() == told_gains.tobytes()
     assert asked_led.per_round == [(1, 31)] and told_led.per_round == [(1, 30)]
     assert asked_led.values == {1: told}

@@ -20,8 +20,8 @@ from submax import (
     verify_termination_marginals,
 )
 from submax.objectives import make_random_coverage
-from submax.oracle import draws_below
-from submax.threshold import _probes, draw_blocks
+from submax.oracle import draws_below, singleton_round
+from submax.threshold import _probes, draw_blocks, lockstep_threshold_sampling
 
 
 def path_cut():
@@ -335,7 +335,8 @@ class TestDrawBlockAndProbe:
 def reference_blocks(rngs, pools, t, counts):
     """draw_blocks from numpy's own bounded draws: per trial
     ``rng.integers(np.arange(P-t+1, P+1), size=(count, t))`` then
-    ``rng.integers(t, size=count)``, then Floyd's column pass row-major."""
+    ``rng.integers(t, size=count)``, then Floyd's column pass row-major.
+    Returns (t_mat, xs) of every row, the trials' rows laid end to end."""
     sizes = np.array([pool.size for pool in pools])
     idx, pick = [], []
     for rng, size, count in zip(rngs, sizes.tolist(), counts):
@@ -351,9 +352,7 @@ def reference_blocks(rngs, pools, t, counts):
     idx[rows, pick] = idx[:, t - 1]
     start = np.repeat(np.cumsum(sizes) - sizes, counts)
     flat = np.concatenate(pools)
-    t_all, x_all = flat[idx[:, :t - 1] + start[:, None]], flat[x_idx + start]
-    ends = np.cumsum(counts).tolist()
-    return [(t_all[e - c:e], x_all[e - c:e]) for c, e in zip(counts, ends)]
+    return flat[idx[:, :t - 1] + start[:, None]], flat[x_idx + start]
 
 
 # PCG64(0) advanced this many steps next yields a 64-bit output whose low 32
@@ -374,9 +373,10 @@ def _generator(seed, advance=0, cached=False):
 
 
 def _assert_same_draws(got, want, rngs, twins):
-    for (t_mat, xs), (t_want, x_want) in zip(got, want):
-        assert t_mat.tobytes() == t_want.tobytes()
-        assert xs.tobytes() == x_want.tobytes()
+    (t_mat, xs), (t_want, x_want) = got, want
+    assert t_mat.shape == t_want.shape
+    assert t_mat.tobytes() == t_want.tobytes()
+    assert xs.tobytes() == x_want.tobytes()
     for rng, twin in zip(rngs, twins):
         assert rng.bit_generator.state == twin.bit_generator.state
         # The next draws agree too, the cached half first.
@@ -507,3 +507,30 @@ def test_scan_probes_are_the_distinct_clipped_powers(eps, k):
         got = _probes(d, size)
         assert got == want, size
         assert all(type(t) is int for t in got)
+
+
+def test_lockstep_trials_of_mixed_block_sizes_equal_standalone_runs():
+    # Trials of other eps, or whose small pools cap their probes, scan other
+    # block sizes at the same step, so a scan round carries several T widths;
+    # each trial must still be the run threshold_sampling makes alone.
+    f = generate_synthetic("revenue", 40, 0.15, seed=3).objective()
+    sweep = singleton_round(f, QueryLedger())
+    top = np.sort(sweep[1:] - sweep[0])[::-1]
+    params = [ThresholdParams(k=k, tau=tau, eps=eps, delta=0.1, sample_override=20)
+              for k, eps in [(12, 0.3), (12, 0.9), (6, 0.5)]
+              for tau in (0.0, float(top[20]), float(top[5]))]
+    got = lockstep_threshold_sampling(f, params, [make_rng(i) for i in range(9)], sweep)
+    widths = set()
+    for i, (p, out) in enumerate(zip(params, got)):
+        alone = threshold_sampling(f, p, make_rng(i))
+        assert (out.s.tolist(), out.a.tolist()) == (alone.s.tolist(), alone.a.tolist())
+        assert (out.break_reason, out.f_s) == (alone.break_reason, alone.f_s)
+        assert out.ledger.per_round == [(r - 1, q) for r, q in alone.ledger.per_round[1:]]
+        assert out.ledger.logical_samples == alone.ledger.logical_samples
+        assert [(snap["t"], snap["mu"], snap["estimates"]) for snap in out.snapshots] == [
+            (snap["t"], snap["mu"], snap["estimates"]) for snap in alone.snapshots]
+        widths |= {(snap["round"], j, t) for snap in out.snapshots
+                   for j, (t, _) in enumerate(snap["estimates"])}
+    # Some scan step of some outer round probed more than one block size.
+    steps = {(rnd, j) for rnd, j, _ in widths}
+    assert len(widths) > len(steps)
