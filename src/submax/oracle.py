@@ -30,7 +30,7 @@ and the value, for a setting outside its range.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -52,18 +52,26 @@ class ParamError(ValueError):
         self.field, self.value, self.rule = field, value, rule
 
 
+def _count(v) -> bool:
+    """Whether v is an integer, numpy's too, but not a bool: as a count, k =
+    2.5 would never be reached."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 # The one home of every setting's range: field -> (test, rule). The tests are
 # written as comparisons that hold inside the range, so NaN fails every one.
 PARAM_RANGES = {
-    "k": (lambda v: v >= 1, "must be >= 1"),
-    "n": (lambda v: v >= 1, "must be >= 1"),
+    "k": (lambda v: _count(v) and v >= 1, "must be an integer >= 1"),
+    "n": (lambda v: _count(v) and v >= 1, "must be an integer >= 1"),
     "tau": (lambda v: v >= 0, "must be >= 0"),
     "eps": (lambda v: 0 < v < 1, "must lie in (0,1)"),
     "delta": (lambda v: 0 < v < 1, "must lie in (0,1)"),
-    "break_size": (lambda v: v is None or v >= 1, "must be >= 1 when set"),
-    "sample_override": (lambda v: v is None or v >= 1, "must be >= 1 when set"),
-    "seed": (lambda v: v >= 0, "must be >= 0"),
-    "trials": (lambda v: v >= 1, "must be >= 1"),
+    "break_size": (lambda v: v is None or _count(v) and v >= 1,
+                   "must be an integer >= 1 when set"),
+    "sample_override": (lambda v: v is None or _count(v) and v >= 1,
+                        "must be an integer >= 1 when set"),
+    "seed": (lambda v: _count(v) and v >= 0, "must be an integer >= 0"),
+    "trials": (lambda v: _count(v) and v >= 1, "must be an integer >= 1"),
     "p": (lambda v: 0 <= v <= 1, "must lie in [0,1]"),
     "dim": (lambda v: 1 <= v < math.inf, "must be a finite embedding dimension >= 1"),
     "lam": (lambda v: 0 <= v <= 1, "must lie in [0,1]"),
@@ -486,70 +494,61 @@ def _repeats_in_a_row(t_mat: np.ndarray) -> bool:
 
 
 def paired_gain_round(f: Objective, xs, t_mats, offsets, bases: Sequence,
-                      ledgers: Sequence[QueryLedger], asks=False,
-                      samples=True) -> np.ndarray:
+                      ledgers: Sequence[QueryLedger], asks: bool = False) -> np.ndarray:
     """Gains of every row of one round, given flat: one adaptive round per
     group.
 
     Row j asks f(B_j + x_j) - f(B_j), B_j = base + T_j. xs holds every row's
     x_j, the groups' rows end to end: group i owns rows
     offsets[i]:offsets[i + 1] (at least one), has base bases[i], a strictly
-    increasing index collection, and ledger ledgers[i]. t_mats holds the
-    T_j in the same order, as (rows, width) arrays end to end, one per T
-    width; None is one array with no columns. samples and asks are one bool
-    for every group or one per group. A sample group's rows are indicator
-    samples, metered as 2 * rows queries and rows logical samples; a
-    marginals group has no T columns and is metered as rows queries, plus
-    one when it asks f(base), answered by one whole-set evaluation and
-    recorded on its ledger (``ledger.values[ledger.rounds]``).
+    increasing index collection, and ledger ledgers[i]. A round is one kind.
+    With t_mats None it is a marginals round (T_j empty): rows queries a
+    group, plus one with asks, whose f(base) is one whole-set evaluation
+    recorded on the ledger (``ledger.values[ledger.rounds]``). Otherwise it
+    is a sample round, which cannot ask: t_mats holds the T_j as (rows,
+    width) arrays end to end, one per width (0 too), and a group's rows are
+    indicator samples, 2 * rows queries and rows logical samples.
 
-    The round is the one home of the paired-gain rules the kernels rely on,
-    and checks the whole round at once. One ``f._round_state`` call numbers,
-    checks and builds its bases' states before anything is metered; a row's
-    membership in its base is read off the base's membership row (array 0 of
-    its state). The rows of a group whose T rows overlap its base go to the
-    default ``Objective._gain_batch``; a row whose x_j lies in B_j is 0.0
-    exactly. All other rows go to the objective's ``_gain_batch``, one call
-    per GAIN_CELL_BUDGET // ``f._gain_row_cells(width)`` consecutive rows of
-    a T array, so a row's gain is the same in any grouping. A round of no
+    The round is the one home of the paired-gain rules the kernels rely on.
+    One ``f._round_state`` call numbers, checks and builds its bases' states
+    before anything is metered. Each row's route depends on that row alone:
+    a row whose T_j overlaps its base goes to the default
+    ``Objective._gain_batch``, one whose x_j lies in B_j is 0.0 exactly, and
+    the rest of a T array go to ``f._gain_batch``, GAIN_CELL_BUDGET //
+    ``f._gain_row_cells(width)`` consecutive rows a call. A round of no
     groups returns no gains and touches nothing.
 
     InvalidSubsetError, before anything is metered, for an element outside
     [0, n), an index that is not an integer, an unsorted or repeating base,
-    or a T row that repeats an element; ValueError for a malformed round or
-    an empty group, and if any gain or asked f(base) is NaN or infinite.
+    or a T row that repeats an element; ValueError, also before, for a
+    malformed round, an empty group or a sample round that asks, and if any
+    gain or asked f(base) is NaN or infinite.
     """
     groups = len(ledgers)
     if not groups:
         return np.empty(0, dtype=np.float64)
+    sample = t_mats is not None
+    entry = "batch_pair_gains" if sample else "batch_marginals"
+    if sample and asks:
+        raise ValueError("a sample round cannot ask f(base)")
     xs = _as_index_array(xs)
     if xs.ndim != 1:
         raise ValueError(f"the candidates must be one-dimensional, got shape {xs.shape}")
     offsets = np.asarray(offsets, dtype=np.int64)
-    samples = [samples] * groups if isinstance(samples, bool) else list(samples)
-    asks = [asks] * groups if isinstance(asks, bool) else list(asks)
-    if (not len(bases) == len(samples) == len(asks) == groups
-            or offsets.shape != (groups + 1,) or offsets[0] != 0 or offsets[-1] != xs.size):
-        raise ValueError("offsets must cover xs, with one base, ledger and flag per group")
+    if (len(bases) != groups or offsets.shape != (groups + 1,) or offsets[0] != 0
+            or offsets[-1] != xs.size):
+        raise ValueError("offsets must cover xs, with one base and ledger per group")
     sizes = offsets[1:] - offsets[:-1]
     size_list = sizes.tolist()
     if min(size_list) <= 0:
-        raise ValueError("batch_pair_gains requires at least one pair"
-                         if samples[size_list.index(min(size_list))]
-                         else "batch_marginals requires at least one candidate")
-    if True in map(operator.and_, asks, samples):
-        raise ValueError("a sample group cannot ask f(base)")
+        raise ValueError(f"{entry} requires at least one {'pair' if sample else 'candidate'}")
     spans = []  # (first row, T array) per T array
     end = 0
-    for t_mat in [np.empty((xs.size, 0), dtype=np.int64)] if t_mats is None else t_mats:
+    for t_mat in t_mats if sample else [np.empty((xs.size, 0), dtype=np.int64)]:
         t_mat = _as_index_array(t_mat)
         if t_mat.ndim != 2:
             raise ValueError("t_mat must be (m, t-1) and xs length m")
         start, end = end, end + t_mat.shape[0]
-        # The groups that own rows start..end-1.
-        if t_mat.size and not all(samples[offsets.searchsorted(start, side="right") - 1:
-                                          offsets.searchsorted(end - 1, side="right")]):
-            raise ValueError("a marginals group takes no T columns")
         spans.append((start, t_mat))
     if end != xs.size:
         raise ValueError("t_mat must be (m, t-1) and xs length m")
@@ -559,7 +558,7 @@ def paired_gain_round(f: Objective, xs, t_mats, offsets, bases: Sequence,
 
     _check_bounds(f, xs)
     member = _in_own_base(in_base, row_base, xs)
-    slow = None  # the groups whose T rows touch their base
+    overlap = None  # the rows whose T row touches their base
     for start, t_mat in spans:
         width = t_mat.shape[1]
         if not width:
@@ -572,25 +571,24 @@ def paired_gain_round(f: Objective, xs, t_mats, offsets, bases: Sequence,
         member[start + np.flatnonzero(t_mat == xs[rows, None]) // width] = True
         touch = np.flatnonzero(_in_own_base(in_base, row_base[rows], t_mat))
         if touch.size:
-            if slow is None:
-                slow = np.zeros(sizes.size, dtype=bool)
-            slow[offsets.searchsorted(start + touch // width, side="right") - 1] = True
+            if overlap is None:
+                overlap = np.zeros(xs.size, dtype=bool)
+            overlap[start + touch // width] = True
 
-    for ledger, size, sample, ask in zip(ledgers, size_list, samples, asks):
-        ledger.add_round(size * (1 + sample) + ask, size * sample)
-    for i in [i for i, ask in enumerate(asks) if ask]:
-        # One whole-set evaluation per base; its membership row is its mask.
-        value = float(_mask_values(f, in_base[base_of[i]][None], "batch_marginals")[0])
-        ledgers[i].record_value(value)
+    for ledger, size in zip(ledgers, size_list):
+        ledger.add_round(size * (1 + sample) + asks, size * sample)
+    if asks:
+        for ledger, row in zip(ledgers, base_of.tolist()):
+            # One whole-set evaluation per base; its membership row is its mask.
+            ledger.record_value(float(_mask_values(f, in_base[row][None], entry)[0]))
 
     gains = np.empty(xs.size, dtype=np.float64)
-    slow_rows = None if slow is None else slow.repeat(sizes)
     for start, t_mat in spans:
         rows = slice(start, start + t_mat.shape[0])
         out, x, row_of = gains[rows], xs[rows], row_base[rows]
         fast = out
-        if slow is not None and slow_rows[rows].any():
-            own = slow_rows[rows]
+        if overlap is not None and overlap[rows].any():
+            own = overlap[rows]
             out[own] = Objective._gain_batch(f, state, t_mat[own], x[own], row_of[own])
             t_mat, x, row_of = t_mat[~own], x[~own], row_of[~own]
             fast = np.empty(x.size, dtype=np.float64)
@@ -602,10 +600,7 @@ def paired_gain_round(f: Objective, xs, t_mats, offsets, bases: Sequence,
             out[~own] = fast
     gains[member] = 0.0
     if np.count_nonzero(np.isfinite(gains)) != gains.size:
-        first = int(np.flatnonzero(~np.isfinite(gains))[0])
-        group = int(offsets.searchsorted(first, side="right")) - 1
-        kind = "batch_pair_gains" if samples[group] else "batch_marginals"
-        raise ValueError(f"{kind}: the oracle returned a non-finite value")
+        raise ValueError(f"{entry}: the oracle returned a non-finite value")
     return gains
 
 
@@ -622,7 +617,7 @@ def batch_marginals(f: Objective, base, candidates,
     infinite.
     """
     xs = _as_index_array(candidates)
-    return paired_gain_round(f, xs, None, (0, xs.size), [base], [ledger], samples=False)
+    return paired_gain_round(f, xs, None, (0, xs.size), [base], [ledger])
 
 
 def batch_pair_gains(f: Objective, base, t_mat: np.ndarray,
@@ -633,12 +628,12 @@ def batch_pair_gains(f: Objective, base, t_mat: np.ndarray,
     simulates one indicator sample and is metered as two raw evaluations
     (2 * len(xs) queries) plus one logical sample per row. base is a strictly
     increasing index collection and rows of t_mat must be duplicate-free.
-    When some T row overlaps base, every row is answered by the default
-    ``Objective._gain_batch``, from two ``_evaluate`` calls per row; a row
-    whose x_j lies in base + T_j has gain 0. Raises InvalidSubsetError for
-    an index that is not an integer, an unsorted or repeating base or a T
-    row that repeats an element, and ValueError if any gain is NaN or
-    infinite.
+    A row whose T row overlaps base is answered by the default
+    ``Objective._gain_batch`` (two ``_evaluate`` calls), any other by the
+    kernel; a row whose x_j lies in base + T_j has gain 0. Raises
+    InvalidSubsetError for an index that is not an integer, an unsorted or
+    repeating base or a T row that repeats an element, and ValueError if any
+    gain is NaN or infinite.
     """
     xs = _as_index_array(xs)
     return paired_gain_round(f, xs, [t_mat], (0, xs.size), [base], [ledger])
@@ -699,8 +694,11 @@ def sample_without_replacement(rng: np.random.Generator, pool,
 
     Swap i takes position i + j_i with j_i uniform on [0, |pool| - i); all
     j_i come from one draw, which leaves the generator where one draw per
-    swap would.
+    swap would. A size above |pool| takes the whole pool; ValueError for a
+    negative size.
     """
+    if size < 0:
+        raise ValueError(f"the sample size must be >= 0, got {size}")
     items = _as_index_array(pool).tolist()
     size = min(int(size), len(items))
     steps = np.arange(size)

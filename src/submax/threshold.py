@@ -298,7 +298,7 @@ def lockstep_threshold_sampling(
             offsets = np.cumsum([0] + [tr.pool.size for tr in live])
             gains = paired_gain_round(f, np.concatenate([tr.pool for tr in live]), None,
                                       offsets, [tr.s for tr in live],
-                                      [tr.ledger for tr in live], asks=True, samples=False)
+                                      [tr.ledger for tr in live], asks=True)
             for tr, a, b in zip(live, offsets[:-1].tolist(), offsets[1:].tolist()):
                 tr.f_s = tr.ledger.values[tr.ledger.rounds]
                 tr.pool = tr.pool[gains[a:b] >= tr.params.tau]

@@ -251,7 +251,7 @@ class TestCli:
         ("revenue", ["--synthetic", "n=10,p=0.5", "--k", "2", "--algorithm", "anm",
                      "--samples", "-5"], "--samples"),
         ("image", ["--synthetic", "n=10", "--k", "2", "--trials", "0"], "--trials"),
-        ("image", ["--synthetic", "n=10", "--k", "3,0"], "--k must be >= 1, got 0"),
+        ("image", ["--synthetic", "n=10", "--k", "3,0"], "--k must be an integer >= 1, got 0"),
     ])
     def test_bad_run_config_is_an_error_line(self, capsys, objective, args, named):
         code = submax.cli.main(["run", "--objective", objective,
@@ -267,7 +267,7 @@ class TestCli:
                                 "--samples", "-5"])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: --samples must be >= 1 when set, got -5\n")
+            "error: --samples must be an integer >= 1 when set, got -5\n")
 
     def test_k_above_n_exit_code(self):
         cmd = [sys.executable, "-m", "submax.cli", "run",

@@ -92,27 +92,27 @@ def metered_gains(f, base, t_mat, xs):
     return batch_pair_gains(f, base, t_mat, xs, QueryLedger())
 
 
-def grouped_round(f, groups):
+def grouped_round(f, groups, asks=False):
     """Each group's gains from one flat ``paired_gain_round``.
 
-    A group is (base, t_mat, xs, ledger, asks), with t_mat None for a
-    marginals group, which asks f(base) when asks is True. The groups are
-    laid out by T width, in the order of each width's first group, with one
-    T array per width; the gains come back in the order of ``groups``.
+    A group is (base, t_mat, xs, ledger), and a round is one kind: every
+    t_mat is None in a marginals round, which asks each f(base) when asks is
+    True, and none is in a sample round. A sample round's groups are laid out
+    by T width, in the order of each width's first group, with one T array
+    per width; the gains come back in the order of ``groups``.
     """
-    widths = [0 if t_mat is None else np.shape(t_mat)[1] for _, t_mat, _, _, _ in groups]
+    marginals = groups[0][1] is None
+    assert all((t_mat is None) == marginals for _, t_mat, _, _ in groups)
+    widths = [0 if t_mat is None else np.shape(t_mat)[1] for _, t_mat, _, _ in groups]
     order = sorted(range(len(groups)), key=lambda i: widths.index(widths[i]))
     xs = [np.asarray(groups[i][2], dtype=np.int64) for i in order]
     offsets = np.concatenate([[0], np.cumsum([x.size for x in xs])])
     t_mats = {}
-    for i, x in zip(order, xs):
-        t_mat = groups[i][1]
-        t_mats.setdefault(widths[i], []).append(
-            np.empty((x.size, 0), dtype=np.int64) if t_mat is None else t_mat)
+    for i in order:
+        t_mats.setdefault(widths[i], []).append(groups[i][1])
     gains = paired_gain_round(
-        f, np.concatenate(xs), [np.concatenate(t) for t in t_mats.values()], offsets,
-        [groups[i][0] for i in order], [groups[i][3] for i in order],
-        asks=[groups[i][4] for i in order], samples=[groups[i][1] is not None for i in order])
+        f, np.concatenate(xs), None if marginals else [np.concatenate(t) for t in t_mats.values()],
+        offsets, [groups[i][0] for i in order], [groups[i][3] for i in order], asks=asks)
     out = [None] * len(groups)
     for i, a, b in zip(order, offsets[:-1], offsets[1:]):
         out[i] = gains[a:b]
@@ -221,19 +221,21 @@ def test_evaluate_batch_matches_evaluate(kind, masks, seed):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_overlapping_pool_defers_to_fallback(kind):
+    # Only row 0, whose T row overlaps the base, leaves the kernel: row 1
+    # gets the bytes it gets in a call without row 0 (for every kind here,
+    # the two-evaluation difference would round it otherwise).
     f = make_objective(kind, 6, seed=3)
     seen = []
     kernel = f._gain_batch
     f._gain_batch = lambda st, t, x, rows: seen.append(t) or kernel(st, t, x, rows)
     base = np.array([1, 4], dtype=np.int64)
-    t_mat = np.array([[0, 4], [2, 3], [0, 2]], dtype=np.int64)  # row 0 reuses 4
+    t_mat = np.array([[0, 4], [0, 3], [0, 2]], dtype=np.int64)  # row 0 reuses 4
     xs = np.array([5, 5, 2], dtype=np.int64)  # row 2: x already in T
     got = metered_gains(f, base, t_mat, xs)
-    assert all(not np.isin(t, base).any() for t in seen)
-    for j in range(2):
-        b = np.union1d(base, t_mat[j])
-        want = f._evaluate(np.union1d(b, xs[j])) - f._evaluate(b)
-        assert got[j] == want
+    assert [t.tolist() for t in seen] == [[[0, 3], [0, 2]]]
+    b = np.union1d(base, t_mat[0])
+    assert got[0] == f._evaluate(np.union1d(b, xs[0])) - f._evaluate(b)
+    assert got[1:2].tobytes() == metered_gains(f, base, t_mat[1:], xs[1:])[:1].tobytes()
     assert got[2] == 0.0
 
 
@@ -289,8 +291,7 @@ def test_revenue_kernel_equals_dense_formula(case):
     # Every group of one round, each on its own base, equals the all-nodes
     # formula on that base.
     f, queries = _revenue_round(case)
-    got = grouped_round(f, [(base, t_mat, xs, QueryLedger(), False)
-                            for base, t_mat, xs in queries])
+    got = grouped_round(f, [(base, t_mat, xs, QueryLedger()) for base, t_mat, xs in queries])
     for (base, t_mat, xs), gains in zip(queries, got):
         assert np.array_equal(gains, dense_revenue_gain_batch(f.w, base, t_mat, xs))
 
@@ -373,7 +374,7 @@ def test_revenue_kernel_on_a_skewed_graph(width, m):
                           for _ in range(m)]).reshape(m, width)
         xs = rng.integers(0, f.n, m)
         xs[:3] = lead[:m]  # hub, isolated node and a leaf or tail node
-        groups.append((base, t_mat, xs, QueryLedger(), False))
+        groups.append((base, t_mat, xs, QueryLedger()))
         wants.append(dense_revenue_gain_batch(f.w, base, t_mat, xs))
     rows = []
     kernel = f._gain_batch
@@ -611,24 +612,34 @@ def test_grouped_round_equals_one_group_calls(kind, case):
     kernel = f._gain_batch
     f._gain_batch = lambda st_, t, x, rows: calls.append(x.size) or kernel(st_, t, x, rows)
     budget = 4  # rows per call: the 7-row groups span chunks
+    got = [None] * len(inputs)
+    # One round per kind, marginals first.
+    rounds = [[i for i, (_, t_mat, _, _) in enumerate(inputs) if (t_mat is None) == marginals]
+              for marginals in (True, False)]
     with pytest.MonkeyPatch.context() as patch:
         # One cell per row at every T width, so the budget counts rows.
         patch.setattr(oracle, "GAIN_CELL_BUDGET", budget)
         patch.setattr(f, "_gain_row_cells", lambda width: 1)
-        got = grouped_round(f, [(base, t_mat, xs, led, False)
-                                for (base, t_mat, xs, _), led in zip(inputs, ledgers)])
+        for members in filter(None, rounds):
+            gains = grouped_round(f, [(*inputs[i][:3], ledgers[i]) for i in members])
+            for i, g in zip(members, gains):
+                got[i] = g
     del f._gain_batch
 
-    # Only the overlapping groups skip the kernel. Each T width, in the order
-    # of its first group, sends its other groups' rows end to end in
-    # consecutive chunks of the budget, the remainder last.
-    kernel_rows: dict[int, int] = {}
-    for base, t_mat, xs, _ in inputs:
-        width = 0 if t_mat is None else t_mat.shape[1]
-        overlap = t_mat is not None and np.isin(t_mat, base).any()
-        kernel_rows[width] = kernel_rows.get(width, 0) + (0 if overlap else xs.size)
-    assert calls == [min(budget, rows - a) for rows in kernel_rows.values()
-                     for a in range(0, rows, budget)]
+    # Only the rows whose own T row overlaps their base skip the kernel. Each
+    # round's T widths, in the order of each width's first group, send their
+    # other rows end to end in consecutive chunks of the budget, the
+    # remainder last.
+    want_calls = []
+    for members in rounds:
+        kernel_rows: dict[int, int] = {}
+        for base, t_mat, xs, _ in [inputs[i] for i in members]:
+            width = 0 if t_mat is None else t_mat.shape[1]
+            overlap = 0 if t_mat is None else int(np.isin(t_mat, base).any(axis=1).sum())
+            kernel_rows[width] = kernel_rows.get(width, 0) + xs.size - overlap
+        want_calls += [min(budget, rows - a) for rows in kernel_rows.values()
+                       for a in range(0, rows, budget)]
+    assert calls == want_calls
     for (base, t_mat, xs, value), gains, led in zip(inputs, got, ledgers):
         alone = QueryLedger()
         if value is None:
@@ -642,7 +653,6 @@ def test_grouped_round_equals_one_group_calls(kind, case):
         assert gains.tobytes() == want.tobytes()
         assert (led.per_round, led.logical_samples) == (alone.per_round, alone.logical_samples)
         assert (gains[members] == 0.0).all()
-
 
 
 def _graph_objective(kind, graph):
@@ -717,30 +727,41 @@ def test_a_rows_gain_does_not_depend_on_its_call(kind, case):
         assert gains(slice(0, 30), per_call).tobytes() == together[:30].tobytes(), per_call
 
 
-@pytest.mark.parametrize("width", [0, 9, 17])
-def test_grouped_round_memory_is_bounded_by_the_row_budget(width):
-    # 40 groups of 512 rows at n = 400. Cut at the kernel's own row cells,
-    # the round's traced peak was 2.2, 2.3 and 3.7 MB at widths 0, 9 and 17;
-    # one kernel call over all 20,480 rows gave 5.8, 6.7 and 7.6 MB.
-    f = generate_synthetic("revenue", 400, 3.0 / 399, seed=61).objective()
+# (T width, groups of 512 rows, bound in bytes). A kernel row's arrays grow
+# with the width, so the bound does; at width 0 only many rows outgrow it.
+@pytest.mark.parametrize("width,groups,bound", [(0, 16, 4e6), (9, 4, 6e6), (17, 4, 11e6)],
+                         ids=["0", "9", "17"])
+def test_grouped_round_memory_is_bounded_by_the_row_budget(width, groups, bound):
+    # Revenue on G(400, 0.05), bases of 20. Cut at the kernel's own row
+    # cells, the round's traced peak was 1.6, 3.2 and 5.5 MB at widths 0, 9
+    # and 17; in one kernel call over all rows, 10.1, 12.5 and 21.9 MB: about
+    # twice the bound below the one and above the other.
+    f = generate_synthetic("revenue", 400, 0.05, seed=61).objective()
     rng = np.random.default_rng(0)
     bases, t_mats = [], []
-    for _ in range(40):
+    for _ in range(groups):
         perm = rng.permutation(f.n)
         rest = perm[20:]
         t_mats.append(rest[np.argsort(rng.random((512, rest.size)), axis=1)[:, :width]])
         bases.append(np.sort(perm[:20]))
-    t_mat, xs = np.concatenate(t_mats), rng.integers(0, f.n, 20_480)
-    offsets = np.arange(41) * 512
-    ledgers = [QueryLedger() for _ in bases]
-    tracemalloc.start()
-    try:
-        gains = paired_gain_round(f, xs, [t_mat], offsets, bases, ledgers)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert gains.size == 20_480
-    assert peak < 16e6, peak
+    t_mat, xs = np.concatenate(t_mats), rng.integers(0, f.n, 512 * groups)
+    offsets = np.arange(groups + 1) * 512
+    f._round_state(bases)  # both rounds find their bases' states built
+
+    def traced(budget):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "GAIN_CELL_BUDGET", budget)
+            ledgers = [QueryLedger() for _ in bases]
+            tracemalloc.start()
+            try:
+                gains = paired_gain_round(f, xs, [t_mat], offsets, bases, ledgers)
+                return gains, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    (gains, cut), (whole, uncut) = traced(oracle.GAIN_CELL_BUDGET), traced(10**9)
+    assert gains.tobytes() == whole.tobytes()
+    assert cut < bound < uncut, (cut, uncut)
 
 
 def test_image_kernel_reads_columns_of_a_nearly_symmetric_matrix():

@@ -308,7 +308,7 @@ LONE_GROUP_CASES = {
     "no-kernel": (lambda: _revenue(_NoKernelRevenue), [1, 4], [[3, 8], [2, 6], [5, 8]],
                   [0, 6, 7]),
 }
-# A marginals group knows f(base) or, as "asks", asks it in the round.
+# A marginals round knows each f(base) or, as "asks", asks it in the round.
 LONE_GROUPS = [(case, kind) for case in LONE_GROUP_CASES
                for kind in ("marginals", "asks", "pairs")
                if not (case == "repeating-T-row" and kind != "pairs")]
@@ -320,15 +320,18 @@ def _lone_group_outcome(case, kind, alone):
     make, base, t_rows, xs = LONE_GROUP_CASES[case]
     f = make()
     led = QueryLedger()
+    # The other groups are of the round's kind: "asks" asks each f(base) in
+    # the round, "marginals" knows it.
     if kind == "pairs":
-        group = (base, np.array(t_rows), np.array(xs), led, False)
-    else:  # "asks" asks f(base) in the round; "marginals" knows it
-        group = (base, None, xs, led, kind == "asks")
-    others = [([0], np.array([[6], [7]]), np.array([7, 8]), QueryLedger(), False),
-              ([6, 8], None, [0, 7], QueryLedger(), False)]
+        group = (base, np.array(t_rows), np.array(xs), led)
+        others = [([0], np.array([[6], [7]]), np.array([7, 8]), QueryLedger()),
+                  ([6, 8], np.array([[7], [0]]), np.array([0, 7]), QueryLedger())]
+    else:
+        group = (base, None, xs, led)
+        others = [([0], None, [7, 8], QueryLedger()), ([6, 8], None, [0, 7], QueryLedger())]
     groups = [group] if alone else [others[0], group, others[1]]
     try:
-        gains = grouped_round(f, groups)[groups.index(group)]
+        gains = grouped_round(f, groups, asks=kind == "asks")[groups.index(group)]
     except ValueError as err:  # InvalidSubsetError included
         return type(err), str(err), [g[3].rounds for g in groups]
     return gains.tobytes(), led.per_round, led.logical_samples, f, gains, led.values
@@ -397,24 +400,58 @@ def test_asked_base_value_must_be_finite():
     f = ModularObjective([1.0, np.nan, 2.0, 3.0])
     led = QueryLedger()
     with pytest.raises(ValueError, match="batch_marginals: the oracle returned a non-finite"):
-        paired_gain_round(f, [0, 2], None, [0, 2], [[1]], [led], asks=True, samples=False)
+        paired_gain_round(f, [0, 2], None, [0, 2], [[1]], [led], asks=True)
     assert led.per_round == [(1, 3)]  # metered before it was answered
 
 
 def test_asking_the_base_value_changes_no_gain():
     # The asked f(base) is the value evaluate_batch gives the base, and each
-    # gain is what a group told that value answers.
+    # gain is what a round told that value answers.
     f = generate_synthetic("revenue", 30, 0.2, seed=4).objective()
     base = np.array([2, 7, 11, 19])
     xs = np.arange(30)
     told = evaluate_batch(f, [base], QueryLedger())[0]
     asked_led, told_led = QueryLedger(), QueryLedger()
-    gains = paired_gain_round(f, np.concatenate([xs, xs]), None, [0, 30, 60], [base, base],
-                              [asked_led, told_led], asks=[True, False], samples=False)
-    asked, told_gains = gains[:30], gains[30:]
+    asked = paired_gain_round(f, xs, None, [0, 30], [base], [asked_led], asks=True)
+    told_gains = paired_gain_round(f, xs, None, [0, 30], [base], [told_led])
     assert asked.tobytes() == told_gains.tobytes()
     assert asked_led.per_round == [(1, 31)] and told_led.per_round == [(1, 30)]
     assert asked_led.values == {1: told}
+
+
+# Each case: one malformed round, (xs, t_mats, offsets, bases, asks), and
+# the error's text.
+MALFORMED_ROUNDS = {
+    "offsets-short-of-xs": (([0, 2, 3], None, [0, 2], [[1]], False), "offsets must cover"),
+    "offsets-past-xs": (([0, 2], None, [0, 3], [[1]], False), "offsets must cover"),
+    "T-rows-short-of-xs": (([0, 2, 3], [np.array([[4], [5]])], [0, 3], [[1]], False),
+                           "t_mat must be"),
+    "T-rows-past-xs": (([0, 2], [np.array([[4], [5]]), np.array([[6]])], [0, 2], [[1]],
+                        False), "t_mat must be"),
+    "empty-marginals-group": (([0, 2], None, [0, 0, 2], [[1], [3]], False),
+                              "batch_marginals requires at least one candidate"),
+    "empty-sample-group": (([0, 2], [np.array([[4], [5]])], [0, 2, 2], [[1], [3]], False),
+                           "batch_pair_gains requires at least one pair"),
+    "sample-round-asks": (([0, 2], [np.array([[4], [5]])], [0, 2], [[1]], True),
+                          "cannot ask"),
+    "two-dimensional-xs": (([[0], [2]], None, [0, 2], [[1]], False),
+                           "candidates must be one-dimensional"),
+}
+
+
+@pytest.mark.parametrize("case,text", list(MALFORMED_ROUNDS.values()),
+                         ids=list(MALFORMED_ROUNDS))
+def test_malformed_round_fails_before_it_is_metered(case, text):
+    xs, t_mats, offsets, bases, asks = case
+    f = _revenue()
+    batch_marginals(f, [3, 5], [0], 0.0, QueryLedger())
+    memo = f._base_memo
+    ledgers = [QueryLedger() for _ in bases]
+    with pytest.raises(ValueError, match=text) as info:
+        paired_gain_round(f, xs, t_mats, offsets, bases, ledgers, asks=asks)
+    assert type(info.value) is ValueError
+    assert [led.rounds for led in ledgers] == [0] * len(bases)
+    assert f._base_memo is memo
 
 
 class TestQueryLedger:
@@ -581,6 +618,14 @@ class TestRandomness:
             assert rng.integers(2**40) == ref.integers(2**40)
         assert pool.tolist() == (np.arange(size_of_pool) * 3 + 11).tolist()
 
+    def test_negative_sample_size_rejected(self):
+        rng = make_rng(3)
+        with pytest.raises(ValueError, match="sample size must be >= 0"):
+            sample_without_replacement(rng, [1, 2, 3], -1)
+        with pytest.raises(ValueError, match="sample size must be >= 0"):
+            downsample(np.arange(5), -2, rng)
+        assert rng.integers(2**40) == make_rng(3).integers(2**40)  # nothing drawn
+
     def test_sample_without_replacement_uniform_ish(self):
         pool = np.arange(5)
         rng = make_rng(0)
@@ -691,6 +736,22 @@ BAD_SETTINGS = {
     "check_submodularity-seed": (lambda: check_submodularity(WEIGHTS, 5, seed=-3),
                                  "seed", "-3"),
     "brute_force_opt-k": (lambda: brute_force_opt(WEIGHTS, -1), "k", "-1"),
+    # A count must be an integer: with k = 2.5, S could never reach k.
+    "nonmonotone-k-fraction": (lambda: NonmonotoneParams(k=2.5, eps=0.3, delta=0.1),
+                               "k", "2.5"),
+    "threshold-k-bool": (lambda: ThresholdParams(k=True, tau=1.0, eps=0.3, delta=0.1),
+                         "k", "True"),
+    "threshold-break_size-fraction": (lambda: ThresholdParams(
+        k=2, tau=1.0, eps=0.3, delta=0.1, break_size=6.5), "break_size", "6.5"),
+    "nonmonotone-sample_override-float": (lambda: NonmonotoneParams(
+        k=2, eps=0.3, delta=0.1, sample_override=20.0), "sample_override", "20.0"),
+    "synthetic-n-float": (lambda: generate_synthetic("revenue", 10.0), "n", "10.0"),
+    "synthetic-seed-bool": (lambda: generate_synthetic("image", 10, seed=False),
+                            "seed", "False"),
+    "check_submodularity-trials-fraction": (lambda: check_submodularity(WEIGHTS, 4.5),
+                                            "trials", "4.5"),
+    "adaptive_nonmonotone_max-seed-fraction": (lambda: adaptive_nonmonotone_max(
+        WEIGHTS, NonmonotoneParams(k=2, eps=0.3, delta=0.1), 1.5), "seed", "1.5"),
 }
 
 
@@ -704,12 +765,19 @@ def test_out_of_range_setting_raises_param_error(build, field, shown):
 
 
 def test_seed_sequence_and_empty_brute_force_stay_valid():
-    # A SeedSequence seeds the run as the int it was built from; k = 0 is
-    # brute_force_opt's one exception to the k >= 1 rule.
+    # A SeedSequence seeds the run as the int it was built from, and numpy's
+    # integers are counts as int's are; k = 0 is brute_force_opt's one
+    # exception to the k >= 1 rule.
     f = generate_synthetic("revenue", 14, 0.3, seed=2).objective()
+    numpy_sized = generate_synthetic("revenue", np.int64(14), 0.3, seed=np.uint32(2))
+    assert np.array_equal(numpy_sized.objective().w, f.w)
     params = NonmonotoneParams(k=3, eps=0.3, delta=0.1, sample_override=20)
     by_int = adaptive_nonmonotone_max(f, params, 5)
     by_sequence = adaptive_nonmonotone_max(f, params, np.random.SeedSequence(5))
-    assert by_sequence[0].tolist() == by_int[0].tolist()
-    assert by_sequence[1].per_round == by_int[1].per_round
+    by_numpy = adaptive_nonmonotone_max(f, NonmonotoneParams(
+        k=np.int32(3), eps=0.3, delta=0.1, sample_override=np.int64(20)), np.int64(5))
+    for other in (by_sequence, by_numpy):
+        assert other[0].tolist() == by_int[0].tolist()
+        assert other[1].per_round == by_int[1].per_round
     assert brute_force_opt(WEIGHTS, 0)[0].tolist() == []
+
