@@ -3,7 +3,7 @@
 Usage (from the repository root):
 
     python scripts/ab_time.py OLD_CHECKOUT NEW_CHECKOUT
-        [--shape sampler|fallback|image|theorem5] [--seeds 24]
+        [--shape sampler|fallback|image|theorem5|setup] [--seeds 24]
         [--first-seed 1000]
 
 Imports ``OLD_CHECKOUT/src/submax`` as ``submax_a`` and
@@ -24,11 +24,15 @@ instance and the run:
   100 samples per estimate on the first ``theorem5`` acceptance instance,
   revenue G(12, 0.3) with instance seed 1000, at k=4. One run takes tens of
   milliseconds, so each seed times a block of 20 runs, on run seeds
-  20 * seed to 20 * seed + 19.
+  20 * seed to 20 * seed + 19;
+- ``setup``: the ``baselines_image`` set-up alone,
+  ``generate_synthetic("image", 1000, seed=seed).objective()``, with the run
+  seed as the instance seed.
 
 The order alternates seed by seed (a then b, then b then a), so drift on a
 shared host falls on both sides alike. Every pair must return the same sets,
-values and ``per_round``; a difference stops the script. It prints, for
+values and ``per_round`` (``setup``: the same similarity matrix, byte for
+byte); a difference stops the script. It prints, for
 new/old time per seed (per run, for a block), the median ratio, its
 interquartile range and the pairs the new checkout won.
 
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import importlib.util
 import os
 import statistics
@@ -50,6 +55,8 @@ from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+
+import numpy as np  # imported once BLAS is pinned to one thread
 
 
 def load(name: str, checkout: str):
@@ -63,11 +70,14 @@ def load(name: str, checkout: str):
     return module
 
 
-SHAPES = {  # name: (n, p, graph seed, k, eps, runs per seed); image: (n, instance seed, k)
+# name: (n, p, graph seed, k, eps, runs per seed); image: (n, instance seed,
+# k); setup: (n,).
+SHAPES = {
     "sampler": (400, 3.0 / 399, 61, 30, 0.25, 1),
     "fallback": (300, 0.01, 1, 100, 0.25, 1),
     "image": (1000, 1, 50),
     "theorem5": (12, 0.3, 1000, 4, 0.3, 20),
+    "setup": (1000,),
 }
 
 
@@ -103,11 +113,25 @@ def image_setup(sm, shape: str):
     return run
 
 
+def build_setup(sm, shape: str):
+    n, = SHAPES[shape]
+
+    def run(seed: int):
+        return sm.generate_synthetic("image", n, seed=seed).objective().s
+
+    return run
+
+
 def timed_run(run, seed: int):
+    """The run's seconds and its output; a matrix as a hash of its bytes, so
+    that it is freed before the other side runs."""
     gc.collect()
     started = time.perf_counter()
     output = run(seed)
-    return time.perf_counter() - started, output
+    seconds = time.perf_counter() - started
+    if isinstance(output, np.ndarray):
+        output = (output.shape, hashlib.sha256(output).hexdigest())
+    return seconds, output
 
 
 def main(argv=None) -> int:
@@ -121,7 +145,8 @@ def main(argv=None) -> int:
     if args.seeds < 1:
         parser.error("--seeds must be >= 1")
 
-    setup = anm_setup if args.shape in ANM_SHAPES else image_setup
+    setup = (anm_setup if args.shape in ANM_SHAPES
+             else build_setup if args.shape == "setup" else image_setup)
     runs = [setup(load(name, checkout), args.shape)
             for name, checkout in (("submax_a", args.old), ("submax_b", args.new))]
     for run in runs:

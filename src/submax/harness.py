@@ -103,14 +103,18 @@ class TrialRecord:
 
 
 # How each synthetic spec key's text parses; its range is the table's.
-_SPEC_KEYS = {"n": int, "seed": int, "p": float, "dim": float, "lam": float}
+_SPEC_KEYS = {"n": int, "seed": int, "p": float, "dim": int, "lam": float}
 
 
 def _spec_value(key: str, raw):
-    """A spec value parsed and range-checked, or a ConfigError naming key."""
+    """A spec value parsed and range-checked, or a ConfigError naming key.
+
+    Text is parsed; any other value is checked as given, so a count given as
+    8.5 is rejected, not truncated to 8.
+    """
     parse = _SPEC_KEYS[key]
     try:
-        value = parse(raw)
+        value = parse(raw) if isinstance(raw, str) else raw
         check_params(**{key: value})
     except ParamError as exc:
         raise ConfigError(f"synthetic key {key!r} {exc.rule}, got {raw!r}") from None

@@ -38,12 +38,49 @@ class GroundSetTooLargeError(ValueError):
 # instance data
 
 
+# Rows and columns of one mirror tile. Each temporary of a similarity build or
+# check is one tile, whatever n is, and a 128 x 128 tile (128 KB) stays in
+# cache while its mirror is read transposed: at n = 4000, tiles of 452 rows
+# (GAIN_CELL_BUDGET cells) made the check and the average slower.
+_TILE = 128
+
+
+def _mirror_tiles(n: int):
+    """Slices (rows, cols) of the tiles of an n x n matrix on and above its
+    diagonal, row block by row block; the mirror of s[rows, cols] is
+    s[cols, rows]."""
+    for i in range(0, n, _TILE):
+        rows = slice(i, i + _TILE)
+        for j in range(i, n, _TILE):
+            yield rows, slice(j, j + _TILE)
+
+
+def _symmetrize(s: np.ndarray) -> np.ndarray:
+    """Overwrite the square float64 array s with (s + s.T) / 2.0, and return it.
+
+    Each tile and its mirror are averaged once and written to both, so no
+    temporary is larger than a tile. The bits are those of (s + s.T) / 2.0,
+    overflow to inf included, because a + b and b + a are the same float
+    (short of two NaNs with different payloads in one mirror pair, which
+    ``SimilarityMatrix`` rejects anyway).
+    """
+    for rows, cols in _mirror_tiles(s.shape[0]):
+        tile = s[rows, cols] + s[cols, rows].T
+        tile /= 2.0
+        s[rows, cols] = tile
+        s[cols, rows] = tile.T
+    return s
+
+
 @dataclass
 class SimilarityMatrix:
     """Dense symmetric item-similarity matrix.
 
-    s must equal its transpose within 1e-9; ``exactly_symmetric`` records
-    whether it does so exactly, as every generator and loader here makes it.
+    s must be square, finite and equal to its transpose within 1e-9, checked
+    in that order, so a non-finite entry anywhere is reported before any
+    asymmetry. ``exactly_symmetric`` records whether s equals its transpose
+    exactly, as every generator and loader here makes it. A float64 s is kept
+    as given, not copied, and the check holds one tile at a time.
     """
 
     s: np.ndarray
@@ -53,9 +90,17 @@ class SimilarityMatrix:
         self.s = np.asarray(self.s, dtype=np.float64)
         if self.s.ndim != 2 or self.s.shape[0] != self.s.shape[1]:
             raise ValueError(f"similarity matrix must be square, got {self.s.shape}")
-        if not np.all(np.isfinite(self.s)):
-            raise ValueError("similarity matrix contains non-finite entries")
-        gap = float(np.max(np.abs(self.s - self.s.T))) if self.s.size else 0.0
+        # One pass over the tiles on and above the diagonal, each against its
+        # mirror. An asymmetry is raised only after the whole pass, so a
+        # non-finite entry in a later tile is still the error reported.
+        gap = 0.0
+        for rows, cols in _mirror_tiles(self.n):
+            tile, mirror = self.s[rows, cols], self.s[cols, rows].T
+            same = (tile == mirror).all()  # False wherever either holds NaN
+            if not (np.isfinite(tile).all() and (same or np.isfinite(mirror).all())):
+                raise ValueError("similarity matrix contains non-finite entries")
+            if not same:
+                gap = max(gap, float(np.max(np.abs(tile - mirror))))
         if gap > 1e-9:
             raise ValueError("similarity matrix is not symmetric within 1e-9")
         self.exactly_symmetric = gap == 0.0
@@ -352,6 +397,11 @@ class ImageSummarizationObjective(Objective):
                       else np.ascontiguousarray(self.s.T))
         self._diag = np.diag(self.s).copy()
 
+    def _gain_row_cells(self, width):
+        # A row's best covers, n cells, and the width rows of _cols it gathers
+        # for its T row.
+        return (width + 1) * self.n
+
     def _evaluate(self, idx):
         if idx.size == 0:
             return 0.0
@@ -503,13 +553,13 @@ def _cosine_similarity(n: int, dim: int, rng: np.random.Generator) -> Similarity
     """Cosine similarities of random positive-orthant unit vectors.
 
     Positive entries keep all three similarity objectives nonnegative and
-    submodular without further checks.
+    submodular without further checks. The product is averaged with its
+    transpose in place, so the build holds one n x n array.
     """
     v = np.abs(rng.standard_normal((n, dim)))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     s = v @ v.T
-    s = (s + s.T) / 2.0
-    return SimilarityMatrix(s=s)
+    return SimilarityMatrix(s=_symmetrize(s))
 
 
 def generate_synthetic(kind: str, n: int, param: float | None = None,
@@ -517,8 +567,8 @@ def generate_synthetic(kind: str, n: int, param: float | None = None,
     """Deterministic synthetic instance of the given kind and size.
 
     For graph kinds ``param`` is the edge probability (default 4/(n-1));
-    for similarity kinds it is the embedding dimension (default 16). lam is
-    passed to a movie instance and ignored for the other kinds.
+    for similarity kinds it is the integer embedding dimension (default
+    16). lam is passed to a movie instance and ignored for the other kinds.
     """
     check_params(n=n, seed=seed)
     rng = make_rng(seed)
@@ -528,7 +578,7 @@ def generate_synthetic(kind: str, n: int, param: float | None = None,
     if kind in ("image", "movie"):
         dim = param if param is not None else 16
         check_params(dim=dim)
-        matrix = _cosine_similarity(n, int(dim), rng)
+        matrix = _cosine_similarity(n, dim, rng)
         return Instance(kind=kind, data=matrix, lam=lam if kind == "movie" else None)
     raise ValueError(f"unknown synthetic kind {kind!r}")
 
@@ -556,7 +606,11 @@ def make_random_coverage(n: int, groups: int, seed: int = 0,
 
 
 def load_similarity_csv(path, n: int | None = None) -> SimilarityMatrix:
-    """Parse an n x n comma-separated float matrix; symmetrize by averaging."""
+    """Parse an n x n comma-separated float matrix; symmetrize by averaging.
+
+    The parsed array is overwritten with (s + s.T) / 2.0 in place, bit for
+    bit, and becomes the returned matrix's s.
+    """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -582,11 +636,11 @@ def load_similarity_csv(path, n: int | None = None) -> SimilarityMatrix:
         raise ParseError(f"line {s.shape[0]}: matrix is {s.shape[0]}x{s.shape[1]}, not square")
     if n is not None and s.shape[0] != n:
         raise ParseError(f"line 1: expected {n} rows, found {s.shape[0]}")
-    if (s < 0).any():
+    if s.min() < 0:
         warnings.warn("similarity matrix has negative entries; objective "
                       "nonnegativity is unverified, run the submodularity checker",
                       stacklevel=2)
-    return SimilarityMatrix(s=(s + s.T) / 2.0)
+    return SimilarityMatrix(s=_symmetrize(s))
 
 
 def save_similarity_csv(path, matrix: SimilarityMatrix) -> None:

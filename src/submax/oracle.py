@@ -29,7 +29,6 @@ and the value, for a setting outside its range.
 
 from __future__ import annotations
 
-import math
 import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -73,7 +72,7 @@ PARAM_RANGES = {
     "seed": (lambda v: _count(v) and v >= 0, "must be an integer >= 0"),
     "trials": (lambda v: _count(v) and v >= 1, "must be an integer >= 1"),
     "p": (lambda v: 0 <= v <= 1, "must lie in [0,1]"),
-    "dim": (lambda v: 1 <= v < math.inf, "must be a finite embedding dimension >= 1"),
+    "dim": (lambda v: _count(v) and v >= 1, "must be an integer embedding dimension >= 1"),
     "lam": (lambda v: 0 <= v <= 1, "must lie in [0,1]"),
 }
 
@@ -217,9 +216,10 @@ class Objective(ABC):
         return memo.stack, np.array([row[key] for key in keys], dtype=np.int64)
 
     def _gain_row_cells(self, width: int) -> int:
-        """The float cells, at most n, that a :meth:`_gain_batch` row holds at
-        T width ``width``: a call gets ``oracle.GAIN_CELL_BUDGET`` // cells
-        rows. The default, n, fits rows as long as the ground set."""
+        """The float cells that a :meth:`_gain_batch` row holds at T width
+        ``width``: a call gets ``oracle.GAIN_CELL_BUDGET`` // cells rows. The
+        default, n, fits rows as long as the ground set; a kernel that
+        gathers more per row, such as image's n per T column, answers more."""
         return self.n
 
     def _gain_batch(self, state: tuple[np.ndarray, ...], t_mat: np.ndarray,
@@ -466,7 +466,8 @@ def prefix_round(f: Objective, order: np.ndarray,
 # Float cells per _gain_batch call: a T array's rows go to the kernel in calls
 # of GAIN_CELL_BUDGET // f._gain_row_cells(width) rows, which bounds a round's
 # working memory and keeps a call's arrays near the cache (image: n cells a
-# row, 512 rows at n = 400; revenue: a few per neighbour of x_j).
+# row and n more per T column, 512 rows at n = 400 and width 0; revenue: a few
+# per neighbour of x_j).
 GAIN_CELL_BUDGET = 512 * 400
 
 

@@ -69,6 +69,9 @@ class TestValidation:
         ("image", {"n": 30, "dim": 0}, "dim"),
         ("movie", {"n": 30, "dim": "inf"}, "dim"),
         ("synthetic-cut", {"n": 30, "seed": -1}, "seed"),
+        ("image", {"n": 30, "dim": "8.5"}, "dim"),  # a count, not truncated to 8
+        ("image", {"n": 30, "dim": 8.5}, "dim"),
+        ("movie", {"n": 30.7}, "n"),
     ])
     def test_bad_spec_value_names_its_key(self, tmp_path, objective, spec, key):
         with pytest.raises(ConfigError, match=f"synthetic key '{key}'"):

@@ -680,7 +680,8 @@ def call_independence_cases(draw):
 
 # 4,000 rows at T width 12 on G400 straddle each kernel's own cut: 3,938
 # rows a call for revenue, whose rows hold a few cells per neighbour of x_j,
-# and 512 for the kernels whose rows hold n cells.
+# 39 for image, whose rows hold n cells per T column and n more, and 512 for
+# the kernels whose rows hold n cells.
 STRADDLES_THE_CUT = ("G400", [5, 17, 96, 230], 12, [275, 281], 4, 4000)
 
 
@@ -727,16 +728,21 @@ def test_a_rows_gain_does_not_depend_on_its_call(kind, case):
         assert gains(slice(0, 30), per_call).tobytes() == together[:30].tobytes(), per_call
 
 
-# (T width, groups of 512 rows, bound in bytes). A kernel row's arrays grow
-# with the width, so the bound does; at width 0 only many rows outgrow it.
-@pytest.mark.parametrize("width,groups,bound", [(0, 16, 4e6), (9, 4, 6e6), (17, 4, 11e6)],
-                         ids=["0", "9", "17"])
-def test_grouped_round_memory_is_bounded_by_the_row_budget(width, groups, bound):
+# (kind, T width, groups of 512 rows, bound in bytes). A kernel row's arrays
+# grow with the width, so the bound does; at width 0 only many rows outgrow it.
+@pytest.mark.parametrize("kind,width,groups,bound", [
+    ("revenue", 0, 16, 4e6), ("revenue", 9, 4, 6e6), ("revenue", 17, 4, 11e6),
+    ("image", 9, 1, 5e6), ("image", 17, 1, 5e6),
+], ids=["0", "9", "17", "image-9", "image-17"])
+def test_grouped_round_memory_is_bounded_by_the_row_budget(kind, width, groups, bound):
     # Revenue on G(400, 0.05), bases of 20. Cut at the kernel's own row
     # cells, the round's traced peak was 1.6, 3.2 and 5.5 MB at widths 0, 9
     # and 17; in one kernel call over all rows, 10.1, 12.5 and 21.9 MB: about
-    # twice the bound below the one and above the other.
-    f = generate_synthetic("revenue", 400, 0.05, seed=61).objective()
+    # twice the bound below the one and above the other. Image (n = 400)
+    # gathers n cells per T column of a row: 1.6 MB at widths 9 and 17 when
+    # cut, 16.4 and 29.5 MB in one call.
+    f = (generate_synthetic("revenue", 400, 0.05, seed=61) if kind == "revenue"
+         else generate_synthetic("image", 400, seed=61)).objective()
     rng = np.random.default_rng(0)
     bases, t_mats = [], []
     for _ in range(groups):

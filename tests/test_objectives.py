@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from submax import (
     save_edge_list,
     save_similarity_csv,
 )
-from submax.objectives import ParseError, _erdos_renyi
+from submax.objectives import _TILE, ParseError, _erdos_renyi, _symmetrize
 
 
 def two_by_two():
@@ -287,6 +288,65 @@ def test_optimum_split_order_bound_small_instances():
                 assert lhs <= rhs + 1e-9
 
 
+def _drawn_product(n, seed, dim=16):
+    """v @ v.T from the draws generate_synthetic makes, before averaging."""
+    rng = make_rng(seed)
+    v = np.abs(rng.standard_normal((n, dim)))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v @ v.T
+
+
+class TestSymmetrizeInPlace:
+    # Each instance is built and checked in its one n x n array, a tile at a
+    # time; its bytes must be those of the whole-matrix (s + s.T) / 2.0.
+
+    @pytest.mark.parametrize("kind", ["image", "movie"])
+    @pytest.mark.parametrize("n", [1, 2, _TILE - 1, _TILE, _TILE + 1, 1000])
+    def test_instance_is_the_averaged_product(self, kind, n):
+        p = _drawn_product(n, seed=n)
+        got = generate_synthetic(kind, n, seed=n).data
+        assert got.s.tobytes() == ((p + p.T) / 2.0).tobytes()
+        assert got.exactly_symmetric
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_asymmetric_input_averages_bit_for_bit(self):
+        # Across tile edges, with signed zeros, an inf, a NaN and sums that
+        # overflow to inf.
+        rng = np.random.default_rng(4)
+        s = rng.standard_normal((2 * _TILE + 3, 2 * _TILE + 3))
+        s[0, 1], s[1, 0] = -0.0, 0.0
+        s[5, _TILE + 2], s[_TILE + 2, 5] = 1.5e308, 1.7e308
+        s[-1, 0], s[0, -1] = -1.6e308, -1.6e308
+        s[_TILE, 3], s[-2, -2] = np.inf, np.nan
+        want = (s + s.T) / 2.0
+        assert _symmetrize(s).tobytes() == want.tobytes()
+
+    def test_loaded_asymmetric_csv_is_the_average(self, tmp_path):
+        rng = np.random.default_rng(5)
+        s = rng.random((_TILE + 5, _TILE + 5))
+        path = tmp_path / "sim.csv"
+        path.write_text("".join(",".join(repr(float(x)) for x in row) + "\n" for row in s))
+        m = load_similarity_csv(path)
+        assert m.s.tobytes() == ((s + s.T) / 2.0).tobytes()
+        assert m.exactly_symmetric
+
+    @pytest.mark.parametrize("kind", ["image", "movie"])
+    def test_build_holds_one_matrix(self, kind):
+        # The whole-matrix average and check held three n x n arrays at once.
+        tracemalloc.start()
+        try:
+            f = generate_synthetic(kind, 1024, seed=1).objective()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * f.s.nbytes, peak / f.s.nbytes
+
+
+def _tiled_symmetric():
+    """An exactly symmetric matrix of three row blocks, the last partial."""
+    return generate_synthetic("image", 2 * _TILE + 5, seed=8).data.s.copy()
+
+
 class TestDataValidation:
     def test_similarity_must_be_square(self):
         with pytest.raises(ValueError):
@@ -295,6 +355,41 @@ class TestDataValidation:
     def test_similarity_must_be_symmetric(self):
         with pytest.raises(ValueError):
             SimilarityMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("at", [(-1, -1), (-1, 3), (3, -1)], ids=str)
+    def test_similarity_non_finite_in_last_block(self, bad, at):
+        s = _tiled_symmetric()
+        s[at] = bad
+        with pytest.raises(ValueError, match="contains non-finite entries"):
+            SimilarityMatrix(s)
+
+    def test_similarity_non_finite_beats_an_earlier_asymmetry(self):
+        s = _tiled_symmetric()
+        s[0, 1] += 1.0
+        s[-1, -1] = np.nan
+        with pytest.raises(ValueError, match="contains non-finite entries"):
+            SimilarityMatrix(s)
+
+    @pytest.mark.parametrize("at", [(-1, -3), (-3, 4), (_TILE - 1, _TILE), (_TILE, _TILE - 1)],
+                             ids=["last-block", "last-row-block", "tile-edge", "mirror-edge"])
+    def test_similarity_asymmetry_anywhere_rejected(self, at):
+        s = _tiled_symmetric()
+        s[at] += 2e-9
+        with pytest.raises(ValueError, match="not symmetric within 1e-9"):
+            SimilarityMatrix(s)
+
+    def test_similarity_nudge_within_tolerance_is_not_exact(self):
+        s = _tiled_symmetric()
+        assert SimilarityMatrix(s).exactly_symmetric
+        s[-1, 0] += 1e-10
+        m = SimilarityMatrix(s)
+        assert not m.exactly_symmetric
+        assert m.s is s  # a float64 matrix is kept, not copied
+
+    def test_similarity_empty_accepted(self):
+        m = SimilarityMatrix(np.zeros((0, 0)))
+        assert m.n == 0 and m.exactly_symmetric
 
     def test_graph_rejects_self_loop(self):
         with pytest.raises(ValueError):

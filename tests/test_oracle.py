@@ -730,6 +730,10 @@ BAD_SETTINGS = {
     "synthetic-p": (lambda: generate_synthetic("revenue", 10, 1.5), "p", "1.5"),
     "synthetic-dim-inf": (lambda: generate_synthetic("image", 10, float("inf")),
                           "dim", "inf"),
+    # dim is a count too: 16.5 and 1.9 would be truncated to 16 and 1.
+    "synthetic-dim-fraction": (lambda: generate_synthetic("image", 10, 16.5), "dim", "16.5"),
+    "synthetic-dim-below-two": (lambda: generate_synthetic("movie", 10, 1.9), "dim", "1.9"),
+    "synthetic-dim-bool": (lambda: generate_synthetic("image", 10, True), "dim", "True"),
     "movie-lam": (lambda: MovieRecommendationObjective(_MOVIE_DATA, lam=7), "lam", "7"),
     "adaptive_nonmonotone_max-seed": (lambda: adaptive_nonmonotone_max(
         WEIGHTS, NonmonotoneParams(k=2, eps=0.3, delta=0.1), -1), "seed", "-1"),
@@ -771,6 +775,8 @@ def test_seed_sequence_and_empty_brute_force_stay_valid():
     f = generate_synthetic("revenue", 14, 0.3, seed=2).objective()
     numpy_sized = generate_synthetic("revenue", np.int64(14), 0.3, seed=np.uint32(2))
     assert np.array_equal(numpy_sized.objective().w, f.w)
+    numpy_dim = generate_synthetic("image", 10, np.int64(8), seed=2)
+    assert numpy_dim.data.s.tobytes() == generate_synthetic("image", 10, 8, seed=2).data.s.tobytes()
     params = NonmonotoneParams(k=3, eps=0.3, delta=0.1, sample_override=20)
     by_int = adaptive_nonmonotone_max(f, params, 5)
     by_sequence = adaptive_nonmonotone_max(f, params, np.random.SeedSequence(5))
