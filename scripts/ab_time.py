@@ -16,10 +16,14 @@ instance and the run:
   revenue G(400, 3/399) with graph seed 61, at k=30;
 - ``fallback``: the same on the ``anm_fallback`` instance, revenue
   G(300, 0.01) with graph seed 1, at k=100, where every trial falls back;
-- ``image``: ``greedy``, then ``random_lazy_greedy`` drawing from the run
-  seed, on the ``baselines_image`` instance, image summarization with
-  n=1000 and instance seed 1, at k=50. Both call ``batch_marginals`` every
-  round;
+- ``image``: ``greedy``, and ``random_lazy_greedy`` drawing from the run
+  seed, each timed and reported on its own, on the ``baselines_image``
+  instance, image summarization with n=1000 and instance seed 1, at k=50.
+  Both call ``batch_marginals`` every round. Each side first builds and
+  drops one more instance, as the benchmark discards set-ups before its
+  runs: freeing its 8 MB matrix raises glibc's mmap threshold, so a kernel
+  call's (rows, n) temporaries come from the heap. Without it, the side
+  that runs first sets the allocator's state for both;
 - ``theorem5``: ``adaptive_nonmonotone_max`` with eps=0.3, delta=0.1 and
   100 samples per estimate on the first ``theorem5`` acceptance instance,
   revenue G(12, 0.3) with instance seed 1000, at k=4. One run takes tens of
@@ -32,9 +36,10 @@ instance and the run:
 The order alternates seed by seed (a then b, then b then a), so drift on a
 shared host falls on both sides alike. Every pair must return the same sets,
 values and ``per_round`` (``setup``: the same similarity matrix, byte for
-byte); a difference stops the script. It prints, for
-new/old time per seed (per run, for a block), the median ratio, its
-interquartile range and the pairs the new checkout won.
+byte); a difference stops the script. It prints each seed's times (per run,
+for a block) and new/old ratio, then the median ratio, its interquartile
+range and the pairs the new checkout won: for ``image``, once for greedy
+and once for lazy greedy.
 
 Timing both in one process removes the spread between processes, which can
 exceed the effect being measured. BLAS is pinned to one thread, as in the
@@ -94,7 +99,7 @@ def anm_setup(sm, shape: str):
                         list(ledger.per_round)))
         return out
 
-    return run
+    return {"run": run}
 
 
 ANM_SHAPES = ("sampler", "fallback", "theorem5")
@@ -102,15 +107,18 @@ ANM_SHAPES = ("sampler", "fallback", "theorem5")
 
 def image_setup(sm, shape: str):
     n, instance_seed, k = SHAPES[shape]
+    sm.generate_synthetic("image", n, seed=instance_seed).objective()  # dropped
     f = sm.generate_synthetic("image", n, seed=instance_seed).objective()
 
-    def run(seed: int):
-        ledgers = sm.QueryLedger(), sm.QueryLedger()
-        sets = (sm.greedy(f, k, ledgers[0]),
-                sm.random_lazy_greedy(f, k, None, sm.make_rng(seed), ledgers[1]))
-        return [(s.tolist(), led.per_round, led.values) for s, led in zip(sets, ledgers)]
+    def result(algorithm):
+        ledger = sm.QueryLedger()
+        return algorithm(ledger).tolist(), ledger.per_round, ledger.values
 
-    return run
+    return {
+        "greedy": lambda seed: result(lambda led: sm.greedy(f, k, led)),
+        "lazy greedy": lambda seed: result(lambda led: sm.random_lazy_greedy(
+            f, k, None, sm.make_rng(seed), led)),
+    }
 
 
 def build_setup(sm, shape: str):
@@ -119,7 +127,7 @@ def build_setup(sm, shape: str):
     def run(seed: int):
         return sm.generate_synthetic("image", n, seed=seed).objective().s
 
-    return run
+    return {"run": run}
 
 
 def timed_run(run, seed: int):
@@ -147,32 +155,37 @@ def main(argv=None) -> int:
 
     setup = (anm_setup if args.shape in ANM_SHAPES
              else build_setup if args.shape == "setup" else image_setup)
-    runs = [setup(load(name, checkout), args.shape)
-            for name, checkout in (("submax_a", args.old), ("submax_b", args.new))]
-    for run in runs:
-        timed_run(run, args.first_seed - 1)  # warm-up
+    sides = [setup(load(name, checkout), args.shape)
+             for name, checkout in (("submax_a", args.old), ("submax_b", args.new))]
+    block = SHAPES[args.shape][-1] if args.shape in ANM_SHAPES else 1
+    ratios = {part: [] for part in sides[0]}
+    for part in ratios:
+        for runs in sides:
+            timed_run(runs[part], args.first_seed - 1)  # warm-up
 
-    ratios = []
     for i in range(args.seeds):
         seed = args.first_seed + i
         order = (0, 1) if i % 2 == 0 else (1, 0)
-        got = {}
-        for side in order:
-            got[side] = timed_run(runs[side], seed)
-        (old_s, old_out), (new_s, new_out) = got[0], got[1]
-        if old_out != new_out:
-            print(f"seed {seed}: outputs differ", file=sys.stderr)
-            return 1
-        ratios.append(new_s / old_s)
-        block = len(old_out) if args.shape in ANM_SHAPES else 1
-        print(f"seed {seed}: old {old_s / block:.4f} s, new {new_s / block:.4f} s per run, "
-              f"ratio {ratios[-1]:.3f}")
+        for part, part_ratios in ratios.items():
+            got = {}
+            for side in order:
+                got[side] = timed_run(sides[side][part], seed)
+            (old_s, old_out), (new_s, new_out) = got[0], got[1]
+            if old_out != new_out:
+                print(f"seed {seed}: {part} outputs differ", file=sys.stderr)
+                return 1
+            part_ratios.append(new_s / old_s)
+            label = "" if part == "run" else f" {part}:"
+            print(f"seed {seed}:{label} old {old_s / block:.4f} s, "
+                  f"new {new_s / block:.4f} s per run, ratio {part_ratios[-1]:.3f}")
 
-    q1, median, q3 = (statistics.quantiles(ratios, n=4) if len(ratios) > 1
-                      else (ratios[0],) * 3)
-    won = sum(r < 1.0 for r in ratios)
-    print(f"new/old median {median:.3f} (IQR {q1:.3f}-{q3:.3f}), "
-          f"new faster in {won} of {len(ratios)} pairs")
+    for part, part_ratios in ratios.items():
+        q1, median, q3 = (statistics.quantiles(part_ratios, n=4) if len(part_ratios) > 1
+                          else (part_ratios[0],) * 3)
+        won = sum(r < 1.0 for r in part_ratios)
+        label = "" if part == "run" else f"{part}: "
+        print(f"{label}new/old median {median:.3f} (IQR {q1:.3f}-{q3:.3f}), "
+              f"new faster in {won} of {len(part_ratios)} pairs")
     return 0
 
 

@@ -389,6 +389,10 @@ class ImageSummarizationObjective(Objective):
     participate in both sums exactly as written.
     """
 
+    # (best covers, sums, known) of the latest one-base, width-0 kernel call;
+    # an instance attribute once set.
+    _cover_memo: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
+
     def __init__(self, matrix: SimilarityMatrix):
         super().__init__(matrix.n)
         self.s = matrix.s
@@ -419,16 +423,58 @@ class ImageSummarizationObjective(Objective):
 
     def _gain_batch(self, state, t_mat, xs, base_of):
         _, best_base, s_into_base = state
-        # (m, n): row j holds each item's best cover in B_j, and each gain is
-        # summed pairwise over the n items of its row.
-        best = best_base if best_base.shape[0] == 1 else best_base[base_of]
+        into = s_into_base[base_of, xs]
         if t_mat.shape[1]:
+            best = best_base if best_base.shape[0] == 1 else best_base[base_of]
             best = np.maximum(best, self._cols[t_mat].max(axis=1))
-        cover = np.maximum(best, self._cols[xs])
+            cover = self._cover_sums(best, xs)
+            into = into + self.s[xs[:, None], t_mat].sum(axis=1)
+        elif best_base.shape[0] == 1:
+            cover = self._one_base_cover_sums(best_base, xs)
+        else:
+            cover = self._cover_sums(best_base[base_of], xs)
+        return cover - (2.0 * into + self._diag[xs]) / self.n
+
+    def _cover_sums(self, best, xs):
+        """Σ_v max(best[v], c[x, v]) - best[v] for each x of xs, c[x, v] =
+        _cols[x, v], in one (rows, n) array built in place. best is (n,),
+        (1, n) or one row per x. Each row is contiguous and summed pairwise
+        on its own, so its sum does not depend on the other rows."""
+        cover = self._cols.take(xs, axis=0)
+        np.maximum(best, cover, out=cover)
         cover -= best
-        cross = self.s[xs[:, None], t_mat].sum(axis=1)
-        penalty_inc = (2.0 * (s_into_base[base_of, xs] + cross) + self._diag[xs]) / self.n
-        return cover.sum(axis=1) - penalty_inc
+        return cover.sum(axis=1)
+
+    def _one_base_cover_sums(self, best, xs):
+        """:meth:`_cover_sums` against best, one base's read-only (1, n) row
+        of the state stack, through the memo of the latest such call. A known
+        x is kept unless some v where the two best rows differ has c[x, v] >
+        min(old[v], new[v]): elsewhere x's term is the same, or best - best =
+        +0.0 both times, so its sum is the same to the bit. Above n / 4 (or a
+        budget of cells) changed positions the memo is dropped. Published
+        arrays are never written: a call that learns a sum publishes new ones.
+        """
+        n = self.n
+        memo = self._cover_memo
+        if memo is not None and memo[0] is best:
+            _, sums, known = memo
+        else:
+            sums, known = np.empty(n), np.zeros(n, dtype=bool)
+            if memo is not None:
+                old, new = memo[0][0], best[0]
+                changed = np.flatnonzero(old != new)
+                if changed.size <= min(n // 4, GAIN_CELL_BUDGET // n):
+                    low = np.minimum(old[changed], new[changed])
+                    # Row v of s holds c[x, v] for every x.
+                    touched = (self.s[changed] > low[:, None]).any(axis=0)
+                    sums, known = memo[1], memo[2] & ~touched
+        need = xs[~known[xs]]
+        if need.size:
+            sums, known = sums.copy(), known.copy()
+            sums[need] = self._cover_sums(best, need)
+            known[need] = True
+        self._cover_memo = (best, sums, known)
+        return sums[xs]
 
     def _evaluate_batch(self, masks):
         # Each row as _evaluate scores it, bit for bit. The cover gathers the
@@ -609,33 +655,42 @@ def load_similarity_csv(path, n: int | None = None) -> SimilarityMatrix:
     """Parse an n x n comma-separated float matrix; symmetrize by averaging.
 
     The parsed array is overwritten with (s + s.T) / 2.0 in place, bit for
-    bit, and becomes the returned matrix's s.
+    bit, and becomes the returned matrix's s; a first pass counts the rows,
+    and each line is parsed into its row of s, so loading holds s and one
+    line. A bad field on any line is reported before a ragged row, and a
+    ragged row before a shape that is not square.
     """
-    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        count = sum(1 for line in fh if line.strip())
+    s, width, ragged, i = None, 0, None, 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            fields = line.split(",")
             try:
-                row = [float(x) for x in fields]
+                row = [float(x) for x in line.split(",")]
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: non-numeric field ({exc})") from None
             if not all(np.isfinite(row)):
                 raise ParseError(f"line {lineno}: non-finite entry")
-            rows.append(row)
-    if not rows:
+            if i == 0:
+                width = len(row)
+                if width == count:
+                    s = np.empty((count, count))
+            if len(row) != width:
+                ragged = ragged or i + 1  # numbered among the non-empty rows
+            elif s is not None:
+                s[i] = row
+            i += 1
+    if not count:
         raise ParseError("line 1: empty similarity file")
-    width = len(rows[0])
-    for i, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise ParseError(f"line {i}: ragged row, expected {width} fields")
-    s = np.asarray(rows, dtype=np.float64)
-    if s.shape[0] != s.shape[1]:
-        raise ParseError(f"line {s.shape[0]}: matrix is {s.shape[0]}x{s.shape[1]}, not square")
-    if n is not None and s.shape[0] != n:
-        raise ParseError(f"line 1: expected {n} rows, found {s.shape[0]}")
+    if ragged:
+        raise ParseError(f"line {ragged}: ragged row, expected {width} fields")
+    if count != width:
+        raise ParseError(f"line {count}: matrix is {count}x{width}, not square")
+    if n is not None and count != n:
+        raise ParseError(f"line 1: expected {n} rows, found {count}")
     if s.min() < 0:
         warnings.warn("similarity matrix has negative entries; objective "
                       "nonnegativity is unverified, run the submodularity checker",

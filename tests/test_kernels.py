@@ -12,7 +12,12 @@ bit for bit as that group's own one-group call does, and a row's gain must not
 depend on which rows share its kernel call.
 """
 
+import sys
+import tempfile
+import threading
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +38,9 @@ from submax import (
     evaluate_batch,
     evaluate_offline,
     generate_synthetic,
+    greedy,
     load_edge_list,
+    load_similarity_csv,
     make_random_coverage,
     make_rng,
     oracle,
@@ -732,15 +739,19 @@ def test_a_rows_gain_does_not_depend_on_its_call(kind, case):
 # grow with the width, so the bound does; at width 0 only many rows outgrow it.
 @pytest.mark.parametrize("kind,width,groups,bound", [
     ("revenue", 0, 16, 4e6), ("revenue", 9, 4, 6e6), ("revenue", 17, 4, 11e6),
-    ("image", 9, 1, 5e6), ("image", 17, 1, 5e6),
-], ids=["0", "9", "17", "image-9", "image-17"])
+    ("image", 0, 4, 2.5e6), ("image", 9, 1, 5e6), ("image", 17, 1, 5e6),
+], ids=["0", "9", "17", "image-0", "image-9", "image-17"])
 def test_grouped_round_memory_is_bounded_by_the_row_budget(kind, width, groups, bound):
     # Revenue on G(400, 0.05), bases of 20. Cut at the kernel's own row
     # cells, the round's traced peak was 1.6, 3.2 and 5.5 MB at widths 0, 9
     # and 17; in one kernel call over all rows, 10.1, 12.5 and 21.9 MB: about
     # twice the bound below the one and above the other. Image (n = 400)
     # gathers n cells per T column of a row: 1.6 MB at widths 9 and 17 when
-    # cut, 16.4 and 29.5 MB in one call.
+    # cut, 16.4 and 29.5 MB in one call. At width 0 its groups share one base,
+    # so the round takes the cover-sum memo, and each call builds its one
+    # (rows, n) array in place: 1.8 MB when cut, 6.7 MB in one call, where a
+    # kernel that gathers the rows and then takes their maximum holds two
+    # such arrays, 3.4 MB when cut.
     f = (generate_synthetic("revenue", 400, 0.05, seed=61) if kind == "revenue"
          else generate_synthetic("image", 400, seed=61)).objective()
     rng = np.random.default_rng(0)
@@ -750,6 +761,8 @@ def test_grouped_round_memory_is_bounded_by_the_row_budget(kind, width, groups, 
         rest = perm[20:]
         t_mats.append(rest[np.argsort(rng.random((512, rest.size)), axis=1)[:, :width]])
         bases.append(np.sort(perm[:20]))
+    if kind == "image" and width == 0:
+        bases = bases[:1] * groups
     t_mat, xs = np.concatenate(t_mats), rng.integers(0, f.n, 512 * groups)
     offsets = np.arange(groups + 1) * 512
     f._round_state(bases)  # both rounds find their bases' states built
@@ -757,6 +770,7 @@ def test_grouped_round_memory_is_bounded_by_the_row_budget(kind, width, groups, 
     def traced(budget):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "GAIN_CELL_BUDGET", budget)
+            patch.setattr(f, "_cover_memo", None, raising=False)  # no sum known
             ledgers = [QueryLedger() for _ in bases]
             tracemalloc.start()
             try:
@@ -824,3 +838,154 @@ def test_image_evaluate_batch_equals_evaluate_bit_for_bit(n, nudge):
         got = f._evaluate_batch(masks)
         want = [f._evaluate(np.flatnonzero(mask)) for mask in masks]
         assert got.tobytes() == np.array(want).tobytes()
+
+
+# The image kernel's cover-sum memo. A width-0 call against one base keeps
+# each cover sum it knows that the change of best covers cannot touch, and
+# computes the rest; every gain must still be the fresh objective's, to the
+# byte, however the bases move.
+
+
+def _image_matrix(kind, n, seed):
+    """An image matrix: "synthetic", "nudged" 1e-10 off symmetric, so that
+    _cols is a transposed copy of s, or "negative", loaded from a CSV of
+    signed entries."""
+    if kind == "synthetic":
+        return generate_synthetic("image", n, seed=seed).data
+    rng = np.random.default_rng(seed)
+    if kind == "nudged":
+        s = generate_synthetic("image", n, seed=seed).data.s.copy()
+        s[1, 3] += 1e-10
+        return SimilarityMatrix(s)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sim.csv"
+        path.write_text("".join(",".join(repr(float(x)) for x in row) + "\n"
+                                for row in rng.standard_normal((n, n))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # negative entries
+            return load_similarity_csv(path)
+
+
+@st.composite
+def cover_memo_sequences(draw):
+    """(matrix kind, n, seed, steps): a step moves the base (grow by one,
+    shrink by one, jump, empty or the same again), then asks one round of a
+    kind: one-base marginals, one-base samples of T width 0, 1 or 3, or a
+    marginals round over two bases."""
+    kind = draw(st.sampled_from(["synthetic", "nudged", "negative"]))
+    n = draw(st.integers(5, 40))
+    steps = draw(st.lists(st.tuples(
+        st.sampled_from(["grow", "shrink", "jump", "empty", "same"]),
+        st.sampled_from(["marginals", "samples", "bases"]),
+        st.integers(0, 2**16)), min_size=1, max_size=12))
+    return kind, n, draw(st.integers(0, 2**16)), steps
+
+
+def _moved(base, move, n, rng):
+    outside = np.setdiff1d(np.arange(n), base)
+    if move == "grow" and outside.size:
+        return np.union1d(base, rng.choice(outside, 1))
+    if move == "shrink" and base.size:
+        return np.delete(base, rng.integers(base.size))
+    if move == "jump":
+        return np.sort(rng.choice(n, rng.integers(0, n), replace=False))
+    if move == "empty":
+        return np.empty(0, dtype=np.int64)
+    return base
+
+
+def _memo_round(f, base, kind, rng):
+    """One round of a kind against base: its candidates and gains."""
+    xs = rng.integers(0, f.n, rng.integers(2, 2 * f.n + 1))
+    if kind == "marginals":
+        return xs, batch_marginals(f, base, xs, evaluate_offline(f, base), QueryLedger())
+    if kind == "samples":
+        rest = np.setdiff1d(np.arange(f.n), base)
+        width = min(rest.size, int(rng.choice([0, 1, 3])))
+        t_mat = np.stack([rng.choice(rest, width, replace=False)
+                          for _ in range(xs.size)]).reshape(xs.size, width)
+        return xs, batch_pair_gains(f, base, t_mat, xs, QueryLedger())
+    other = np.sort(rng.choice(f.n, rng.integers(0, f.n), replace=False))
+    return xs, paired_gain_round(f, xs, None, (0, xs.size // 2, xs.size), [base, other],
+                                 [QueryLedger(), QueryLedger()])
+
+
+@SETTINGS
+@given(case=cover_memo_sequences())
+@example(case=("synthetic", 40, 1, [("grow", "marginals", s) for s in range(8)]))
+@example(case=("nudged", 30, 2, [("grow", "marginals", 0), ("same", "samples", 1),
+                                 ("grow", "marginals", 2), ("shrink", "marginals", 3),
+                                 ("jump", "bases", 4), ("empty", "marginals", 5),
+                                 ("same", "marginals", 6)]))
+@example(case=("negative", 24, 3, [("grow", "marginals", s) for s in range(6)]
+               + [("shrink", "marginals", 6), ("same", "samples", 7)]))
+def test_cover_memo_gains_equal_a_fresh_objectives(case):
+    kind, n, seed, steps = case
+    matrix = _image_matrix(kind, n, seed)
+    warm = ImageSummarizationObjective(matrix)
+    assert (warm._cols is warm.s) == (kind != "nudged")
+    base = np.empty(0, dtype=np.int64)
+    for move, round_kind, step_seed in steps:
+        base = _moved(base, move, n, np.random.default_rng(step_seed))
+        xs, got = _memo_round(warm, base, round_kind, np.random.default_rng(step_seed))
+        _, want = _memo_round(ImageSummarizationObjective(matrix), base, round_kind,
+                              np.random.default_rng(step_seed))
+        assert got.tobytes() == want.tobytes(), (move, round_kind)
+        if round_kind == "marginals" and len(warm._base_memo) == 1:
+            # A round whose stack holds its one base (not a latest stack of
+            # two that holds it) leaves the memo with this base's best
+            # covers, knowing every x.
+            best, _, known = warm._cover_memo
+            assert best.tobytes() == warm._round_state([base])[0][1][0].tobytes()
+            assert known[xs].all()
+
+
+def test_greedy_on_image_recomputes_fewer_cover_sums_than_it_asks():
+    f = generate_synthetic("image", 300, seed=3).objective()
+    computed = []
+    cover_sums = f._cover_sums
+    f._cover_sums = lambda best, xs: computed.append(xs.size) or cover_sums(best, xs)
+    ledger = QueryLedger()
+    out = greedy(f, 20, ledger)
+    asked = ledger.total_queries - 1  # the first round asks f(empty)
+    assert sum(computed) < asked
+    fresh_ledger = QueryLedger()
+    assert out.tolist() == greedy(generate_synthetic("image", 300, seed=3).objective(),
+                                  20, fresh_ledger).tolist()
+    assert (ledger.per_round, ledger.values) == (fresh_ledger.per_round, fresh_ledger.values)
+
+
+def test_cover_memo_is_exact_under_concurrent_rounds():
+    # Threads share one objective, each asking rounds on its own sequence of
+    # bases; a memo written in place, or read half old and half new, would
+    # give some round another base's sums.
+    matrix = generate_synthetic("image", 60, seed=9).data
+    f = ImageSummarizationObjective(matrix)
+    # Prefixes of one order: most pairs differ in few best covers, so a
+    # round mostly keeps the sums of another thread's base.
+    order = np.random.default_rng(0).permutation(60)
+    bases = [np.sort(order[:size]) for size in range(12)]
+    xs = np.arange(60)
+    want = [batch_marginals(ImageSummarizationObjective(matrix), base, xs, 0.0,
+                            QueryLedger()).tobytes() for base in bases]
+    wrong = []
+
+    def work(seed):
+        picks = np.random.default_rng(seed).integers(0, len(bases), 1000)
+        for i in picks.tolist():
+            got = batch_marginals(f, bases[i], xs, 0.0, QueryLedger())
+            if got.tobytes() != want[i]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []

@@ -341,6 +341,46 @@ class TestSymmetrizeInPlace:
             tracemalloc.stop()
         assert peak <= 1.5 * f.s.nbytes, peak / f.s.nbytes
 
+    def test_loading_holds_one_matrix(self, tmp_path):
+        # Parsing every line into Python floats before the array peaked at
+        # 5.14 times the matrix.
+        path = tmp_path / "sim.csv"
+        save_similarity_csv(path, generate_synthetic("image", 1024, seed=2).data)
+        tracemalloc.start()
+        try:
+            m = load_similarity_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.n == 1024
+        assert peak <= 1.5 * m.s.nbytes, peak / m.s.nbytes
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1,0.5\n\n0.5,1\n", None),
+    ("", "line 1: empty similarity file"),
+    ("\n\n", "line 1: empty similarity file"),
+    # A bad field on any line beats a ragged row before it.
+    ("1,0.5\n0.5\n0.5,x\n", "line 3: non-numeric field"),
+    ("1,0.5\n0.5\n\n0.5,inf\n", "line 4: non-finite entry"),
+    ("1,nan\n0.5,1\n", "line 1: non-finite entry"),
+    # A ragged row beats a shape that is not square; rows are numbered
+    # among the non-empty ones.
+    ("1,0.5\n\n0.5\n0.5,1\n0.5,1\n", "line 2: ragged row, expected 2 fields"),
+    ("1,0.5,0\n0.5,1,0\n", "line 2: matrix is 2x3, not square"),
+    ("1,0.5\n0.5,1\n0,0\n0,0\n0,0\n", "line 5: matrix is 5x2, not square"),
+    ("1\n", "line 1: expected 2 rows, found 1"),
+], ids=["blank-line", "empty", "blank", "non-numeric", "non-finite", "nan", "ragged",
+        "wide", "tall", "wrong-n"])
+def test_similarity_csv_errors_keep_their_precedence(tmp_path, text, message):
+    path = tmp_path / "sim.csv"
+    path.write_text(text)
+    if message is None:
+        assert load_similarity_csv(path).s.tolist() == [[1.0, 0.5], [0.5, 1.0]]
+        return
+    with pytest.raises(ParseError, match=f"^{message}"):
+        load_similarity_csv(path, n=2)
+
 
 def _tiled_symmetric():
     """An exactly symmetric matrix of three row blocks, the last partial."""
