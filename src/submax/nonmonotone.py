@@ -70,7 +70,7 @@ class DerivedNonmonotoneValues:
     break_size: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class NonmonotoneParams:
     """Inputs for one full run.
 
@@ -168,10 +168,9 @@ def adaptive_nonmonotone_max(
     taus = threshold_grid(delta_star, params)
     rngs = [np.random.default_rng(s) for s in spawn_seeds(seed, len(taus))]
     outcomes = lockstep_threshold_sampling(
-        f, [ThresholdParams(k=params.k, tau=tau, eps=d.eps_hat, delta=d.delta_hat,
-                            break_size=d.break_size,
-                            sample_override=params.sample_override)
-            for tau in taus], rngs, sweep)
+        f, ThresholdParams(k=params.k, tau=taus[0], eps=d.eps_hat, delta=d.delta_hat,
+                           break_size=d.break_size, sample_override=params.sample_override),
+        taus, rngs, sweep)
     unc_params = UnconstrainedParams(eps=d.eps_hat, delta=d.delta_hat)
     trials: list[ThresholdTrial] = []
     for i, (tau, outcome, rng) in enumerate(zip(taus, outcomes, rngs)):

@@ -14,10 +14,11 @@ filter is read off those values. Each later outer round opens with a filter
 round that also asks f(S) of the previous update, a known set, so no round
 is spent on f(S) alone unless no filter follows.
 
-Many samplers run in lockstep (``lockstep_threshold_sampling``) after one
-shared first round: each later outer round is one filter round for all live
-trials, and each step of the block-size scan one grouped paired-gain round
-for the trials still scanning. Every trial draws from its own generator in
+Many samplers, one per threshold, all with one parameter set, run in
+lockstep (``lockstep_threshold_sampling``) after one shared first round:
+each later outer round is one filter round for all live trials, and each
+step of the block-size scan one grouped paired-gain round for the trials
+still scanning. Every trial draws from its own generator in
 the order a lone run does and meters on its own ledger, so a trial's stream,
 rounds and result do not depend on the others; ``threshold_sampling`` is
 the first round plus the one-trial case.
@@ -25,7 +26,6 @@ the first round plus the one-trial case.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -66,7 +66,7 @@ class DerivedThresholdValues:
     ell_theoretical: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThresholdParams:
     """Inputs for one threshold-sampling run.
 
@@ -74,7 +74,8 @@ class ThresholdParams:
     the per-estimate sample count for experiment parity (the theoretical count
     is still reported in the derived values). Each field's range lives in
     ``oracle.PARAM_RANGES``; a value outside it, NaN included, raises
-    ``ParamError`` naming the field and the value.
+    ``ParamError`` naming the field and the value. The fields are frozen, so
+    a value stays the one that was checked.
     """
 
     k: int
@@ -247,47 +248,54 @@ def estimate_mean(f: Objective, s: np.ndarray, pool: np.ndarray, t: int,
 class _Trial:
     """One sampler's state while it runs in lockstep with others."""
 
-    params: ThresholdParams
-    d: DerivedThresholdValues
+    tau: float
     rng: np.random.Generator
     ledger: QueryLedger
     s: np.ndarray
     f_s: float
-    f_empty: float
     pool: np.ndarray
     snapshots: list[dict]
     reason: BreakReason | None = None  # set when the trial stops
 
 
 def lockstep_threshold_sampling(
-        f: Objective, params: Sequence[ThresholdParams],
+        f: Objective, params: ThresholdParams, taus: Sequence[float],
         rngs: Sequence[np.random.Generator], sweep: np.ndarray,
         ledgers: Sequence[QueryLedger] | None = None) -> list[SamplingOutcome]:
-    """Run one sampler per (params[i], rngs[i], ledgers[i]), in lockstep,
-    from a first round already paid for.
+    """Run one sampler per (taus[i], rngs[i], ledgers[i]), in lockstep, from
+    a first round already paid for.
 
-    sweep holds f(empty), then f({x}) for each x: the values of
-    :func:`oracle.singleton_round`, which the caller has already paid for.
-    Each trial is exactly the sampler :func:`threshold_sampling` describes
-    with that first round removed: it starts from S = empty and reads its
-    first filter, {x : f({x}) - f(empty) >= tau}, off the sweep. Running the
-    trials together changes no trial's random stream, rounds, queries or
-    result. Each outer round after the first opens with one filter round for
-    all live trials, in which each trial also asks f(S) of its last update;
-    then comes the block-size scan, step by step: at each step every trial
-    still scanning draws its samples from its own generator, and all those
-    estimates go out as one flat paired-gain round (one round on each
-    trial's ledger). A trial whose update is its last (full S, or its r-th
-    outer round) asks that f(S) in a one-query round of its own.
+    Trial i is the sampler :func:`threshold_sampling` runs with params, but
+    with tau = taus[i] (``params.tau`` is not read) and with that first
+    round removed: it starts from S = empty and reads its first filter,
+    {x : f({x}) - f(empty) >= tau}, off sweep, which holds f(empty), then
+    f({x}) for each x, as :func:`oracle.singleton_round` returns them. The
+    trials share params, so it is derived once. Running them together
+    changes no trial's random stream, rounds, queries or result. Each outer
+    round after the first opens with one filter round for all live trials,
+    in which each trial also asks f(S) of its last update; then comes the
+    block-size scan (:func:`_scan`). A trial whose update is its last (full
+    S, or its r-th outer round) asks that f(S) in a one-query round of its
+    own. Before any round is metered, a NaN or negative tau raises
+    ``ParamError``, and ``ValueError`` is raised unless taus, rngs and
+    ledgers (when given) have one entry each per trial and sweep holds
+    f.n + 1 values.
     """
     if ledgers is None:
-        ledgers = [QueryLedger() for _ in params]
+        ledgers = [QueryLedger() for _ in taus]
+    if not len(taus) == len(rngs) == len(ledgers) or len(sweep) != f.n + 1:
+        raise ValueError(f"need as many taus, rngs and ledgers and f.n + 1 = {f.n + 1} sweep "
+                         f"values, got {len(taus)}, {len(rngs)}, {len(ledgers)}, {len(sweep)}")
+    for tau in taus:
+        check_params(tau=tau)
+    d = params.derive(f.n)
+    k, break_size = params.k, params.break_size
+    powers = np.unique([int((1.0 + d.eps_hat) ** i) for i in range(d.m + 1)])
     f_empty = float(sweep[0])
     singleton_gains = sweep[1:] - sweep[0]
-    trials = [_Trial(params=p, d=p.derive(f.n), rng=rng, ledger=ledger,
-                     s=np.empty(0, dtype=np.int64), f_s=f_empty, f_empty=f_empty,
-                     pool=np.flatnonzero(singleton_gains >= p.tau), snapshots=[])
-              for p, rng, ledger in zip(params, rngs, ledgers)]
+    trials = [_Trial(tau=tau, rng=rng, ledger=ledger, s=np.empty(0, dtype=np.int64),
+                     f_s=f_empty, pool=np.flatnonzero(singleton_gains >= tau), snapshots=[])
+              for tau, rng, ledger in zip(taus, rngs, ledgers)]
 
     outer = 0
     live = trials
@@ -301,8 +309,8 @@ def lockstep_threshold_sampling(
                                       [tr.ledger for tr in live], asks=True)
             for tr, a, b in zip(live, offsets[:-1].tolist(), offsets[1:].tolist()):
                 tr.f_s = tr.ledger.values[tr.ledger.rounds]
-                tr.pool = tr.pool[gains[a:b] >= tr.params.tau]
-                if tr.params.tau == 0:  # members of s gain exactly 0.0
+                tr.pool = tr.pool[gains[a:b] >= tr.tau]
+                if tr.tau == 0:  # members of s gain exactly 0.0
                     tr.pool = np.setdiff1d(tr.pool, tr.s, assume_unique=True)
         scanning = []
         for tr in live:
@@ -310,19 +318,18 @@ def lockstep_threshold_sampling(
                                  "t": None, "mu": None, "estimates": []})
             if tr.pool.size == 0:
                 tr.reason = BreakReason.EMPTY_A
-            elif tr.params.break_size is not None and tr.pool.size < tr.params.break_size:
+            elif break_size is not None and tr.pool.size < break_size:
                 tr.reason = BreakReason.SMALL_A
             else:
                 scanning.append(tr)
 
-        for tr, t, mu, estimates in zip(scanning, *_scan(f, scanning)):
-            block = sample_without_replacement(tr.rng, tr.pool,
-                                               min(t, tr.params.k - tr.s.size))
+        for tr, t, mu, estimates in zip(scanning, *_scan(f, scanning, powers, d)):
+            block = sample_without_replacement(tr.rng, tr.pool, min(t, k - tr.s.size))
             tr.s = np.union1d(tr.s, block)
             tr.snapshots[-1].update(s=tr.s, t=t, mu=mu, estimates=estimates)
-            if tr.s.size == tr.params.k:
+            if tr.s.size == k:
                 tr.reason = BreakReason.FULL_S
-            elif outer == tr.d.r:
+            elif outer == d.r:
                 tr.reason = BreakReason.EXHAUSTED_ROUNDS
             if tr.reason is not None:  # no filter round follows to ask f(S)
                 tr.f_s = float(evaluate_batch(f, [tr.s], tr.ledger)[0])
@@ -330,27 +337,20 @@ def lockstep_threshold_sampling(
         live = [tr for tr in live if tr.reason is None]
 
     return [SamplingOutcome(s=tr.s, a=tr.pool, break_reason=tr.reason,
-                            ledger=tr.ledger, f_s=tr.f_s, f_empty=tr.f_empty,
+                            ledger=tr.ledger, f_s=tr.f_s, f_empty=f_empty,
                             snapshots=tr.snapshots) for tr in trials]
 
 
-@functools.lru_cache(maxsize=64)
-def _powers(eps_hat: float, m: int) -> np.ndarray:
-    """The distinct floor((1 + eps_hat)^i) for i = 0..m, increasing; read-only."""
-    powers = np.unique([int((1.0 + eps_hat) ** i) for i in range(m + 1)])
-    powers.flags.writeable = False
-    return powers
+def _probe_table(powers: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row i holds the distinct min(p, sizes[i]) over the increasing powers
+    p, up to column last[i], then sizes[i] out to the widest row: every
+    power past last[i] is at least sizes[i]. Returns (table, last)."""
+    last = np.minimum(powers.searchsorted(sizes), powers.size - 1)
+    return np.minimum(powers[:last.max(initial=0) + 1], sizes[:, None]), last
 
 
-def _probes(d: DerivedThresholdValues, pool_size: int) -> list[int]:
-    """The distinct block sizes min(floor((1 + eps_hat)^i), pool_size) for
-    i = 0..m, increasing: the powers below pool_size, then pool_size if
-    some power reaches it."""
-    powers = _powers(d.eps_hat, d.m)
-    return np.minimum(powers[:powers.searchsorted(pool_size) + 1], pool_size).tolist()
-
-
-def _scan(f: Objective, trials: list[_Trial]
+def _scan(f: Objective, trials: list[_Trial], powers: np.ndarray,
+          d: DerivedThresholdValues
           ) -> tuple[list[int], list[float], list[list[tuple[int, float]]]]:
     """The block-size scan of one outer round, for every trial at once.
 
@@ -358,18 +358,15 @@ def _scan(f: Objective, trials: list[_Trial]
     and stops at the first estimate at or below 1 - 1.5 eps_hat. An i whose
     block size repeats the previous one would probe the identical
     distribution, so it reuses that estimate and costs no round: a trial's
-    probes are the distinct t_i, and step j of the lockstep issues the j-th
-    probe of every trial still scanning, as one paired-gain round, with one
-    draw per block size. Returns each trial's chosen t, its mu, and its
-    (t, mu) estimates in probe order.
+    probes are the distinct t_i (its row of :func:`_probe_table`), and step
+    j of the lockstep issues the j-th probe of every trial still scanning,
+    as one paired-gain round of d.ell samples a trial, with one draw per
+    block size. Returns each trial's chosen t, its mu, and its (t, mu)
+    estimates in probe order.
     """
-    probes = [_probes(tr.d, tr.pool.size) for tr in trials]
-    last = np.array([len(p) for p in probes], dtype=np.int64) - 1
-    steps = max(map(len, probes), default=0)
-    table = np.array([p + p[-1:] * (steps - len(p)) for p in probes])  # padded
-    ell = np.array([tr.d.ell for tr in trials], dtype=np.int64)
-    tau = np.array([tr.params.tau for tr in trials], dtype=np.float64)
-    floor = np.array([1.0 - 1.5 * tr.d.eps_hat for tr in trials], dtype=np.float64)
+    table, last = _probe_table(powers, np.array([tr.pool.size for tr in trials], dtype=np.int64))
+    ell, floor = d.ell, 1.0 - 1.5 * d.eps_hat
+    tau = np.array([tr.tau for tr in trials], dtype=np.float64)
     t, mu = np.zeros(len(trials), dtype=np.int64), np.zeros(len(trials))
     live = np.ones(len(trials), dtype=bool)
     estimates: list[list[tuple[int, float]]] = [[] for _ in trials]
@@ -381,17 +378,17 @@ def _scan(f: Objective, trials: list[_Trial]
         order = order[np.argsort(t[order], kind="stable")]
         sizes, starts = np.unique(t[order], return_index=True)
         t_mats, xs = zip(*[draw_blocks([trials[i].rng for i in members],
-                                       [trials[i].pool for i in members], size, ell[members])
+                                       [trials[i].pool for i in members], size,
+                                       np.full(members.size, ell))
                            for size, members in zip(sizes.tolist(), np.split(order, starts[1:]))])
-        offsets = np.concatenate([[0], ell[order].cumsum()])
-        gains = paired_gain_round(f, np.concatenate(xs), t_mats, offsets,
+        gains = paired_gain_round(f, np.concatenate(xs), t_mats, np.arange(order.size + 1) * ell,
                                   [trials[i].s for i in order], [trials[i].ledger for i in order])
         # Each count is exact, so each mu is the correctly rounded fraction.
-        mu[order] = np.add.reduceat(gains >= tau[order].repeat(ell[order]), offsets[:-1],
-                                    dtype=np.int64) / ell[order]
+        mu[order] = np.count_nonzero(gains.reshape(order.size, ell) >= tau[order, None],
+                                     axis=1) / ell
         for i, estimate in zip(order.tolist(), zip(t[order].tolist(), mu[order].tolist())):
             estimates[i].append(estimate)
-        live[order] = (mu[order] > floor[order]) & (step < last[order])
+        live[order] = (mu[order] > floor) & (step < last[order])
         step += 1
     return t.tolist(), mu.tolist(), estimates
 
@@ -415,7 +412,7 @@ def threshold_sampling(f: Objective, params: ThresholdParams,
     """
     ledger = QueryLedger() if ledger is None else ledger
     sweep = singleton_round(f, ledger)
-    return lockstep_threshold_sampling(f, [params], [rng], sweep, [ledger])[0]
+    return lockstep_threshold_sampling(f, params, [params.tau], [rng], sweep, [ledger])[0]
 
 
 def verify_termination_marginals(f: Objective, outcome: SamplingOutcome,

@@ -23,7 +23,7 @@ from .oracle import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class UnconstrainedParams:
     """Error/failure targets; t is the derived number of random draws."""
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -766,6 +767,18 @@ def test_out_of_range_setting_raises_param_error(build, field, shown):
         build()
     assert info.value.field == field
     assert f"{field} " in str(info.value) and f"got {shown}" in str(info.value)
+
+
+@pytest.mark.parametrize("params,name,value", [
+    (ThresholdParams(k=3, tau=1.0, eps=0.3, delta=0.1), "k", 2.5),
+    (NonmonotoneParams(k=3, eps=0.3, delta=0.1), "sample_override", 0),
+    (UnconstrainedParams(eps=0.2, delta=0.1), "delta", float("nan")),
+], ids=["threshold", "nonmonotone", "unconstrained"])
+def test_checked_setting_cannot_be_reassigned(params, name, value):
+    # A value set after the check would skip it: k = 2.5 let a sampler run
+    # every round without ever filling S.
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(params, name, value)
 
 
 def test_seed_sequence_and_empty_brute_force_stay_valid():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -20,8 +21,8 @@ from submax import (
     verify_termination_marginals,
 )
 from submax.objectives import make_random_coverage
-from submax.oracle import draws_below, singleton_round
-from submax.threshold import _probes, draw_blocks, lockstep_threshold_sampling
+from submax.oracle import ParamError, draws_below, singleton_round
+from submax.threshold import _probe_table, draw_blocks, lockstep_threshold_sampling
 
 
 def path_cut():
@@ -502,27 +503,28 @@ class TestVerifyTermination:
 def test_scan_probes_are_the_distinct_clipped_powers(eps, k):
     n = 400
     d = ThresholdParams(k=k, tau=1.0, eps=eps, delta=0.1).derive(n)
-    for size in range(1, n + 1):
+    powers = np.unique([int((1.0 + d.eps_hat) ** i) for i in range(d.m + 1)])
+    table, last = _probe_table(powers, np.arange(1, n + 1))
+    assert table.dtype == np.int64
+    for size, row, end in zip(range(1, n + 1), table.tolist(), last.tolist()):
         want = sorted({min(int((1.0 + d.eps_hat) ** i), size) for i in range(d.m + 1)})
-        got = _probes(d, size)
-        assert got == want, size
-        assert all(type(t) is int for t in got)
+        assert row[:end + 1] == want, size
+        # The padding repeats the last probe.
+        assert row[end + 1:] == [want[-1]] * (len(row) - end - 1), size
 
 
 def test_lockstep_trials_of_mixed_block_sizes_equal_standalone_runs():
-    # Trials of other eps, or whose small pools cap their probes, scan other
-    # block sizes at the same step, so a scan round carries several T widths;
-    # each trial must still be the run threshold_sampling makes alone.
-    f = generate_synthetic("revenue", 40, 0.15, seed=3).objective()
+    # Trials whose small pools cap their probes scan other block sizes at
+    # the same step, so a scan round carries several T widths; each trial
+    # must still be the run threshold_sampling makes alone.
+    f = ModularObjective(np.arange(1.0, 41.0))
     sweep = singleton_round(f, QueryLedger())
-    top = np.sort(sweep[1:] - sweep[0])[::-1]
-    params = [ThresholdParams(k=k, tau=tau, eps=eps, delta=0.1, sample_override=20)
-              for k, eps in [(12, 0.3), (12, 0.9), (6, 0.5)]
-              for tau in (0.0, float(top[20]), float(top[5]))]
-    got = lockstep_threshold_sampling(f, params, [make_rng(i) for i in range(9)], sweep)
+    params = ThresholdParams(k=12, tau=0.5, eps=0.9, delta=0.1, sample_override=20)
+    taus = (0.5, 35.5, 33.5)
+    got = lockstep_threshold_sampling(f, params, taus, [make_rng(i) for i in range(3)], sweep)
     widths = set()
-    for i, (p, out) in enumerate(zip(params, got)):
-        alone = threshold_sampling(f, p, make_rng(i))
+    for i, (tau, out) in enumerate(zip(taus, got)):
+        alone = threshold_sampling(f, dataclasses.replace(params, tau=tau), make_rng(i))
         assert (out.s.tolist(), out.a.tolist()) == (alone.s.tolist(), alone.a.tolist())
         assert (out.break_reason, out.f_s) == (alone.break_reason, alone.f_s)
         assert out.ledger.per_round == [(r - 1, q) for r, q in alone.ledger.per_round[1:]]
@@ -534,3 +536,35 @@ def test_lockstep_trials_of_mixed_block_sizes_equal_standalone_runs():
     # Some scan step of some outer round probed more than one block size.
     steps = {(rnd, j) for rnd, j, _ in widths}
     assert len(widths) > len(steps)
+
+
+def lockstep_inputs():
+    f = ModularObjective(np.arange(1.0, 9.0))
+    params = ThresholdParams(k=3, tau=1.0, eps=0.5, delta=0.1, sample_override=10)
+    return f, params, singleton_round(f, QueryLedger())
+
+
+@pytest.mark.parametrize("trials,rngs,ledgers,sweep_size", [
+    (3, 1, 3, 9), (2, 2, 1, 9), (2, 3, None, 9), (2, 2, 2, 8), (2, 2, 2, 10)],
+    ids=["short-rngs", "short-ledgers", "long-rngs", "short-sweep", "long-sweep"])
+def test_lockstep_rejects_inputs_of_the_wrong_length(trials, rngs, ledgers, sweep_size):
+    # A shorter list once truncated the run, and a short sweep would shift
+    # the singletons the first filter reads.
+    f, params, sweep = lockstep_inputs()
+    sweep = np.resize(sweep, sweep_size)
+    led = None if ledgers is None else [QueryLedger() for _ in range(ledgers)]
+    with pytest.raises(ValueError):
+        lockstep_threshold_sampling(f, params, [1.0] * trials,
+                                    [make_rng(i) for i in range(rngs)], sweep, led)
+    assert led is None or all(ledger.rounds == 0 for ledger in led)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -0.5])
+def test_lockstep_rejects_a_bad_tau_before_any_round(bad):
+    f, params, sweep = lockstep_inputs()
+    ledgers = [QueryLedger() for _ in range(3)]
+    with pytest.raises(ParamError) as info:
+        lockstep_threshold_sampling(f, params, [1.0, bad, 2.0],
+                                    [make_rng(i) for i in range(3)], sweep, ledgers)
+    assert info.value.field == "tau"
+    assert all(ledger.rounds == 0 for ledger in ledgers)
