@@ -39,7 +39,10 @@ values and ``per_round`` (``setup``: the same similarity matrix, byte for
 byte); a difference stops the script. It prints each seed's times (per run,
 for a block) and new/old ratio, then the median ratio, its interquartile
 range and the pairs the new checkout won: for ``image``, once for greedy
-and once for lazy greedy.
+and once for lazy greedy. Beside each image run's time it prints the mean
+microseconds per adaptive round (run seconds / ``ledger.rounds``), and the
+summary gives their medians: a lazy-greedy run is about a thousand
+refresh waves of a few rows each, so this is the fixed cost of one wave.
 
 Timing both in one process removes the spread between processes, which can
 exceed the effect being measured. BLAS is pinned to one thread, as in the
@@ -159,6 +162,8 @@ def main(argv=None) -> int:
              for name, checkout in (("submax_a", args.old), ("submax_b", args.new))]
     block = SHAPES[args.shape][-1] if args.shape in ANM_SHAPES else 1
     ratios = {part: [] for part in sides[0]}
+    # (old, new) microseconds per round of each seed's image runs.
+    per_round_us = {part: [] for part in ratios} if setup is image_setup else {}
     for part in ratios:
         for runs in sides:
             timed_run(runs[part], args.first_seed - 1)  # warm-up
@@ -176,16 +181,26 @@ def main(argv=None) -> int:
                 return 1
             part_ratios.append(new_s / old_s)
             label = "" if part == "run" else f" {part}:"
+            per_round = ""
+            if part in per_round_us:  # an image run: (set, per_round, values)
+                us = [1e6 * s / len(new_out[1]) for s in (old_s, new_s)]
+                per_round_us[part].append(us)
+                per_round = f" ({us[0]:.1f} -> {us[1]:.1f} us per round)"
             print(f"seed {seed}:{label} old {old_s / block:.4f} s, "
-                  f"new {new_s / block:.4f} s per run, ratio {part_ratios[-1]:.3f}")
+                  f"new {new_s / block:.4f} s per run{per_round}, "
+                  f"ratio {part_ratios[-1]:.3f}")
 
     for part, part_ratios in ratios.items():
         q1, median, q3 = (statistics.quantiles(part_ratios, n=4) if len(part_ratios) > 1
                           else (part_ratios[0],) * 3)
         won = sum(r < 1.0 for r in part_ratios)
         label = "" if part == "run" else f"{part}: "
+        per_round = ""
+        if part in per_round_us:
+            old_us, new_us = (statistics.median(side) for side in zip(*per_round_us[part]))
+            per_round = f"; median {old_us:.1f} -> {new_us:.1f} us per round"
         print(f"{label}new/old median {median:.3f} (IQR {q1:.3f}-{q3:.3f}), "
-              f"new faster in {won} of {len(part_ratios)} pairs")
+              f"new faster in {won} of {len(part_ratios)} pairs{per_round}")
     return 0
 
 

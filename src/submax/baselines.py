@@ -59,17 +59,17 @@ def random_prefix(f: Objective, k: int, rng: np.random.Generator,
     return prefix_round(f, rng.permutation(f.n)[:k], ledger)[0]
 
 
-def _top_k(candidates: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
-    """The k candidates of highest value, highest first; ties go to the
-    earlier candidate. Equal to ``candidates[np.argsort(-values,
-    kind="stable")[:k]]``, but only the candidates at or above the k-th
-    highest value are sorted."""
-    neg = -values
+def _top_k(neg: np.ndarray, k: int) -> np.ndarray:
+    """The positions of the k lowest entries of neg, lowest first; ties go to
+    the lower position. Equal to ``np.argsort(neg, kind="stable")[:k]``, but
+    only the entries at or below the k-th lowest are sorted."""
     if neg.size > k:
-        # Every candidate that can place in the top k, in candidate order.
-        kept = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
-        return candidates[kept[np.argsort(neg[kept], kind="stable")[:k]]]
-    return candidates[np.argsort(neg, kind="stable")]
+        lowest = neg.copy()
+        lowest.partition(k - 1)
+        # Every position that can place in the top k, in order.
+        kept = (neg <= lowest[k - 1]).nonzero()[0]
+        return kept[neg[kept].argsort(kind="stable")[:k]]
+    return neg.argsort(kind="stable")
 
 
 def random_lazy_greedy(f: Objective, k: int, eps: float | None,
@@ -91,30 +91,29 @@ def random_lazy_greedy(f: Objective, k: int, eps: float | None,
     # Round 1: empty set plus all singletons, which seeds every bound fresh.
     values = evaluate_batch(f, np.eye(n + 1, n, -1, dtype=bool), ledger)
     f_s = float(values[0])
-    bounds = np.asarray(values[1:], dtype=np.float64) - f_s
-    fresh = np.ones(n, dtype=bool)
-    chosen = np.zeros(n, dtype=bool)
+    # Bounds negated: the top k are the k lowest, and a chosen element's is
+    # +inf, ranked last. A wave writes only the entries it refreshes.
+    neg = -(np.asarray(values[1:], dtype=np.float64) - f_s)
+    is_stale = np.zeros(n, dtype=bool)
     ledger.record_value(f_s)
 
     s = np.empty(0, dtype=np.int64)
-    while s.size < k:
-        candidates = np.flatnonzero(~chosen)
-        if candidates.size == 0:
-            break
+    while s.size < min(k, n):
+        ranked = min(k, n - s.size)
         while True:
-            top = _top_k(candidates, bounds[candidates], k)
-            stale = top[~fresh[top]]
+            top = _top_k(neg, ranked)
+            stale = top[is_stale[top]]
             if stale.size == 0:
                 break
-            bounds[stale] = batch_marginals(f, s, stale, f_s, ledger)
-            fresh[stale] = True
-        pool = top[bounds[top] > 0.0]  # the refresh left every top bound fresh
+            neg[stale] = -batch_marginals(f, s, stale, f_s, ledger)
+            is_stale[stale] = False
+        pool = top[neg[top] < 0.0]  # the refresh left every top bound fresh
         if pool.size == 0:
             break
         pick = int(pool[int(rng.integers(pool.size))])
-        f_s += float(bounds[pick])
+        f_s += float(-neg[pick])
         s = np.union1d(s, [pick])
-        chosen[pick] = True
-        fresh[:] = chosen  # every unchosen bound is stale once the solution grows
+        neg[pick] = np.inf
+        is_stale[:] = True  # a grown solution leaves every bound stale
         ledger.record_value(f_s)
     return s

@@ -414,26 +414,26 @@ class ImageSummarizationObjective(Objective):
         return float(cover - penalty)
 
     def _base_state(self, base_idx):
-        # Best cover and total similarity of each item into the base. The
-        # rows of _cols are the columns of s, so this is s[:, base_idx] with
-        # its strides, reduced in the same order, from a gather of whole rows.
+        # Best cover and total similarity of each item into the base, and
+        # the penalty each item's gain pays against it. The rows of _cols are
+        # the columns of s, so this is s[:, base_idx] with its strides,
+        # reduced in the same order, from a gather of whole rows.
         cols = self._cols[base_idx].T
         best_base = cols.max(axis=1) if base_idx.size else np.zeros(self.n)
-        return best_base, cols.sum(axis=1)
+        into = cols.sum(axis=1)
+        return best_base, into, (2.0 * into + self._diag) / self.n
 
     def _gain_batch(self, state, t_mat, xs, base_of):
-        _, best_base, s_into_base = state
-        into = s_into_base[base_of, xs]
-        if t_mat.shape[1]:
-            best = best_base if best_base.shape[0] == 1 else best_base[base_of]
-            best = np.maximum(best, self._cols[t_mat].max(axis=1))
-            cover = self._cover_sums(best, xs)
-            into = into + self.s[xs[:, None], t_mat].sum(axis=1)
-        elif best_base.shape[0] == 1:
-            cover = self._one_base_cover_sums(best_base, xs)
-        else:
-            cover = self._cover_sums(best_base[base_of], xs)
-        return cover - (2.0 * into + self._diag[xs]) / self.n
+        _, best_base, s_into_base, penalty = state
+        if not t_mat.shape[1]:
+            # The penalty row holds, item by item, the arithmetic below.
+            if best_base.shape[0] == 1:
+                return self._one_base_cover_sums(best_base, xs) - penalty[0][xs]
+            return self._cover_sums(best_base[base_of], xs) - penalty[base_of, xs]
+        best = best_base if best_base.shape[0] == 1 else best_base[base_of]
+        best = np.maximum(best, self._cols[t_mat].max(axis=1))
+        into = s_into_base[base_of, xs] + self.s[xs[:, None], t_mat].sum(axis=1)
+        return self._cover_sums(best, xs) - (2.0 * into + self._diag[xs]) / self.n
 
     def _cover_sums(self, best, xs):
         """Σ_v max(best[v], c[x, v]) - best[v] for each x of xs, c[x, v] =

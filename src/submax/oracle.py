@@ -102,19 +102,24 @@ class _BaseMemo(dict):
 
     ``row`` maps a key to its row and ``stack`` holds the states stacked:
     array i of ``stack`` holds array i of every state, one leading row per
-    base. Each state's arrays are read-only, and so are the stacked ones.
+    base; None for one base. ``alone(key)`` is one base's state as views of
+    one row, made once a key. Every array is read-only.
     """
 
     def __init__(self, states: dict[bytes, tuple[np.ndarray, ...]]):
         super().__init__(states)
         self.row = {key: i for i, key in enumerate(states)}
-        per_base = list(states.values())
-        if len(per_base) == 1:  # views of the memoized arrays, read-only too
-            self.stack = tuple(arr[None] for arr in per_base[0])
-        else:
-            self.stack = tuple(np.stack(arrays) for arrays in zip(*per_base))
+        self._alone: dict[bytes, tuple[np.ndarray, ...]] = {}
+        self.stack = None
+        if len(states) != 1:
+            self.stack = tuple(np.stack(arrays) for arrays in zip(*states.values()))
             for arr in self.stack:
                 arr.flags.writeable = False
+
+    def alone(self, key: bytes) -> tuple[np.ndarray, ...]:
+        if key not in self._alone:
+            self._alone[key] = tuple(arr[None] for arr in self[key])
+        return self._alone[key]
 
 
 class Objective(ABC):
@@ -172,26 +177,28 @@ class Objective(ABC):
         :meth:`_base_state`. Returns (state, rows): array i of state holds
         array i of the states of the memo's bases, one leading row per base,
         and bases[j]'s state is at row rows[j]. The memo keeps the states of
-        the bases of the latest stack, stacked: a round whose bases all lie
-        among them, as in consecutive scan steps of the sampler, gets that
-        stack back with no copy; any other round stacks its own distinct
-        bases, reusing each memoized state it finds. A base the memo does
-        not hold is checked before its state is built: InvalidSubsetError
-        for one out of order or repeating, or with an element outside
-        [0, n). The key is a base's elements as int64 bytes, so a hit is a
-        base that passed those checks: the same elements in any integer
-        dtype share an entry, and two bases whose raw bytes merely agree
-        (int32 [1, 0], int64 [1]) do not. The memo is one object, read once
-        and replaced whole, so concurrent callers can at worst recompute a
-        state, never read a mismatched one. Every returned array is
-        read-only.
+        the bases of the latest stack, stacked: a round of one distinct base
+        gets its state alone, the same one-row views each time (rows all 0);
+        one whose bases all lie among them, as in consecutive scan steps of
+        the sampler, gets that stack back with no copy; any other round
+        stacks its own distinct bases, reusing each memoized state it finds.
+        A base the memo does not hold is checked before its state is built:
+        InvalidSubsetError for one out of order or repeating, or with an
+        element outside [0, n). The key is a base's elements as int64 bytes,
+        so a hit is a base that passed those checks: the same elements in
+        any integer dtype share an entry, and two bases whose raw bytes
+        merely agree (int32 [1, 0], int64 [1]) do not. The memo is one
+        object, read once and replaced whole, so concurrent callers can at
+        worst recompute a state, never read a mismatched one. Every returned
+        array is read-only.
         """
         bases = [_as_index_array(base_idx) for base_idx in bases]
-        if any(base_idx.ndim != 1 for base_idx in bases):
+        keys = [base_idx.tobytes() for base_idx in bases if base_idx.ndim == 1]
+        if len(keys) != len(bases):
             raise ValueError("the base must be one-dimensional")
-        keys = [base_idx.tobytes() for base_idx in bases]
+        distinct = set(keys)
         memo = self._base_memo
-        if memo is None or not memo.row.keys() >= set(keys):
+        if memo is None or not memo.row.keys() >= distinct:
             states = {}
             for key, base_idx in zip(keys, bases):
                 if key in states:
@@ -212,6 +219,8 @@ class Objective(ABC):
                         arr.flags.writeable = False
                 states[key] = state
             memo = self._base_memo = _BaseMemo(states)
+        if len(distinct) == 1:
+            return memo.alone(keys[0]), np.zeros(len(keys), dtype=np.int64)
         row = memo.row
         return memo.stack, np.array([row[key] for key in keys], dtype=np.int64)
 
@@ -505,10 +514,12 @@ def paired_gain_round(f: Objective, xs, t_mats, offsets, bases: Sequence,
     increasing index collection, and ledger ledgers[i]. A round is one kind.
     With t_mats None it is a marginals round (T_j empty): rows queries a
     group, plus one with asks, whose f(base) is one whole-set evaluation
-    recorded on the ledger (``ledger.values[ledger.rounds]``). Otherwise it
-    is a sample round, which cannot ask: t_mats holds the T_j as (rows,
-    width) arrays end to end, one per width (0 too), and a group's rows are
-    indicator samples, 2 * rows queries and rows logical samples.
+    recorded on the ledger (``ledger.values[ledger.rounds]``); it builds no
+    T array (a kernel call gets rows of no columns), nor, for one group,
+    offset sums. Otherwise it is a sample round, which cannot ask: t_mats
+    holds the T_j as (rows, width) arrays end to end, one per width (0
+    too), and a group's rows are indicator samples, 2 * rows queries and
+    rows logical samples.
 
     The round is the one home of the paired-gain rules the kernels rely on.
     One ``f._round_state`` call numbers, checks and builds its bases' states
@@ -539,23 +550,22 @@ def paired_gain_round(f: Objective, xs, t_mats, offsets, bases: Sequence,
     if (len(bases) != groups or offsets.shape != (groups + 1,) or offsets[0] != 0
             or offsets[-1] != xs.size):
         raise ValueError("offsets must cover xs, with one base and ledger per group")
-    sizes = offsets[1:] - offsets[:-1]
-    size_list = sizes.tolist()
+    size_list = [xs.size] if groups == 1 else (offsets[1:] - offsets[:-1]).tolist()
     if min(size_list) <= 0:
         raise ValueError(f"{entry} requires at least one {'pair' if sample else 'candidate'}")
-    spans = []  # (first row, T array) per T array
+    spans = []  # (first row, T array) per T array of a sample round
     end = 0
-    for t_mat in t_mats if sample else [np.empty((xs.size, 0), dtype=np.int64)]:
+    for t_mat in t_mats if sample else ():
         t_mat = _as_index_array(t_mat)
         if t_mat.ndim != 2:
             raise ValueError("t_mat must be (m, t-1) and xs length m")
         start, end = end, end + t_mat.shape[0]
         spans.append((start, t_mat))
-    if end != xs.size:
+    if sample and end != xs.size:
         raise ValueError("t_mat must be (m, t-1) and xs length m")
     state, base_of = f._round_state(bases)
     in_base = state[0]
-    row_base = base_of.repeat(sizes)
+    row_base = np.zeros(xs.size, np.int64) if groups == 1 else base_of.repeat(size_list)
 
     _check_bounds(f, xs)
     member = _in_own_base(in_base, row_base, xs)
@@ -584,25 +594,35 @@ def paired_gain_round(f: Objective, xs, t_mats, offsets, bases: Sequence,
             ledger.record_value(float(_mask_values(f, in_base[row][None], entry)[0]))
 
     gains = np.empty(xs.size, dtype=np.float64)
+    if not sample:
+        _kernel_gains(f, state, None, xs, row_base, gains)
     for start, t_mat in spans:
         rows = slice(start, start + t_mat.shape[0])
         out, x, row_of = gains[rows], xs[rows], row_base[rows]
-        fast = out
         if overlap is not None and overlap[rows].any():
             own = overlap[rows]
             out[own] = Objective._gain_batch(f, state, t_mat[own], x[own], row_of[own])
             t_mat, x, row_of = t_mat[~own], x[~own], row_of[~own]
-            fast = np.empty(x.size, dtype=np.float64)
-        per_call = max(1, GAIN_CELL_BUDGET // f._gain_row_cells(t_mat.shape[1]))
-        for a in range(0, x.size, per_call):
-            chunk = slice(a, a + per_call)
-            fast[chunk] = f._gain_batch(state, t_mat[chunk], x[chunk], row_of[chunk])
-        if fast is not out:
-            out[~own] = fast
+            out[~own] = _kernel_gains(f, state, t_mat, x, row_of, np.empty(x.size))
+        else:
+            _kernel_gains(f, state, t_mat, x, row_of, out)
     gains[member] = 0.0
     if np.count_nonzero(np.isfinite(gains)) != gains.size:
         raise ValueError(f"{entry}: the oracle returned a non-finite value")
     return gains
+
+
+def _kernel_gains(f: Objective, state, t_mat, xs, row_of, out: np.ndarray) -> np.ndarray:
+    """out, filled with ``f._gain_batch``'s gains of rows (t_mat[j], xs[j]),
+    whose bases are at row_of[j], a call of GAIN_CELL_BUDGET //
+    ``f._gain_row_cells(width)`` rows at a time; t_mat None is width 0."""
+    width = 0 if t_mat is None else t_mat.shape[1]
+    per_call = max(1, GAIN_CELL_BUDGET // f._gain_row_cells(width))
+    for a in range(0, xs.size, per_call):
+        x = xs[a:a + per_call]
+        t = np.empty((x.size, 0), dtype=np.int64) if t_mat is None else t_mat[a:a + per_call]
+        out[a:a + x.size] = f._gain_batch(state, t, x, row_of[a:a + per_call])
+    return out
 
 
 def batch_marginals(f: Objective, base, candidates,

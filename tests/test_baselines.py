@@ -8,7 +8,9 @@ from submax import (
     QueryLedger,
     RevenueObjective,
     WeightedGraph,
+    batch_marginals,
     brute_force_opt,
+    evaluate_batch,
     evaluate_offline,
     generate_synthetic,
     greedy,
@@ -144,8 +146,9 @@ class TestRandomLazyGreedy:
 @st.composite
 def tied_bounds(draw):
     """(bounds, k): bounds drawn from at most three values, 0.0 and -0.0
-    among the choices, and k below, at or above the number of bounds."""
-    values = draw(st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0, 3.0, 5e-324]),
+    among the choices, and -inf, a chosen element's, too, and k below, at or
+    above the number of bounds."""
+    values = draw(st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0, 3.0, 5e-324, -np.inf]),
                            min_size=1, max_size=3))
     bounds = draw(st.lists(st.sampled_from(values), min_size=1, max_size=60))
     return np.array(bounds), draw(st.integers(1, len(bounds) + 3))
@@ -161,9 +164,76 @@ def test_top_k_equals_the_stable_sort(case):
     # Lazy greedy's pool and its random pick index this order, so it must be
     # the full stable sort's to the last tie: highest bound first, then the
     # lower candidate.
+    # The helper ranks the bounds negated, as lazy greedy keeps them.
     bounds, k = case
-    candidates = np.arange(bounds.size, dtype=np.int64) * 3 + 1
-    got = _top_k(candidates, bounds, k)
-    want = candidates[np.argsort(-bounds, kind="stable")[:k]]
+    got = _top_k(-bounds, k)
+    want = np.argsort(-bounds, kind="stable")[:k]
     assert got.dtype == np.int64
     assert got.tolist() == want.tolist()
+
+
+def _old_top_k(candidates, values, k):
+    """The top k as lazy greedy ranked them when every wave gathered the
+    unchosen bounds: the k candidates of highest value, highest first, ties
+    to the earlier candidate."""
+    neg = -values
+    if neg.size > k:
+        kept = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
+        return candidates[kept[np.argsort(neg[kept], kind="stable")[:k]]]
+    return candidates[np.argsort(neg, kind="stable")]
+
+
+def reference_lazy_greedy(f, k, rng, ledger):
+    """Random lazy greedy with every wave re-ranking the unchosen elements'
+    bounds from scratch: the ranking production keeps in one negated array
+    and updates at the refreshed entries only."""
+    n = f.n
+    values = evaluate_batch(f, np.eye(n + 1, n, -1, dtype=bool), ledger)
+    f_s = float(values[0])
+    bounds = values[1:] - f_s
+    fresh, chosen = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    ledger.record_value(f_s)
+    s = np.empty(0, dtype=np.int64)
+    while s.size < k:
+        candidates = np.flatnonzero(~chosen)
+        if candidates.size == 0:
+            break
+        while True:
+            top = _old_top_k(candidates, bounds[candidates], k)
+            stale = top[~fresh[top]]
+            if stale.size == 0:
+                break
+            bounds[stale] = batch_marginals(f, s, stale, f_s, ledger)
+            fresh[stale] = True
+        pool = top[bounds[top] > 0.0]
+        if pool.size == 0:
+            break
+        pick = int(pool[int(rng.integers(pool.size))])
+        f_s += float(bounds[pick])
+        s = np.union1d(s, [pick])
+        chosen[pick] = True
+        fresh[:] = chosen
+        ledger.record_value(f_s)
+    return s
+
+
+# Repeated weights, 0.0 and -0.0 among them: a refreshed modular gain is the
+# weight itself, so -0.0 bounds meet the 0.0 ones the singleton round gave.
+TIED_WEIGHTS = np.array([2.0, 0.0, -0.0, 2.0, 1.0, -1.0, 0.0, 2.0, -0.0, 1.0, 1.0, 0.5])
+WAVE_CASES = {
+    "image-60": (lambda: generate_synthetic("image", 60, seed=8).objective(), (1, 5, 12)),
+    "tied-modular": (lambda: ModularObjective(np.tile(TIED_WEIGHTS, 3)), (1, 4, 9, 12, 40)),
+}
+
+
+@pytest.mark.parametrize("case", list(WAVE_CASES))
+@pytest.mark.parametrize("seed", range(4))
+def test_lazy_greedy_waves_equal_a_loop_that_re_ranks_every_wave(case, seed):
+    make, ks = WAVE_CASES[case]
+    for k in ks:
+        got_ledger, want_ledger = QueryLedger(), QueryLedger()
+        got = random_lazy_greedy(make(), k, None, make_rng(seed), got_ledger)
+        want = reference_lazy_greedy(make(), k, make_rng(seed), want_ledger)
+        assert got.tolist() == want.tolist(), k
+        assert got_ledger.per_round == want_ledger.per_round, k
+        assert got_ledger.values == want_ledger.values, k

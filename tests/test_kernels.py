@@ -662,6 +662,42 @@ def test_grouped_round_equals_one_group_calls(kind, case):
         assert (gains[members] == 0.0).all()
 
 
+@pytest.mark.parametrize("asks", [False, True], ids=["knows", "asks"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_group_marginals_round_equals_its_rows_in_two_groups(kind, asks):
+    # A one-group marginals round skips the T arrays, the spans and the
+    # multi-group offsets; its gains and ledger must be those its rows get
+    # beside another group, on a fresh objective and on one whose latest
+    # stack holds both bases. Candidates repeat, and some lie in the base.
+    rng = np.random.default_rng(9)
+    n = 14
+    for _ in range(6):
+        base = np.sort(rng.choice(n, rng.integers(0, 6), replace=False))
+        other = np.sort(rng.choice(n, rng.integers(0, 6), replace=False))
+        xs = np.concatenate([rng.integers(0, n, 7), base[:2], rng.integers(0, n, 1).repeat(2)])
+        others = rng.integers(0, n, 3)
+        lone_f, grouped_f = make_objective(kind, n, 4), make_objective(kind, n, 4)
+
+        def lone(f):
+            led = QueryLedger()
+            if asks:
+                gains = paired_gain_round(f, xs, None, (0, xs.size), [base], [led], asks=True)
+            else:
+                gains = batch_marginals(f, base, xs, evaluate_offline(f, base), led)
+            return gains, led
+
+        led, other_led = QueryLedger(), QueryLedger()
+        grouped = paired_gain_round(grouped_f, np.concatenate([others, xs]), None,
+                                    (0, 3, 3 + xs.size), [other, base], [other_led, led],
+                                    asks=asks)[3:]
+        for gains, lone_led in (lone(lone_f), lone(grouped_f)):
+            assert gains.tobytes() == grouped.tobytes()
+            assert lone_led.per_round == led.per_round == [(1, xs.size + asks)]
+            assert lone_led.values == led.values
+        in_base = np.isin(xs, base)
+        assert (grouped[in_base] == 0.0).all() and not np.signbit(grouped[in_base]).any()
+
+
 def _graph_objective(kind, graph):
     """kind's objective on "G400" (revenue and cut: G(400, 3/399), graph
     seed 61) or "hub" (revenue and cut: _skewed_graph(), n = 48); the other
@@ -813,8 +849,15 @@ def test_image_base_state_equals_column_reductions_bit_for_bit(nudge):
         base = np.sort(rng.choice(f.n, size, replace=False))
         cols = s[:, base]
         want = (cols.max(axis=1) if size else np.zeros(f.n), cols.sum(axis=1))
-        for got, expect in zip(f._base_state(base), want):
+        state = f._base_state(base)
+        assert len(state) == 3
+        for got, expect in zip(state, want):
             assert got.tobytes() == expect.tobytes(), size
+        # The penalty row holds, item by item, what a kernel row computes
+        # from its gathered total.
+        xs = rng.integers(0, f.n, 50)
+        penalty = (2.0 * want[1][xs] + np.diag(s)[xs]) / f.n
+        assert state[2][xs].tobytes() == penalty.tobytes(), size
 
 
 @pytest.mark.parametrize("nudge", [0.0, 1e-10], ids=["symmetric", "nearly-symmetric"])
@@ -931,10 +974,10 @@ def test_cover_memo_gains_equal_a_fresh_objectives(case):
         _, want = _memo_round(ImageSummarizationObjective(matrix), base, round_kind,
                               np.random.default_rng(step_seed))
         assert got.tobytes() == want.tobytes(), (move, round_kind)
-        if round_kind == "marginals" and len(warm._base_memo) == 1:
-            # A round whose stack holds its one base (not a latest stack of
-            # two that holds it) leaves the memo with this base's best
-            # covers, knowing every x.
+        if round_kind == "marginals":
+            # A one-base round gets its base's state alone, even when the
+            # latest stack holds two, so it leaves the memo with this base's
+            # best covers, knowing every x.
             best, _, known = warm._cover_memo
             assert best.tobytes() == warm._round_state([base])[0][1][0].tobytes()
             assert known[xs].all()

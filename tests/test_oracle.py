@@ -421,7 +421,10 @@ def test_asking_the_base_value_changes_no_gain():
 
 
 # Each case: one malformed round, (xs, t_mats, offsets, bases, asks), and
-# the error's text.
+# the error's text; the error is a plain ValueError unless the text is a
+# (InvalidSubsetError, text) pair. The one-group marginals rounds take the
+# trimmed path, which must check as much before it meters; the bad
+# candidates come with the memo's base, which a check may not replace.
 MALFORMED_ROUNDS = {
     "offsets-short-of-xs": (([0, 2, 3], None, [0, 2], [[1]], False), "offsets must cover"),
     "offsets-past-xs": (([0, 2], None, [0, 3], [[1]], False), "offsets must cover"),
@@ -437,6 +440,14 @@ MALFORMED_ROUNDS = {
                           "cannot ask"),
     "two-dimensional-xs": (([[0], [2]], None, [0, 2], [[1]], False),
                            "candidates must be one-dimensional"),
+    "out-of-range-candidate": (([0, 9], None, (0, 2), [[3, 5]], False),
+                               (InvalidSubsetError, "out of range")),
+    "negative-candidate": (([-1, 2], None, (0, 2), [[3, 5]], False),
+                           (InvalidSubsetError, "out of range")),
+    "non-integer-candidates": (([0.5, 2.0], None, (0, 2), [[3, 5]], False),
+                               (InvalidSubsetError, "integers")),
+    "unsorted-base": (([0, 2], None, (0, 2), [[4, 1]], True),
+                      (InvalidSubsetError, "strictly increasing")),
 }
 
 
@@ -444,13 +455,14 @@ MALFORMED_ROUNDS = {
                          ids=list(MALFORMED_ROUNDS))
 def test_malformed_round_fails_before_it_is_metered(case, text):
     xs, t_mats, offsets, bases, asks = case
+    error, text = text if isinstance(text, tuple) else (ValueError, text)
     f = _revenue()
     batch_marginals(f, [3, 5], [0], 0.0, QueryLedger())
     memo = f._base_memo
     ledgers = [QueryLedger() for _ in bases]
     with pytest.raises(ValueError, match=text) as info:
         paired_gain_round(f, xs, t_mats, offsets, bases, ledgers, asks=asks)
-    assert type(info.value) is ValueError
+    assert type(info.value) is error
     assert [led.rounds for led in ledgers] == [0] * len(bases)
     assert f._base_memo is memo
 
